@@ -139,7 +139,7 @@ def cmd_optimize(args) -> int:
 def cmd_verify(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     resolver = MachineResolver(Path(args.scenarios).parent)
-    reports, summary = run_suite(scenarios, resolver, jobs=args.jobs)
+    reports, summary = run_suite(scenarios, resolver)
     for r in reports:
         print(r.line(deterministic=args.deterministic))
     print(f"{summary['passed']}/{summary['total']} passed")
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a scenario suite", parents=[common])
     p.add_argument("scenarios")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--summary", help="write a JSON summary here")
     p.set_defaults(fn=cmd_verify)
 

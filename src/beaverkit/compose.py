@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .machine import HALT, NEXT_MACHINE, Action, Machine, state_count
+from .machine import HALT, NEXT_MACHINE, Action, Machine
 from .tables import (
     Overlay,
     RawTable,
@@ -168,34 +168,3 @@ def compose(manifest: SectionManifest) -> ComposedMachine:
         states=states,
     )
     return ComposedMachine(machine=machine, provenance=provenance)
-
-
-@dataclass
-class DecidabilityReport:
-    """Ranking of two machines by the fewer-states-first measure."""
-
-    left: str
-    right: str
-    left_states: int
-    right_states: int
-    higher_decidability: str | None  # machine name, or None on a tie
-
-    def __str__(self) -> str:
-        if self.higher_decidability is None:
-            return (
-                f"{self.left} ({self.left_states}) and {self.right} "
-                f"({self.right_states}) are equal under the state-count measure"
-            )
-        return (
-            f"{self.higher_decidability} ranks higher "
-            f"({self.left}={self.left_states}, {self.right}={self.right_states}; fewer states win)"
-        )
-
-
-def compare_decidability(a: Machine, b: Machine) -> DecidabilityReport:
-    ca, cb = state_count(a), state_count(b)
-    if ca == cb:
-        winner = None
-    else:
-        winner = a.name if ca < cb else b.name
-    return DecidabilityReport(a.name, b.name, ca, cb, winner)

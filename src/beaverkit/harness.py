@@ -22,7 +22,6 @@ Report lines are ``PASS|FAIL <name> steps=<n> [observed=.. expected=..]``.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import time
 from dataclasses import dataclass, field
@@ -63,6 +62,9 @@ class TransferExpect:
 
 
 Expectation = OracleExpect | SnapshotExpect | OutcomeExpect | TransferExpect
+
+_ORACLES = ("square", "factorial_plus_one", "fermat", "prime", "brocard")  # one integer each
+_HEAD_EDGES = ("left", "right", "after")
 
 
 @dataclass
@@ -255,12 +257,13 @@ def _judge_oracle(scenario, outcome, exp, report):
 
 
 def run_suite(scenarios, resolver, jobs: int = 1):
-    """All reports in scenario order plus a summary dict."""
-    if jobs <= 1:
-        reports = [run_scenario(s, resolver) for s in scenarios]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda s: run_scenario(s, resolver), scenarios))
+    """All reports in scenario order plus a summary dict.
+
+    Scenarios run one after another; `jobs` is accepted for existing
+    callers and ignored (the runs are CPU-bound pure Python, so threads
+    only slowed them down).
+    """
+    reports = [run_scenario(s, resolver) for s in scenarios]
     passed = sum(1 for r in reports if r.passed)
     summary = {
         "total": len(reports),
@@ -271,14 +274,6 @@ def run_suite(scenarios, resolver, jobs: int = 1):
         ],
     }
     return reports, summary
-
-
-def diff_tape(observed: Tape, expected: tuple[int, ...], window_start: int) -> int | None:
-    """First cell where the window diverges from `expected`, else None."""
-    for i, want in enumerate(expected):
-        if observed.read(window_start + i) != want:
-            return window_start + i
-    return None
 
 
 def _strip_comment(raw: str) -> str:
@@ -293,65 +288,79 @@ def _strip_comment(raw: str) -> str:
 
 
 def parse_scenarios(text: str) -> list[Scenario]:
+    """Scenarios in file order; a malformed line raises ValueError("line N: ...")."""
     out: list[Scenario] = []
-    current: Scenario | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
+        parts = _strip_comment(raw).split()
+        if not parts:
             continue
-        parts = line.split()
-        key = parts[0]
-        if key == "scenario":
-            current = Scenario(name=parts[1], machine_ref="")
-            out.append(current)
-            continue
-        if current is None:
-            raise ValueError(f"line {lineno}: directive before any scenario")
-        if key == "machine":
-            current.machine_ref = parts[1]
-        elif key == "entry":
-            current.entry = parts[1]
-        elif key == "tape":
-            if parts[1] == "blank":
-                pass
-            elif parts[1] == "unary":
-                current.tape_blocks = tuple(int(x) for x in parts[2:])
-            elif parts[1] == "window":
-                current.tape_window = (int(parts[2]), tuple(int(x) for x in parts[3:]))
+        try:
+            if parts[0] == "scenario":
+                out.append(Scenario(name=parts[1], machine_ref=""))
+            elif not out:
+                raise ValueError("directive before any scenario")
             else:
-                raise ValueError(f"line {lineno}: unknown tape kind {parts[1]!r}")
-        elif key == "head":
-            if parts[1] == "abs":
-                current.head = ("abs", int(parts[2]))
-            elif parts[1] == "block":
-                current.head = ("block", int(parts[2]), parts[3])
-            else:
-                raise ValueError(f"line {lineno}: unknown head rule {parts[1]!r}")
-        elif key == "limit":
-            kw = {}
-            for tok in parts[1:]:
-                k, _, v = tok.partition("=")
-                if k == "steps":
-                    kw["max_steps"] = int(v)
-                elif k == "cells":
-                    kw["max_support_cells"] = int(v)
-                else:
-                    raise ValueError(f"line {lineno}: unknown limit {k!r}")
-            current.limits = RunLimits(**kw)
-        elif key == "expect":
-            current.expect = _parse_expect(parts[1:], lineno)
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {key!r}")
+                _parse_directive(out[-1], parts)
+        except IndexError:
+            raise ValueError(f"line {lineno}: {' '.join(parts)!r} is missing an argument") from None
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
     for s in out:
         if not s.machine_ref:
             raise ValueError(f"scenario {s.name!r} names no machine")
     return out
 
 
-def _parse_expect(parts: list[str], lineno: int) -> Expectation:
+def _parse_directive(current: Scenario, parts: list[str]) -> None:
+    key = parts[0]
+    if key == "machine":
+        current.machine_ref = parts[1]
+    elif key == "entry":
+        current.entry = parts[1]
+    elif key == "tape":
+        if parts[1] == "blank":
+            pass
+        elif parts[1] == "unary":
+            current.tape_blocks = tuple(int(x) for x in parts[2:])
+        elif parts[1] == "window":
+            current.tape_window = (int(parts[2]), tuple(int(x) for x in parts[3:]))
+        else:
+            raise ValueError(f"unknown tape kind {parts[1]!r}")
+    elif key == "head":
+        if parts[1] == "abs":
+            current.head = ("abs", int(parts[2]))
+        elif parts[1] == "block":
+            if parts[3] not in _HEAD_EDGES:
+                raise ValueError(f"unknown head edge {parts[3]!r}")
+            current.head = ("block", int(parts[2]), parts[3])
+        else:
+            raise ValueError(f"unknown head rule {parts[1]!r}")
+    elif key == "limit":
+        kw = {}
+        for tok in parts[1:]:
+            k, _, v = tok.partition("=")
+            if k == "steps":
+                kw["max_steps"] = int(v)
+            elif k == "cells":
+                kw["max_support_cells"] = int(v)
+            else:
+                raise ValueError(f"unknown limit {k!r}")
+        current.limits = RunLimits(**kw)
+    elif key == "expect":
+        current.expect = _parse_expect(parts[1:])
+    else:
+        raise ValueError(f"unknown directive {key!r}")
+
+
+def _parse_expect(parts: list[str]) -> Expectation:
     kind = parts[0]
     if kind == "oracle":
-        return OracleExpect(parts[1], tuple(int(x) for x in parts[2:]))
+        if parts[1] not in _ORACLES:
+            raise ValueError(f"unknown oracle {parts[1]!r}")
+        args = tuple(int(x) for x in parts[2:])
+        if len(args) != 1:
+            raise ValueError(f"oracle {parts[1]} takes one integer, got {len(args)}")
+        return OracleExpect(parts[1], args)
     if kind == "snapshot":
         a, _, b = parts[1].partition("..")
         return SnapshotExpect(int(a), int(b), tuple(int(x) for x in parts[2:]))
@@ -364,10 +373,10 @@ def _parse_expect(parts: list[str], lineno: int) -> Expectation:
         values = None
         if len(parts) > 2:
             if parts[2] != "values":
-                raise ValueError(f"line {lineno}: expected 'values' after transfer state")
+                raise ValueError("expected 'values' after transfer state")
             values = tuple(int(x) for x in parts[3:])
         return TransferExpect(state, values, int(occ) if occ else 1)
-    raise ValueError(f"line {lineno}: unknown expectation {kind!r}")
+    raise ValueError(f"unknown expectation {kind!r}")
 
 
 def load_scenarios(path) -> list[Scenario]:

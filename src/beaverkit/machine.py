@@ -79,9 +79,6 @@ class Machine:
         pair = self.states.get(state)
         return None if pair is None else pair[symbol]
 
-    def state_names(self) -> list[str]:
-        return list(self.states)
-
     def external_targets(self) -> set[str]:
         """Targets that are neither defined states nor the halt marker."""
         out = set()

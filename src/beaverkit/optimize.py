@@ -11,10 +11,11 @@ suite, which is exactly what verify_merge re-checks, run for run.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .engine import RunLimits, run
-from .machine import Action, Machine
+from .engine import HALTED, RunLimits, run
+from .machine import RIGHT, Action, Machine
 from .tape import Configuration
 
 
@@ -172,31 +173,22 @@ def apply_merges(machine: Machine, plan: MergePlan) -> Machine:
                 )
         zero_of[p.merged_name] = p.zero_state
         one_of[p.merged_name] = p.one_state
-    counts: dict[str, int] = {}
-    for p in plan.pairs:
-        for s in (p.zero_state, p.one_state):
-            counts[s] = counts.get(s, 0) + 1
+    counts = Counter(s for p in plan.pairs for s in (p.zero_state, p.one_state))
     dupes = [s for s, c in counts.items() if c > 1]
     if dupes:
         raise ValueError(f"states appear in more than one pair: {dupes}")
-
-    def retarget(act: Action | None) -> Action | None:
-        if act is None:
-            return None
-        t = alias.get(act.target)
-        return act if t is None else act._replace(target=t)
 
     merged_emitted: set[str] = set()
     states: dict[str, tuple[Action | None, Action | None]] = {}
     for name, (on_zero, on_one) in machine.states.items():
         m = alias.get(name)
         if m is None:
-            states[name] = (retarget(on_zero), retarget(on_one))
+            states[name] = (_retarget(on_zero, alias), _retarget(on_one, alias))
         elif m not in merged_emitted:
             merged_emitted.add(m)
             states[m] = (
-                retarget(machine.action(zero_of[m], 0)),
-                retarget(machine.action(one_of[m], 1)),
+                _retarget(machine.action(zero_of[m], 0), alias),
+                _retarget(machine.action(one_of[m], 1), alias),
             )
     return Machine(
         name=f"{machine.name} (merged)",
@@ -205,12 +197,13 @@ def apply_merges(machine: Machine, plan: MergePlan) -> Machine:
     )
 
 
+def _retarget(act: Action | None, alias: dict[str, str]) -> Action | None:
+    t = alias.get(act.target) if act else None
+    return act if t is None else act._replace(target=t)
+
+
 def merge_alias(plan: MergePlan) -> dict[str, str]:
-    alias: dict[str, str] = {}
-    for p in plan.pairs:
-        alias[p.zero_state] = p.merged_name
-        alias[p.one_state] = p.merged_name
-    return alias
+    return {s: p.merged_name for p in plan.pairs for s in (p.zero_state, p.one_state)}
 
 
 @dataclass
@@ -244,8 +237,7 @@ def verify_merge(original: Machine, merged: Machine, scenarios, plan: MergePlan 
 
     Scenarios run exactly as the harness judges them; entry and watch
     state names are translated through the merge aliases for the merged
-    run.  On divergence the pair is re-run in lockstep to locate the
-    first differing step.
+    run.  On divergence, _locate_divergence finds the first differing step.
     """
     from .harness import execute_scenario
 
@@ -266,34 +258,40 @@ def verify_merge(original: Machine, merged: Machine, scenarios, plan: MergePlan 
         )
         if not same:
             comp.first_divergence, comp.detail = _locate_divergence(
-                original, merged, scn, alias, cap=min(out_a.steps, out_b.steps) + 1
+                original, merged, scn, alias, out_a, out_b
             )
         comparisons.append(comp)
     return MergeVerdict(all(c.equivalent for c in comparisons), comparisons)
 
 
-def _locate_divergence(original, merged, scn, alias, cap):
-    """Lockstep single-step co-simulation; returns (step, detail)."""
-    entry_a = scn.entry or original.start
-    entry_b = alias.get(entry_a, entry_a)
-    cfg_a = Configuration(entry_a, scn.build_tape())
-    cfg_b = Configuration(entry_b, scn.build_tape())
-    limit_one = RunLimits(max_steps=1, max_support_cells=scn.limits.max_support_cells)
-    cap = min(cap, 10**6)
-    for step in range(1, cap + 1):
-        out_a = run(original, cfg_a, limit_one)
-        out_b = run(merged, cfg_b, limit_one)
-        cfg_a, cfg_b = out_a.config, out_b.config
-        cfg_a.steps = cfg_b.steps = 0
-        state_a = alias.get(cfg_a.state, cfg_a.state)
-        if state_a != cfg_b.state:
-            return step, f"states diverge: {cfg_a.state} vs {cfg_b.state}"
-        if cfg_a.tape.head != cfg_b.tape.head:
-            return step, f"heads diverge: {cfg_a.tape.head} vs {cfg_b.tape.head}"
-        if not cfg_a.tape.content_equal(cfg_b.tape):
-            return step, "tapes diverge"
-        if out_a.kind != "step_limit" or out_b.kind != "step_limit":
-            if out_a.kind != out_b.kind:
-                return step, f"outcomes diverge: {out_a.kind} vs {out_b.kind}"
-            break
-    return None, "divergence beyond co-simulation cap"
+def _locate_divergence(original, merged, scn, alias, out_a, out_b):
+    """First step at which the two runs part; returns (step, detail).
+
+    A merge changes a known set of (state, symbol) transitions, so both
+    runs agree step for step until the original reads one of them, or
+    until one run stops where the other does not.  One run of a probe,
+    the original with each changed transition redirected to an exit
+    marker naming it (writing 0, which no memory cap refuses), finds
+    the first such read within the horizon.
+    """
+    probe, marks = {}, set()
+    for name, actions in original.states.items():
+        row = list(actions)
+        for sym, act in enumerate(actions):
+            if _retarget(act, alias) != merged.action(alias.get(name, name), sym):
+                row[sym] = Action(0, RIGHT, f"{name} read-{sym}")
+                marks.add(row[sym].target)
+        probe[name] = tuple(row)
+    horizon = min(out_a.steps, out_b.steps)
+    limits = RunLimits(max_steps=horizon + 1, max_support_cells=scn.limits.max_support_cells)
+    config = Configuration(scn.entry or original.start, scn.build_tape())
+    out = run(Machine(original.name, original.start, probe), config, limits)
+    read = out.halting_state if out.halting_state in marks else None
+    if read and out.steps <= horizon:
+        return out.steps, f"original reads {read}, changed by the merge"
+    # a watch, budget or memory stop at the horizon that the other run lacks
+    stops = [o.kind if o.steps == horizon and o.kind != HALTED else "none" for o in (out_a, out_b)]
+    if stops[0] != stops[1]:
+        return horizon, "stops diverge: {} vs {}".format(*stops)
+    # else one run halted at the horizon on a changed transition the other has
+    return horizon + 1, f"original reads {read}, changed by the merge"

@@ -111,28 +111,3 @@ def encode_tape(layout: UnaryLayout, start_cell: int = 0) -> Tape:
     tape = Tape.from_blocks(list(layout.blocks), start_cell=start_cell)
     tape.head = layout.head_position(start_cell)
     return tape
-
-
-def decode_tape(
-    tape: Tape,
-    window: tuple[int, int] | None = None,
-    expect_blocks: int | None = None,
-) -> list[int]:
-    """Maximal 1-runs in the window (default: the full support)."""
-    if window is None:
-        blocks = tape.blocks()
-    else:
-        lo, hi = window
-        blocks = []
-        run = 0
-        for c in range(lo, hi):
-            if tape.read(c):
-                run += 1
-            elif run:
-                blocks.append(run)
-                run = 0
-        if run:
-            blocks.append(run)
-    if expect_blocks is not None and len(blocks) != expect_blocks:
-        raise ValueError(f"expected {expect_blocks} blocks, decoded {len(blocks)}: {blocks}")
-    return blocks

@@ -265,13 +265,6 @@ def load_overlay(path) -> Overlay:
     return parse_overlay(Path(path).read_text())
 
 
-def serialize_overlay(ov: Overlay) -> str:
-    lines = [f"rename {r.row_index} {r.fieldname} {r.old} {r.new}" for r in ov.renames]
-    if ov.start_override is not None:
-        lines.append(f"start {ov.start_override}")
-    return "\n".join(lines) + "\n"
-
-
 def apply_overlay(raw: RawTable, overlay: Overlay) -> RawTable:
     """Renamed copy of `raw`; never changes row count or non-name fields."""
     rows = list(raw.rows)
@@ -318,7 +311,3 @@ def serialize(obj: RawTable | Machine) -> str:
     if isinstance(obj, Machine):
         return serialize_machine(obj)
     return serialize_table(obj)
-
-
-def table_of_machine(machine: Machine) -> RawTable:
-    return parse_table(serialize_machine(machine))

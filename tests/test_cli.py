@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from beaverkit.cli import dispatch
 from beaverkit.data import data_path
 
@@ -161,3 +163,24 @@ def test_deterministic_output_is_reproducible(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("bad_line", [
+    "scenario",
+    "machine",
+    "head block 0",
+    "expect oracle prime",
+    "expect oracle nosuch 3",
+])
+def test_malformed_scenario_line_exits_2(capsys, tmp_path, bad_line):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(
+        f"scenario ok\n"
+        f"machine {data_path('fermat_t2.tbl')}\n"
+        "tape unary 2\n"
+        f"{bad_line}\n"
+    )
+    code, out, err = run_cli(capsys, "verify", str(scn))
+    assert code == 2
+    assert "error: line 4: " in err
+    assert out == ""

@@ -4,13 +4,12 @@ from beaverkit.compose import (
     ManifestError,
     Section,
     SectionManifest,
-    compare_decidability,
     compose,
     load_manifest,
     parse_manifest,
 )
 from beaverkit.engine import HALTED, WATCH, RunLimits, run
-from beaverkit.machine import HALT, Action, Machine, state_count
+from beaverkit.machine import HALT, state_count
 from beaverkit.tables import parse_table
 from beaverkit.tape import Configuration, Tape
 
@@ -95,33 +94,6 @@ def test_section_preservation(fermat_t2, fermat_composed, x):
     assert together.kind == WATCH
     assert together.steps == alone.steps
     assert together.config.tape.content_equal(alone.config.tape)
-
-
-def chain_machine(name, n):
-    states = {}
-    for i in range(n):
-        nxt = str(i + 1) if i + 1 < n else HALT
-        states[str(i)] = (Action(1, 1, nxt), None)
-    return Machine(name, "0", states)
-
-
-def test_compare_decidability_orders_by_state_count():
-    small = chain_machine("small", 43)
-    big = chain_machine("big", 72)
-    report = compare_decidability(small, big)
-    assert report.higher_decidability == "small"
-    assert (report.left_states, report.right_states) == (43, 72)
-
-
-def test_compare_decidability_tie():
-    m = chain_machine("m", 5)
-    assert compare_decidability(m, m).higher_decidability is None
-
-
-def test_compare_decidability_empty_beats_one_state():
-    empty = Machine("empty", HALT, {})
-    one = chain_machine("one", 1)
-    assert compare_decidability(one, empty).higher_decidability == "empty"
 
 
 def test_shipped_manifests_load(data_dir):

@@ -8,13 +8,11 @@ from beaverkit.harness import (
     Scenario,
     SnapshotExpect,
     TransferExpect,
-    diff_tape,
     parse_scenarios,
     run_scenario,
     run_suite,
 )
 from beaverkit.oracles import is_prime
-from beaverkit.tape import Tape
 
 
 def test_parse_scenarios_stanza():
@@ -142,37 +140,10 @@ def test_empty_suite_summary(resolver):
     assert summary["total"] == 0 and summary["failed"] == 0
 
 
-def test_suite_order_is_deterministic_across_jobs(resolver):
-    scns = [
-        Scenario(
-            f"sq{x}",
-            "../fermat.manifest#t2",
-            entry="0",
-            tape_blocks=(x,),
-            head=("block", 0, "left"),
-            limits=RunLimits(max_steps=10**6),
-            expect=OracleExpect("square", (x,)),
-        )
-        for x in range(1, 7)
-    ]
-    seq, _ = run_suite(scns, resolver, jobs=1)
-    par, summary = run_suite(scns, resolver, jobs=4)
-    assert [r.name for r in seq] == [r.name for r in par]
-    assert [r.steps for r in seq] == [r.steps for r in par]
-    assert summary["passed"] == 6
-
-
 def test_report_line_determinism():
     r = Report("x", True, 5, 12.3)
     assert r.line(deterministic=True) == "PASS x steps=5"
     assert "wall_ms" in r.line()
-
-
-def test_diff_tape():
-    t = Tape.from_blocks([2, 2])
-    assert diff_tape(t, (1, 1, 0, 1, 1), 0) is None
-    assert diff_tape(t, (1, 0, 0, 1, 1), 0) == 1
-    assert diff_tape(t, (0, 1, 1, 0, 1, 1), -1) is None
 
 
 def test_shipped_scenarios_parse(data_dir):

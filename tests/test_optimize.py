@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from beaverkit.engine import RunLimits
+from beaverkit.engine import HaltEvent, RunLimits, step
 from beaverkit.harness import OutcomeExpect, Scenario, TransferExpect, load_scenarios
 from beaverkit.machine import HALT, Action, Machine, state_count
 from beaverkit.optimize import (
@@ -15,6 +16,7 @@ from beaverkit.optimize import (
     propose_merges,
     verify_merge,
 )
+from beaverkit.tape import Configuration
 
 
 def scenario(name="s", entry=None, blocks=None, steps=1000, expect=None):
@@ -233,3 +235,114 @@ def test_brocard_plan_reaches_target(data_dir, brocard_ref):
     assert state_count(merged) <= 43
     verdict = verify_merge(machine, merged, scns, plan)
     assert verdict.equivalent, str(verdict)
+
+
+BROCARD_CHEAP = {
+    "init_window_after_5_steps", "factorial_3_plus_1_window",
+    "factorial_stage_3", "factorial_stage_4", "factorial_stage_5",
+}
+
+
+def test_brocard_divergences_located(data_dir, brocard_ref):
+    """A plan profiled on five cheap scenarios, verified on the whole suite."""
+    scns = load_scenarios(data_dir / "scenarios" / "brocard.scn")
+    machine = brocard_ref.machine
+    profile = profile_reads(machine, [s for s in scns if s.name in BROCARD_CHEAP])
+    plan = propose_merges(machine, profile)
+    verdict = verify_merge(machine, apply_merges(machine, plan), scns, plan)
+    got = {c.name: c.first_divergence for c in verdict.comparisons if not c.equivalent}
+    assert got == {
+        "factorial_stage_5": 603,
+        "factorial_stage_6": 12594,
+        "factorial_stage_7": 12597,
+        "square_check_halts_25": 26,
+        "square_check_halts_49": 50,
+        "square_check_halts_121": 122,
+        "square_check_returns_26": 27,
+        "square_check_returns_50": 51,
+        "square_check_returns_122": 123,
+        "square_check_oracle_36": 37,
+        "square_check_oracle_35": 36,
+        "no_halt_within_budget": 12598,
+    }
+
+
+def lockstep_divergence(original, merged, scn, alias):
+    """Reference: step both machines one transition at a time.
+
+    Each run stops as execute_scenario stops it: on its budget, or on
+    the k-th entry into a transfer state (a self-loop is no entry, as in
+    the skipping loop).  Returns the first step at which the stops, the
+    halts or the configurations differ, or None.
+    """
+    exp = scn.expect
+    need = exp.occurrence if isinstance(exp, TransferExpect) else 0
+    watch_a = exp.state if need else None
+    watch_b = alias.get(watch_a, watch_a)
+    entry = scn.entry or original.start
+    a = Configuration(entry, scn.build_tape())
+    b = Configuration(alias.get(entry, entry), scn.build_tape())
+    entries_a = entries_b = 0
+
+    def stop(cfg, entries):
+        if need and entries >= need:
+            return "watch"
+        return "step_limit" if cfg.steps >= scn.limits.max_steps else None
+
+    while True:
+        stop_a, stop_b = stop(a, entries_a), stop(b, entries_b)
+        if stop_a != stop_b:
+            return a.steps
+        if stop_a:
+            return None
+        next_a, next_b = step(original, a), step(merged, b)
+        halt_a, halt_b = isinstance(next_a, HaltEvent), isinstance(next_b, HaltEvent)
+        if halt_a != halt_b:
+            return a.steps + 1
+        if halt_a:
+            return None
+        if (
+            alias.get(next_a.state, next_a.state) != next_b.state
+            or next_a.tape.head != next_b.tape.head
+            or not next_a.tape.content_equal(next_b.tape)
+        ):
+            return next_a.steps
+        entries_a += next_a.state == watch_a and a.state != watch_a
+        entries_b += next_b.state == watch_b and b.state != watch_b
+        a, b = next_a, next_b
+
+
+@st.composite
+def small_machines(draw):
+    """2-4 states, some transitions missing, some to HALT."""
+    names = [chr(65 + i) for i in range(draw(st.integers(2, 4)))]
+    states = {}
+    for name in names:
+        acts = [
+            Action(draw(st.integers(0, 1)), draw(st.sampled_from([-1, 1])),
+                   draw(st.sampled_from(names + [HALT])))
+            if draw(st.integers(0, 4)) else None
+            for _ in (0, 1)
+        ]
+        states[name] = (acts[0], acts[1]) if any(acts) else (Action(1, 1, HALT), None)
+    return Machine("rand", names[0], states)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_located_divergence_matches_lockstep(data):
+    m = data.draw(small_machines())
+    short = scenario("short", steps=data.draw(st.integers(1, 8)))
+    plan = propose_merges(m, profile_reads(m, [short]))
+    merged = apply_merges(m, plan)
+    blocks = tuple(data.draw(st.lists(st.integers(1, 4), max_size=2))) or None
+    expect = data.draw(st.one_of(
+        st.just(OutcomeExpect("nothalt")),
+        st.builds(lambda s, k: TransferExpect(s, occurrence=k),
+                  st.sampled_from(sorted(m.states)), st.integers(1, 4)),
+    ))
+    long = scenario("long", blocks=blocks, steps=data.draw(st.integers(10, 200)), expect=expect)
+    verdict = verify_merge(m, merged, [long], plan)
+    (comp,) = verdict.comparisons
+    if not comp.equivalent:
+        assert comp.first_divergence == lockstep_divergence(m, merged, long, merge_alias(plan))

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from beaverkit.oracles import (
     UnaryLayout,
-    decode_tape,
     encode_tape,
     factorial_plus_one,
     fermat_number,
@@ -118,7 +117,7 @@ def test_encode_rejects_empty_block():
 @pytest.mark.parametrize("x", range(1, 101))
 def test_single_block_round_trip(x):
     t = encode_tape(UnaryLayout(blocks=(x,)))
-    assert decode_tape(t) == [x]
+    assert t.blocks() == [x]
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,13 +126,4 @@ def test_codec_round_trip(blocks):
     if not blocks:
         return
     t = encode_tape(UnaryLayout(blocks=tuple(blocks)))
-    assert decode_tape(t) == blocks
-
-
-def test_decode_window_and_count():
-    t = encode_tape(UnaryLayout(blocks=(3, 2)))
-    assert decode_tape(t, window=(0, 6)) == [3, 2]
-    assert decode_tape(t, window=(0, 3)) == [3]
-    with pytest.raises(ValueError, match="expected 1 blocks"):
-        decode_tape(t, expect_blocks=1)
-    assert decode_tape(t, expect_blocks=2) == [3, 2]
+    assert t.blocks() == blocks
