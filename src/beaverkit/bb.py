@@ -140,8 +140,12 @@ def parse_certificate(text: str) -> NonHaltCertificate:
 def certify_nonhalt(
     machine: Machine, outcome: RunOutcome, registry: Registry | None = None
 ) -> NonHaltCertificate | None:
-    """A machine-checkable non-halting certificate, when one is earned."""
-    if outcome.kind == HALTED:
+    """A machine-checkable non-halting certificate, when one is earned.
+
+    Both bases speak of the run from a blank tape, which is what
+    `replay_certificate` re-runs, so any other run earns none.
+    """
+    if outcome.kind == HALTED or not outcome.blank_start:
         return None
     if outcome.kind == CYCLE:
         return NonHaltCertificate(

@@ -66,7 +66,7 @@ def parse_manifest(text: str, base_dir: Path | str = ".") -> SectionManifest:
         parts = line.split()
         if parts[0] == "section":
             rest = parts[1:]
-            if len(rest) < 3 or not rest[-1].startswith("start="):
+            if len(rest) not in (3, 4) or not rest[-1].startswith("start="):
                 raise ManifestError(
                     f"line {lineno}: section <label> <tableFile> [overlayFile] start=<state>"
                 )

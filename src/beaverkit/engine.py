@@ -1,18 +1,18 @@
 """Execution engine: budgeted runs, cycle detection, tracing, fingerprints.
 
-Two interchangeable inner loops share one semantics:
+One run loop serves every run.  It recognizes self-loop transitions
+(state maps to itself on the symbol under the head) and processes the
+whole uniform run of that symbol in one memchr/memset pass, crediting
+the exact number of steps; everything else executes one transition per
+iteration.  Cycle detection and tracing observe every configuration, so
+they turn the scan off, and nothing else: the stop rules are the same
+whether or not a run is observed.
 
-* a plain loop executing one transition per iteration, used whenever
-  per-step observation is needed (cycle detection, tracing);
-* a skipping loop that recognizes self-loop transitions (state maps to
-  itself on the symbol under the head) and processes the whole uniform
-  run of that symbol in one memchr/memset pass, crediting the exact
-  number of steps.
-
-Both produce identical outcomes, step counts, and tapes; the property
-suite asserts this on random machines.  The skipping loop sustains well
-over 10^7 credited steps per second on the unary-arithmetic tables this
-package ships, whose inner loops are long scans.
+Scanned and single-stepped runs produce identical outcomes, step counts
+and tapes; the property suite asserts this on random machines against
+a reference built on `step`.  The scan sustains well over 10^7
+credited steps per second on the unary-arithmetic tables this package
+ships, whose inner loops are long scans.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class RunLimits:
     (a monotone high-water measure: erasing does not return headroom);
     the write that would exceed it is not executed and the run reports
     memory_limit with the exact step count.  `cycle_check` fingerprints
-    every configuration and forces the per-step loop.
+    every configuration, so the run executes one transition at a time.
     """
 
     max_steps: int = DEFAULT_MAX_STEPS
@@ -62,7 +62,9 @@ class RunOutcome:
     kind is one of: halted, step_limit, cycle, memory_limit, or watch
     (the last only when `watch` states were given).  `halting_state` is
     the name the machine died in: the state with the missing action, or
-    the halt/external marker it transitioned into.
+    the halt/external marker it transitioned into.  `blank_start` says
+    the run began at step 0 in the machine's start state on a blank
+    tape, the only runs a non-halting certificate speaks for.
     """
 
     kind: str
@@ -72,6 +74,7 @@ class RunOutcome:
     first_visit: int | None = None
     period: int | None = None
     watched_state: str | None = None
+    blank_start: bool = False
 
     @property
     def halted(self) -> bool:
@@ -88,8 +91,8 @@ class HaltEvent:
 def step(machine: Machine, config: Configuration) -> Configuration | HaltEvent:
     """One transition, purely: returns a new Configuration or HaltEvent.
 
-    Convenience for interactive poking and spot checks; the run loops
-    below do not build per-step Configurations.
+    Convenience for interactive poking, spot checks and test references;
+    the run loop below does not build per-step Configurations.
     """
     if config.state not in machine.states:
         return HaltEvent(config)
@@ -115,25 +118,33 @@ def run(
 ) -> RunOutcome:
     """Run `machine` from `config` (blank tape if omitted) under `limits`.
 
-    `watch`: stop with kind="watch" upon entering any of these states.
-    `trace(steps, state, head, tape)` is called after every executed
-    transition (forces the plain loop).  `profile` is a set collecting
-    every (state, symbol) pair actually read.
+    `watch`: stop with kind="watch" when a transition enters one of
+    these states from another state (a self-loop is no entry, and the
+    state a run starts in is not entered).  `trace(steps, state, head,
+    tape)` is called after every executed transition, the halting one
+    included.  `profile` is a set collecting every (state, symbol) pair
+    actually read.
     """
     limits = limits or RunLimits()
     cm = compile_machine(machine)
     if config is None:
         config = Configuration(machine.start)
+    blank_start = (
+        config.steps == 0
+        and config.state == machine.start
+        and config.tape.support_size() == 0
+    )
     if config.state not in machine.states:
         if config.state not in RESERVED_NAMES:
             raise ValueError(
                 f"initial state {config.state!r} is not defined in {machine.name!r}"
             )
-        return RunOutcome(HALTED, config.steps, config, halting_state=config.state)
-    watch_idx = frozenset(cm.index[w] for w in watch if w in cm.index)
-    if limits.cycle_check or trace is not None:
-        return _run_plain(cm, config, limits, watch_idx, trace, profile)
-    return _run_skipping(cm, config, limits, watch_idx, profile)
+        outcome = RunOutcome(HALTED, config.steps, config, halting_state=config.state)
+    else:
+        watch_idx = frozenset(cm.index[w] for w in watch if w in cm.index)
+        outcome = _run(cm, config, limits, watch_idx, trace, profile)
+    outcome.blank_start = blank_start
+    return outcome
 
 
 def fingerprint(config: Configuration) -> str:
@@ -157,55 +168,7 @@ def _outcome(kind, cm, tape, state_idx, steps, exit_name=None, **kw) -> RunOutco
     return RunOutcome(kind, steps, cfg, halting_state=halting, **kw)
 
 
-def _run_plain(cm, config, limits, watch_idx, trace, profile) -> RunOutcome:
-    tape = config.tape
-    state = cm.index[config.state]
-    steps = config.steps
-    max_steps = limits.max_steps
-    cap = limits.max_support_cells
-    write, move, target, exit_name = cm.write, cm.move, cm.target, cm.exit_name
-    names = cm.names
-    seen: dict = {}
-    while steps < max_steps:
-        if limits.cycle_check:
-            key = _fingerprint_key(state, tape)
-            prev = seen.get(key)
-            if prev is not None:
-                return _outcome(
-                    CYCLE, cm, tape, state, steps, first_visit=prev, period=steps - prev
-                )
-            seen[key] = steps
-        sym = tape.read(tape.head)
-        j = 2 * state + sym
-        if profile is not None:
-            profile.add((names[state], sym))
-        t = target[j]
-        if t == NO_ACTION:
-            return _outcome(HALTED, cm, tape, state, steps)
-        w = write[j]
-        if w and not sym:
-            lo, hi = tape.ones_high_water()
-            c = tape.head
-            if hi >= lo and (max(hi, c) - min(lo, c) + 1) > cap:
-                return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
-        tape.write(tape.head, w)
-        tape.head += move[j]
-        steps += 1
-        if t == EXIT:
-            if trace is not None:
-                trace(steps, exit_name[j], tape.head, tape)
-            return _outcome(HALTED, cm, tape, state, steps, exit_name=exit_name[j])
-        state = t
-        if trace is not None:
-            trace(steps, names[state], tape.head, tape)
-        if state in watch_idx:
-            return _outcome(
-                WATCH, cm, tape, state, steps, watched_state=names[state]
-            )
-    return _outcome(STEP_LIMIT, cm, tape, state, steps)
-
-
-def _run_skipping(cm, config, limits, watch_idx, profile) -> RunOutcome:
+def _run(cm, config, limits, watch_idx, trace, profile) -> RunOutcome:
     tape = config.tape
     state = cm.index[config.state]
     steps = config.steps
@@ -218,6 +181,9 @@ def _run_skipping(cm, config, limits, watch_idx, profile) -> RunOutcome:
     org = tape.org
     head = tape.head
     lo1, hi1 = tape._lo1, tape._hi1  # over-approximate 1-bounds, in cells
+    cycle_check = limits.cycle_check
+    scan = not cycle_check and trace is None  # observers see every step
+    seen: dict = {}
 
     def sync():
         tape.buf, tape.org, tape.head = buf, org, head
@@ -230,6 +196,15 @@ def _run_skipping(cm, config, limits, watch_idx, profile) -> RunOutcome:
         buf, org = tape.buf, tape.org
 
     while steps < max_steps:
+        if cycle_check:
+            sync()
+            key = _fingerprint_key(state, tape)
+            prev = seen.get(key)
+            if prev is not None:
+                return _outcome(
+                    CYCLE, cm, tape, state, steps, first_visit=prev, period=steps - prev
+                )
+            seen[key] = steps
         p = org + head
         if not 0 <= p < len(buf):
             grown(head)
@@ -239,7 +214,7 @@ def _run_skipping(cm, config, limits, watch_idx, profile) -> RunOutcome:
         if profile is not None:
             profile.add((names[state], sym))
         t = target[j]
-        if t == state:
+        if t == state and scan:
             # Self-loop on `sym`: consume the whole uniform run at once.
             m = move[j]
             w = write[j]
@@ -325,13 +300,16 @@ def _run_skipping(cm, config, limits, watch_idx, profile) -> RunOutcome:
         buf[p] = w
         head += move[j]
         steps += 1
+        if trace is not None:
+            sync()
+            trace(steps, exit_names[j] if t == EXIT else names[t], head, tape)
         if t == EXIT:
             sync()
             return _outcome(HALTED, cm, tape, state, steps, exit_name=exit_names[j])
-        state = t
-        if state in watch_idx:
+        if t in watch_idx and t != state:  # a self-loop enters nothing
             sync()
-            return _outcome(WATCH, cm, tape, state, steps, watched_state=names[state])
+            return _outcome(WATCH, cm, tape, t, steps, watched_state=names[t])
+        state = t
     sync()
     return _outcome(STEP_LIMIT, cm, tape, state, steps)
 

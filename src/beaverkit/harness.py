@@ -290,6 +290,7 @@ def _strip_comment(raw: str) -> str:
 def parse_scenarios(text: str) -> list[Scenario]:
     """Scenarios in file order; a malformed line raises ValueError("line N: ...")."""
     out: list[Scenario] = []
+    lines: list[dict] = []  # per scenario: directive -> line it was last given on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = _strip_comment(raw).split()
         if not parts:
@@ -297,17 +298,28 @@ def parse_scenarios(text: str) -> list[Scenario]:
         try:
             if parts[0] == "scenario":
                 out.append(Scenario(name=parts[1], machine_ref=""))
+                lines.append({"scenario": lineno})
             elif not out:
                 raise ValueError("directive before any scenario")
             else:
                 _parse_directive(out[-1], parts)
+                lines[-1][parts[0]] = lineno
         except IndexError:
             raise ValueError(f"line {lineno}: {' '.join(parts)!r} is missing an argument") from None
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
-    for s in out:
+    for s, where in zip(out, lines):
         if not s.machine_ref:
-            raise ValueError(f"scenario {s.name!r} names no machine")
+            raise ValueError(f"line {where['scenario']}: scenario {s.name!r} names no machine")
+        if s.head[0] == "block":
+            i = s.head[1]
+            if s.tape_blocks is None:
+                raise ValueError(f"line {where['head']}: head block rule needs a unary tape")
+            if not 0 <= i < len(s.tape_blocks):
+                blocks = " ".join(map(str, s.tape_blocks))
+                raise ValueError(
+                    f"line {where['head']}: head block {i} out of range for tape unary {blocks}"
+                )
     return out
 
 
@@ -318,10 +330,13 @@ def _parse_directive(current: Scenario, parts: list[str]) -> None:
     elif key == "entry":
         current.entry = parts[1]
     elif key == "tape":
+        current.tape_blocks = current.tape_window = None  # the last tape line wins
         if parts[1] == "blank":
             pass
         elif parts[1] == "unary":
             current.tape_blocks = tuple(int(x) for x in parts[2:])
+            if min(current.tape_blocks, default=1) < 1:
+                raise ValueError("unary blocks must be >= 1")
         elif parts[1] == "window":
             current.tape_window = (int(parts[2]), tuple(int(x) for x in parts[3:]))
         else:

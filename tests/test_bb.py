@@ -15,6 +15,7 @@ from beaverkit.bb import (
 )
 from beaverkit.engine import CYCLE, RunLimits, run
 from beaverkit.machine import Action, Machine, state_count
+from beaverkit.tape import Configuration, Tape
 
 
 def test_registry_lookup_shipped():
@@ -139,6 +140,31 @@ def test_halted_machine_earns_no_certificate():
     halter = Machine("h", "A", {"A": (Action(1, 1, "HALT"), None)})
     out = run(halter)
     assert certify_nonhalt(halter, out, default_registry()) is None
+
+
+def test_no_certificate_unless_the_run_began_blank():
+    # from a blank tape this machine halts at once; from a block of 1s
+    # A and B bounce forever, and from B a blank tape glides forever
+    m = Machine(
+        "bounce", "A",
+        {"A": (None, Action(1, 1, "B")), "B": (Action(0, 1, "B"), Action(1, -1, "A"))},
+    )
+    unary = Configuration("A", Tape.from_blocks([50]))
+    out = run(m, unary.clone(), RunLimits(max_steps=10))
+    assert out.kind == "step_limit" and out.steps == 10
+    assert certify_nonhalt(m, out, default_registry()) is None
+    out = run(m, unary.clone(), RunLimits(max_steps=100, cycle_check=True))
+    assert out.kind == CYCLE
+    assert certify_nonhalt(m, out, default_registry()) is None
+    out = run(m, Configuration("B"), RunLimits(max_steps=100, cycle_check=True))
+    assert out.kind == CYCLE
+    assert certify_nonhalt(m, out, default_registry()) is None
+    # a continued run did not begin at step 0, even if its first leg did
+    mover = Machine("mover", "A", {"A": (Action(0, 1, "A"), None)})
+    first = run(mover, limits=RunLimits(max_steps=3))
+    later = run(mover, first.config, RunLimits(max_steps=100, cycle_check=True))
+    assert later.kind == CYCLE
+    assert certify_nonhalt(mover, later) is None
 
 
 def test_machine_from_program_shape():

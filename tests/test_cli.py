@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -165,12 +166,26 @@ def test_deterministic_output_is_reproducible(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("suite", ["fermat_sections", "fermat_composed", "brocard"])
+def test_shipped_suite_report_matches_bench_expected(capsys, suite):
+    # the benchmark's known answers: every verdict and step count, byte for byte
+    expected = Path(__file__).resolve().parents[1] / "bench" / "expected" / f"{suite}.txt"
+    scn = data_path("scenarios", f"{suite}.scn")
+    code, out, _ = run_cli(capsys, "verify", str(scn), "--deterministic")
+    assert code == 0
+    assert out.encode() == expected.read_bytes()
+
+
 @pytest.mark.parametrize("bad_line", [
     "scenario",
     "machine",
     "head block 0",
     "expect oracle prime",
     "expect oracle nosuch 3",
+    "tape unary 0",
+    "head block 1 left",
+    pytest.param("head block 0 left\ntape blank", id="head block on a blank tape"),
+    "scenario no_machine",
 ])
 def test_malformed_scenario_line_exits_2(capsys, tmp_path, bad_line):
     scn = tmp_path / "bad.scn"

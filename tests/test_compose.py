@@ -62,6 +62,8 @@ def test_manifest_parse_errors(tmp_path):
         parse_manifest("", tmp_path)
     with pytest.raises(ManifestError, match="unknown directive"):
         parse_manifest("bogus line\nentry a.b", tmp_path)
+    with pytest.raises(ManifestError, match="line 1: section"):
+        parse_manifest("section a a.tbl a.overlay extra start=A\nentry a.A", tmp_path)
 
 
 def test_composed_fermat_state_count(fermat_composed, fermat_t1, fermat_t2, fermat_t3):

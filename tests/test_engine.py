@@ -15,6 +15,7 @@ from beaverkit.engine import (
 )
 from beaverkit.machine import HALT, Action, Machine
 from beaverkit.tape import Configuration, Tape
+from stepping import stepped_run
 
 
 def one_state(write=1, move=1, target="B"):
@@ -171,28 +172,59 @@ def machines(draw, max_states=4):
     return Machine("rand", names[0], states)
 
 
+def assert_same_run(a, b):
+    assert a.kind == b.kind
+    assert a.steps == b.steps
+    assert a.config.state == b.config.state
+    assert a.config.tape.head == b.config.tape.head
+    assert a.config.tape.content_equal(b.config.tape)
+
+
+def test_watch_ignores_self_loop_in_every_mode():
+    # a self-loop does not enter the state it stays in, observed or not
+    m = one_state(target="A")
+    for limits, trace in (
+        (RunLimits(max_steps=10), None),
+        (RunLimits(max_steps=10), lambda *a: None),
+        (RunLimits(max_steps=10, cycle_check=True), None),
+    ):
+        out = run(m, limits=limits, watch=("A",), trace=trace)
+        assert out.kind == STEP_LIMIT and out.steps == 10
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_skipping_loop_matches_plain_loop(data):
+def test_scan_matches_single_step(data):
     m = data.draw(machines())
     blocks = data.draw(st.lists(st.integers(1, 6), min_size=0, max_size=3))
     budget = data.draw(st.integers(0, 300))
     cap = data.draw(st.one_of(st.just(1 << 22), st.integers(4, 40)))
-    tape_a = Tape.from_blocks(blocks) if blocks else Tape()
-    tape_b = tape_a.clone()
+    watch = tuple(data.draw(st.lists(st.sampled_from(sorted(m.states)), max_size=2)))
+    tape = Tape.from_blocks(blocks) if blocks else Tape()
     limits = RunLimits(max_steps=budget, max_support_cells=cap)
-    fast = run(m, Configuration(m.start, tape_a), limits)
-    slow = run(
-        m,
-        Configuration(m.start, tape_b),
-        limits,
-        trace=lambda *a: None,  # forces the plain loop
-    )
-    assert fast.kind == slow.kind
-    assert fast.steps == slow.steps
-    assert fast.config.state == slow.config.state
-    assert fast.config.tape.head == slow.config.tape.head
-    assert fast.config.tape.content_equal(slow.config.tape)
+
+    def go(limits=limits, **kw):
+        return run(m, Configuration(m.start, tape.clone()), limits, watch=watch, **kw)
+
+    traced = []
+
+    def trace(steps, state, head, tape):
+        assert tape.head == head  # the tape a trace sees is up to date
+        traced.append((steps, state, head, tape.support()))
+
+    scanned = go()
+    assert_same_run(scanned, go(trace=trace))
+    checked = go(RunLimits(budget, cap, cycle_check=True))
+    if checked.kind != CYCLE:
+        assert_same_run(scanned, checked)
+    if cap == 1 << 22:  # the reference does not model the support cap
+        kind, trail = stepped_run(m, Configuration(m.start, tape.clone()), budget, watch)
+        ref = trail[-1]
+        assert (scanned.kind, scanned.steps) == (kind, ref.steps)
+        assert scanned.config.state == ref.state
+        assert scanned.config.tape.head == ref.tape.head
+        assert scanned.config.tape.content_equal(ref.tape)
+        assert traced == [(c.steps, c.state, c.tape.head, c.tape.support()) for c in trail[1:]]
 
 
 @settings(max_examples=80, deadline=None)
@@ -286,7 +318,7 @@ def test_run_budget_is_cumulative_across_continuations():
 
 def test_memory_cap_is_high_water_in_both_loops():
     # write a 1, erase it, glide right, write again: the erased cell
-    # still counts against the cap, identically in both loops
+    # still counts against the cap, scanned and single-stepped alike
     m = Machine(
         "hw",
         "A",

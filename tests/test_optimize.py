@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beaverkit.engine import HaltEvent, RunLimits, step
+from beaverkit.engine import HALTED, RunLimits
 from beaverkit.harness import OutcomeExpect, Scenario, TransferExpect, load_scenarios
 from beaverkit.machine import HALT, Action, Machine, state_count
 from beaverkit.optimize import (
@@ -17,6 +17,7 @@ from beaverkit.optimize import (
     verify_merge,
 )
 from beaverkit.tape import Configuration
+from stepping import stepped_run
 
 
 def scenario(name="s", entry=None, blocks=None, steps=1000, expect=None):
@@ -271,45 +272,33 @@ def lockstep_divergence(original, merged, scn, alias):
     """Reference: step both machines one transition at a time.
 
     Each run stops as execute_scenario stops it: on its budget, or on
-    the k-th entry into a transfer state (a self-loop is no entry, as in
-    the skipping loop).  Returns the first step at which the stops, the
-    halts or the configurations differ, or None.
+    the k-th entry into a transfer state.  Returns the first step at
+    which the stops, the halts or the configurations differ, or None.
     """
     exp = scn.expect
     need = exp.occurrence if isinstance(exp, TransferExpect) else 0
-    watch_a = exp.state if need else None
-    watch_b = alias.get(watch_a, watch_a)
+    watch = (exp.state,) if need else ()
     entry = scn.entry or original.start
-    a = Configuration(entry, scn.build_tape())
-    b = Configuration(alias.get(entry, entry), scn.build_tape())
-    entries_a = entries_b = 0
-
-    def stop(cfg, entries):
-        if need and entries >= need:
-            return "watch"
-        return "step_limit" if cfg.steps >= scn.limits.max_steps else None
-
-    while True:
-        stop_a, stop_b = stop(a, entries_a), stop(b, entries_b)
-        if stop_a != stop_b:
-            return a.steps
-        if stop_a:
-            return None
-        next_a, next_b = step(original, a), step(merged, b)
-        halt_a, halt_b = isinstance(next_a, HaltEvent), isinstance(next_b, HaltEvent)
-        if halt_a != halt_b:
-            return a.steps + 1
-        if halt_a:
-            return None
+    limit = scn.limits.max_steps
+    kind_a, trail_a = stepped_run(
+        original, Configuration(entry, scn.build_tape()), limit, watch, need
+    )
+    kind_b, trail_b = stepped_run(
+        merged, Configuration(alias.get(entry, entry), scn.build_tape()), limit,
+        tuple(alias.get(w, w) for w in watch), need,
+    )
+    for a, b in zip(trail_a, trail_b):
         if (
-            alias.get(next_a.state, next_a.state) != next_b.state
-            or next_a.tape.head != next_b.tape.head
-            or not next_a.tape.content_equal(next_b.tape)
+            alias.get(a.state, a.state) != b.state
+            or a.tape.head != b.tape.head
+            or not a.tape.content_equal(b.tape)
         ):
-            return next_a.steps
-        entries_a += next_a.state == watch_a and a.state != watch_a
-        entries_b += next_b.state == watch_b and b.state != watch_b
-        a, b = next_a, next_b
+            return a.steps
+    if len(trail_a) == len(trail_b):
+        return None if kind_a == kind_b else a.steps
+    # one run stopped a step early; a halt shows on the step it could not take
+    kind, short = (kind_a, trail_a) if len(trail_a) < len(trail_b) else (kind_b, trail_b)
+    return short[-1].steps + (kind == HALTED)
 
 
 @st.composite
