@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .engine import CYCLE, HALTED, RunLimits, RunOutcome, fingerprint, run
 from .machine import HALT, Action, Machine, state_count
+from .textfile import Lines, load
 PAPER = "paper"
 COMPUTED = "computed"
 CONFIGURED = "configured"
@@ -68,21 +68,19 @@ class Registry:
 
 def parse_registry(text: str) -> Registry:
     reg = Registry()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "bb":
-            raise RegistryError(f"line {lineno}: expected 'bb <n> <value> <source>'")
-        if parts[3] not in (PAPER, COMPUTED, CONFIGURED):
-            raise RegistryError(f"line {lineno}: unknown source {parts[3]!r}")
-        reg.add(BBEntry(int(parts[1]), int(parts[2]), parts[3]))
+    with Lines(text, RegistryError) as lines:
+        for _, line in lines:
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "bb":
+                raise RegistryError("expected 'bb <n> <value> <source>'")
+            if parts[3] not in (PAPER, COMPUTED, CONFIGURED):
+                raise RegistryError(f"unknown source {parts[3]!r}")
+            reg.add(BBEntry(int(parts[1]), int(parts[2]), parts[3]))
     return reg
 
 
 def load_registry(path) -> Registry:
-    return parse_registry(Path(path).read_text())
+    return load(path, parse_registry)
 
 
 def default_registry() -> Registry:
@@ -115,26 +113,28 @@ class NonHaltCertificate:
 
 
 def parse_certificate(text: str) -> NonHaltCertificate:
-    kv = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line == "certificate nonhalt":
-            continue
-        key, _, rest = line.partition(" ")
-        kv[key] = rest
-    basis = kv.get("basis", "")
-    fields = dict(tok.split("=") for tok in basis.split()[1:]) if basis else {}
-    if basis.startswith("bb-bound"):
-        return NonHaltCertificate(
-            kv["machine"], int(kv["steps"]), "bb_bound",
-            n=int(fields["n"]), bb_value=int(fields["value"]),
-        )
-    if basis.startswith("cycle"):
-        return NonHaltCertificate(
-            kv["machine"], int(kv["steps"]), "cycle",
-            first_visit=int(fields["first"]), period=int(fields["period"]),
-        )
-    raise ValueError(f"unrecognized certificate basis {basis!r}")
+    kv: dict = {}
+    with Lines(text) as lines:
+        for _, line in lines:
+            key, _, rest = line.partition(" ")
+            if key == "steps":
+                kv[key] = int(rest)
+            elif key == "basis":
+                kind, *tokens = rest.split()
+                kv[key] = kind, {k: int(v) for k, v in (tok.split("=") for tok in tokens)}
+            elif line != "certificate nonhalt":
+                kv[key] = rest
+    try:
+        machine, steps, (kind, fields) = kv["machine"], kv["steps"], kv["basis"]
+        if kind == "bb-bound":
+            return NonHaltCertificate(machine, steps, "bb_bound",
+                                      n=fields["n"], bb_value=fields["value"])
+        if kind == "cycle":
+            return NonHaltCertificate(machine, steps, "cycle",
+                                      first_visit=fields["first"], period=fields["period"])
+    except KeyError as e:
+        raise ValueError(f"certificate has no {e.args[0]!r}") from None
+    raise ValueError(f"unrecognized certificate basis {kind!r}")
 
 
 def certify_nonhalt(

@@ -27,6 +27,7 @@ from .tables import (
     load_overlay,
     load_table,
 )
+from .textfile import Lines, load
 
 
 @dataclass
@@ -59,54 +60,49 @@ def parse_manifest(text: str, base_dir: Path | str = ".") -> SectionManifest:
     sections: list[Section] = []
     wiring: dict[str, tuple[str, str] | str] = {}
     entry: tuple[str, str] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "section":
-            rest = parts[1:]
-            if len(rest) not in (3, 4) or not rest[-1].startswith("start="):
-                raise ManifestError(
-                    f"line {lineno}: section <label> <tableFile> [overlayFile] start=<state>"
-                )
-            label, table_file = rest[0], rest[1]
-            overlay_file = rest[2] if len(rest) == 4 else None
-            start = rest[-1].split("=", 1)[1]
-            table = load_table(base / table_file)
-            overlay = load_overlay(base / overlay_file) if overlay_file else None
-            sections.append(Section(label, table, overlay, start))
-        elif parts[0] == "wire":
-            if len(parts) != 4 or parts[2] != "->":
-                raise ManifestError(f"line {lineno}: wire <label>.NM -> <label>.<state>|HALT")
-            src, dst = parts[1], parts[3]
-            if not src.endswith(f".{NEXT_MACHINE}"):
-                raise ManifestError(f"line {lineno}: wire source must be <label>.{NEXT_MACHINE}")
-            label = src[: -len(NEXT_MACHINE) - 1]
-            if dst == HALT:
-                wiring[label] = HALT
+    with Lines(text, ManifestError) as lines:
+        for _, line in lines:
+            parts = line.split()
+            if parts[0] == "section":
+                rest = parts[1:]
+                if len(rest) not in (3, 4) or not rest[-1].startswith("start="):
+                    raise ManifestError("section <label> <tableFile> [overlayFile] start=<state>")
+                label, table_file = rest[0], rest[1]
+                overlay_file = rest[2] if len(rest) == 4 else None
+                start = rest[-1].split("=", 1)[1]
+                table = load_table(base / table_file)
+                overlay = load_overlay(base / overlay_file) if overlay_file else None
+                sections.append(Section(label, table, overlay, start))
+            elif parts[0] == "wire":
+                if len(parts) != 4 or parts[2] != "->":
+                    raise ManifestError("wire <label>.NM -> <label>.<state>|HALT")
+                src, dst = parts[1], parts[3]
+                if not src.endswith(f".{NEXT_MACHINE}"):
+                    raise ManifestError(f"wire source must be <label>.{NEXT_MACHINE}")
+                label = src[: -len(NEXT_MACHINE) - 1]
+                if dst == HALT:
+                    wiring[label] = HALT
+                else:
+                    dlabel, _, dstate = dst.partition(".")
+                    if not dstate:
+                        raise ManifestError("wire target must be <label>.<state>")
+                    wiring[label] = (dlabel, dstate)
+            elif parts[0] == "entry":
+                if len(parts) != 2:
+                    raise ManifestError("entry <label>.<state>")
+                elabel, _, estate = parts[1].partition(".")
+                if not estate:
+                    raise ManifestError("entry must be <label>.<state>")
+                entry = (elabel, estate)
             else:
-                dlabel, _, dstate = dst.partition(".")
-                if not dstate:
-                    raise ManifestError(f"line {lineno}: wire target must be <label>.<state>")
-                wiring[label] = (dlabel, dstate)
-        elif parts[0] == "entry":
-            if len(parts) != 2:
-                raise ManifestError(f"line {lineno}: entry <label>.<state>")
-            elabel, _, estate = parts[1].partition(".")
-            if not estate:
-                raise ManifestError(f"line {lineno}: entry must be <label>.<state>")
-            entry = (elabel, estate)
-        else:
-            raise ManifestError(f"line {lineno}: unknown directive {parts[0]!r}")
+                raise ManifestError(f"unknown directive {parts[0]!r}")
     if entry is None:
         raise ManifestError("manifest declares no entry")
     return SectionManifest(sections=sections, wiring=wiring, entry=entry)
 
 
 def load_manifest(path) -> SectionManifest:
-    p = Path(path)
-    return parse_manifest(p.read_text(), base_dir=p.parent)
+    return load(path, parse_manifest, Path(path).parent)
 
 
 def compose(manifest: SectionManifest) -> ComposedMachine:

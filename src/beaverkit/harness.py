@@ -11,12 +11,15 @@ Scenario files hold one stanza per scenario::
     head abs <n> | block <i> left|right|after     # optional, default abs 0
     limit steps=<n> [cells=<n>]                   # optional
     expect oracle <name> <args...>
-    expect snapshot <a>..<b> <symbols...>
+    expect snapshot <a>..<b> <symbols...>          # b > a, b - a symbols
     expect halted [state] | nothalt
     expect transfer <state>[@<k>] [values <ints...>]
 
-``transfer S@k`` stops at the k-th entry into S; entering an undefined
-or external name (a standalone section's NM exit) counts as reaching it.
+``#`` opens a comment at the start of a line or after whitespace (the
+rule every beaverkit file shares), so ``<manifestFile>#<sectionLabel>``
+is one token.  ``transfer S@k`` (k >= 1) stops at the k-th entry into
+S; entering an undefined or external name (a standalone section's NM
+exit) counts as reaching it.
 Report lines are ``PASS|FAIL <name> steps=<n> [observed=.. expected=..]``.
 """
 
@@ -29,10 +32,11 @@ from pathlib import Path
 
 from . import oracles
 from .engine import HALTED, WATCH, RunLimits, RunOutcome, run
-from .machine import HALT, NEXT_MACHINE, Machine
+from .machine import HALT, NEXT_MACHINE, Machine, parse_symbol
 from .tape import Configuration, Tape
 from .compose import compose, load_manifest
 from .tables import build_machine, load_table
+from .textfile import Lines, load, located
 
 
 @dataclass(frozen=True)
@@ -276,50 +280,32 @@ def run_suite(scenarios, resolver, jobs: int = 1):
     return reports, summary
 
 
-def _strip_comment(raw: str) -> str:
-    """Drop a trailing comment; '#' only opens one at the line start or
-    after whitespace, so section refs like path.manifest#label survive."""
-    if raw.lstrip().startswith("#"):
-        return ""
-    for i, ch in enumerate(raw):
-        if ch == "#" and i > 0 and raw[i - 1] in " \t":
-            return raw[:i]
-    return raw
-
-
 def parse_scenarios(text: str) -> list[Scenario]:
     """Scenarios in file order; a malformed line raises ValueError("line N: ...")."""
     out: list[Scenario] = []
-    lines: list[dict] = []  # per scenario: directive -> line it was last given on
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = _strip_comment(raw).split()
-        if not parts:
-            continue
-        try:
+    given: list[dict] = []  # per scenario: directive -> line it was last given on
+    with Lines(text) as lines:
+        for lineno, line in lines:
+            parts = line.split()
             if parts[0] == "scenario":
                 out.append(Scenario(name=parts[1], machine_ref=""))
-                lines.append({"scenario": lineno})
+                given.append({"scenario": lineno})
             elif not out:
                 raise ValueError("directive before any scenario")
             else:
                 _parse_directive(out[-1], parts)
-                lines[-1][parts[0]] = lineno
-        except IndexError:
-            raise ValueError(f"line {lineno}: {' '.join(parts)!r} is missing an argument") from None
-        except ValueError as e:
-            raise ValueError(f"line {lineno}: {e}") from None
-    for s, where in zip(out, lines):
+                given[-1][parts[0]] = lineno
+    for s, where in zip(out, given):
         if not s.machine_ref:
-            raise ValueError(f"line {where['scenario']}: scenario {s.name!r} names no machine")
+            raise located(ValueError, f"scenario {s.name!r} names no machine", where["scenario"])
         if s.head[0] == "block":
             i = s.head[1]
             if s.tape_blocks is None:
-                raise ValueError(f"line {where['head']}: head block rule needs a unary tape")
+                raise located(ValueError, "head block rule needs a unary tape", where["head"])
             if not 0 <= i < len(s.tape_blocks):
                 blocks = " ".join(map(str, s.tape_blocks))
-                raise ValueError(
-                    f"line {where['head']}: head block {i} out of range for tape unary {blocks}"
-                )
+                raise located(ValueError, f"head block {i} out of range for tape unary {blocks}",
+                              where["head"])
     return out
 
 
@@ -338,7 +324,7 @@ def _parse_directive(current: Scenario, parts: list[str]) -> None:
             if min(current.tape_blocks, default=1) < 1:
                 raise ValueError("unary blocks must be >= 1")
         elif parts[1] == "window":
-            current.tape_window = (int(parts[2]), tuple(int(x) for x in parts[3:]))
+            current.tape_window = (int(parts[2]), tuple(map(parse_symbol, parts[3:])))
         else:
             raise ValueError(f"unknown tape kind {parts[1]!r}")
     elif key == "head":
@@ -378,7 +364,11 @@ def _parse_expect(parts: list[str]) -> Expectation:
         return OracleExpect(parts[1], args)
     if kind == "snapshot":
         a, _, b = parts[1].partition("..")
-        return SnapshotExpect(int(a), int(b), tuple(int(x) for x in parts[2:]))
+        start, stop, symbols = int(a), int(b), tuple(map(parse_symbol, parts[2:]))
+        if not 0 < stop - start == len(symbols):
+            raise ValueError(f"snapshot {start}..{stop} with {len(symbols)} symbols: "
+                             "needs b > a and b - a symbols")
+        return SnapshotExpect(start, stop, symbols)
     if kind == "halted":
         return OutcomeExpect("halted", parts[1] if len(parts) > 1 else None)
     if kind == "nothalt":
@@ -390,12 +380,15 @@ def _parse_expect(parts: list[str]) -> Expectation:
             if parts[2] != "values":
                 raise ValueError("expected 'values' after transfer state")
             values = tuple(int(x) for x in parts[3:])
-        return TransferExpect(state, values, int(occ) if occ else 1)
+        occurrence = int(occ) if occ else 1
+        if occurrence < 1:
+            raise ValueError(f"transfer occurrence must be >= 1, got {occurrence}")
+        return TransferExpect(state, values, occurrence)
     raise ValueError(f"unknown expectation {kind!r}")
 
 
 def load_scenarios(path) -> list[Scenario]:
-    return parse_scenarios(Path(path).read_text())
+    return load(path, parse_scenarios)
 
 
 class MachineResolver:

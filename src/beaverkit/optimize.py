@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .engine import HALTED, RunLimits, run
 from .machine import RIGHT, Action, Machine
 from .tape import Configuration
+from .textfile import Lines
 
 
 @dataclass
@@ -80,14 +81,12 @@ class MergePlan:
 
 def parse_plan(text: str) -> MergePlan:
     plan = MergePlan()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5 or parts[0] != "merge" or parts[3] != "as":
-            raise ValueError(f"line {lineno}: expected 'merge <zero> <one> as <name>'")
-        plan.pairs.append(MergePair(parts[1], parts[2], parts[4]))
+    with Lines(text) as lines:
+        for _, line in lines:
+            parts = line.split()
+            if len(parts) != 5 or parts[0] != "merge" or parts[3] != "as":
+                raise ValueError("expected 'merge <zero> <one> as <name>'")
+            plan.pairs.append(MergePair(parts[1], parts[2], parts[4]))
     return plan
 
 

@@ -1,10 +1,12 @@
 """Transition-table files: parsing, validation, overlays, construction.
 
 File format: UTF-8 text, one transition per line, five pipe-separated
-fields ``state|reads|writes|moves|calls``.  ``#`` starts a comment,
-blank lines are skipped, and two directives are recognized:
-``!name <label>`` and ``!start <state>``.  Row order is preserved
-exactly, because validation findings cite row indices.
+fields ``state|reads|writes|moves|calls``.  ``#`` opens a comment at
+the start of a line or after whitespace (the rule every beaverkit file
+shares, so ``A|0|1|R|B#x`` calls ``B#x``), blank lines are skipped, and
+two directives are recognized: ``!name <label>`` and ``!start <state>``.
+Row order is preserved exactly, because validation findings cite row
+indices.
 
 Overlay files carry hand-curated renames for known-defective published
 tables: ``rename <rowIndex> <state|calls> <old> <new>`` plus an optional
@@ -15,8 +17,10 @@ changes reads, writes, moves, or the row count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from .machine import HALT, Action, Machine, parse_move, parse_symbol, move_name
+from .textfile import Lines, load
 
 ERROR = "error"
 WARNING = "warning"
@@ -87,46 +91,30 @@ class Overlay:
 def parse_table(text: str, name: str = "table") -> RawTable:
     rows: list[TableRow] = []
     declared_start = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("!"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "name":
-                name = parts[1]
-            elif len(parts) == 2 and parts[0] == "start":
-                declared_start = parts[1]
-            else:
-                raise TableError(f"line {lineno}: unknown directive {line!r}")
-            continue
-        fields = [f.strip() for f in line.split("|")]
-        if len(fields) != 5:
-            raise TableError(
-                f"line {lineno}: expected 5 pipe-separated fields, got {len(fields)}"
-            )
-        state, reads, writes, moves, calls = fields
-        if not state or not calls:
-            raise TableError(f"line {lineno}: empty state or calls field")
-        try:
-            row = TableRow(
-                state=state,
-                reads=parse_symbol(reads),
-                writes=parse_symbol(writes),
-                moves=parse_move(moves),
-                calls=calls,
-            )
-        except ValueError as e:
-            raise TableError(f"line {lineno}: {e}") from None
-        rows.append(row)
+    with Lines(text, TableError) as lines:
+        for _, line in lines:
+            if line.startswith("!"):
+                parts = line[1:].split()
+                if len(parts) == 2 and parts[0] == "name":
+                    name = parts[1]
+                elif len(parts) == 2 and parts[0] == "start":
+                    declared_start = parts[1]
+                else:
+                    raise TableError(f"unknown directive {line!r}")
+                continue
+            fields = [f.strip() for f in line.split("|")]
+            if len(fields) != 5:
+                raise TableError(f"expected 5 pipe-separated fields, got {len(fields)}")
+            state, reads, writes, moves, calls = fields
+            if not state or not calls:
+                raise TableError("empty state or calls field")
+            rows.append(TableRow(state, parse_symbol(reads), parse_symbol(writes),
+                                 parse_move(moves), calls))
     return RawTable(name=name, rows=rows, declared_start=declared_start)
 
 
 def load_table(path) -> RawTable:
-    from pathlib import Path
-
-    p = Path(path)
-    return parse_table(p.read_text(), name=p.stem)
+    return load(path, parse_table, Path(path).stem)
 
 
 def serialize_table(raw: RawTable) -> str:
@@ -238,31 +226,23 @@ def errors_of(defects: list[Defect]) -> list[Defect]:
 
 def parse_overlay(text: str) -> Overlay:
     ov = Overlay()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "rename" and len(parts) == 5:
-            idx_token, fieldname, old, new = parts[1:]
-            if fieldname not in ("state", "calls"):
-                raise TableError(f"line {lineno}: rename field must be state or calls")
-            try:
-                idx = int(idx_token)
-            except ValueError:
-                raise TableError(f"line {lineno}: bad row index {idx_token!r}") from None
-            ov.renames.append(Rename(idx, fieldname, old, new))
-        elif parts[0] == "start" and len(parts) == 2:
-            ov.start_override = parts[1]
-        else:
-            raise TableError(f"line {lineno}: unknown overlay line {line!r}")
+    with Lines(text, TableError) as lines:
+        for _, line in lines:
+            parts = line.split()
+            if parts[0] == "rename" and len(parts) == 5:
+                idx_token, fieldname, old, new = parts[1:]
+                if fieldname not in ("state", "calls"):
+                    raise TableError("rename field must be state or calls")
+                ov.renames.append(Rename(int(idx_token), fieldname, old, new))
+            elif parts[0] == "start" and len(parts) == 2:
+                ov.start_override = parts[1]
+            else:
+                raise TableError(f"unknown overlay line {line!r}")
     return ov
 
 
 def load_overlay(path) -> Overlay:
-    from pathlib import Path
-
-    return parse_overlay(Path(path).read_text())
+    return load(path, parse_overlay)
 
 
 def apply_overlay(raw: RawTable, overlay: Overlay) -> RawTable:
@@ -305,9 +285,3 @@ def build_machine(raw: RawTable, start: str | None = None) -> Machine:
         start=start,
         states={s: (p[0], p[1]) for s, p in states.items()},
     )
-
-
-def serialize(obj: RawTable | Machine) -> str:
-    if isinstance(obj, Machine):
-        return serialize_machine(obj)
-    return serialize_table(obj)

@@ -129,6 +129,17 @@ def test_certificate_round_trip():
     assert parse_certificate(cert.serialize()) == cert
 
 
+@pytest.mark.parametrize("key, text", [
+    ("machine", "certificate nonhalt\nsteps 9\nbasis cycle first=3 period=2"),
+    ("steps", "certificate nonhalt\nmachine m\nbasis cycle first=3 period=2"),
+    ("basis", "certificate nonhalt\nmachine m\nsteps 9"),
+    ("period", "certificate nonhalt\nmachine m\nsteps 9\nbasis cycle first=3"),
+])
+def test_certificate_missing_line_names_it(key, text):
+    with pytest.raises(ValueError, match=f"certificate has no '{key}'"):
+        parse_certificate(text)
+
+
 def test_replay_rejects_wrong_machine():
     m4 = spinner(4)
     out = run(m4, limits=RunLimits(max_steps=108))

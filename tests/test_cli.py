@@ -186,6 +186,11 @@ def test_shipped_suite_report_matches_bench_expected(capsys, suite):
     "head block 1 left",
     pytest.param("head block 0 left\ntape blank", id="head block on a blank tape"),
     "scenario no_machine",
+    "expect transfer 5@0",
+    "expect snapshot 3..1",
+    "expect snapshot 0..2 1",
+    "expect snapshot 0..2 2 5",
+    "tape window 0 1 2 1",
 ])
 def test_malformed_scenario_line_exits_2(capsys, tmp_path, bad_line):
     scn = tmp_path / "bad.scn"
@@ -197,5 +202,17 @@ def test_malformed_scenario_line_exits_2(capsys, tmp_path, bad_line):
     )
     code, out, err = run_cli(capsys, "verify", str(scn))
     assert code == 2
-    assert "error: line 4: " in err
+    assert f"error: {scn}:4: " in err
+    assert out == ""
+
+
+def test_error_in_a_nested_file_names_that_file(capsys, tmp_path):
+    # scenario -> manifest -> table: the message points at the table's line
+    (tmp_path / "bad.tbl").write_text("A|0|1|R\n")
+    (tmp_path / "m.manifest").write_text("section a bad.tbl start=A\nentry a.A\n")
+    scn = tmp_path / "s.scn"
+    scn.write_text("scenario s\nmachine m.manifest\nexpect nothalt\n")
+    code, out, err = run_cli(capsys, "verify", str(scn))
+    assert code == 2
+    assert err == f"error: {tmp_path}/bad.tbl:1: expected 5 pipe-separated fields, got 4\n"
     assert out == ""
