@@ -2,16 +2,23 @@
 
 ``brute_force_bb`` enumerates every n-state binary machine in which each
 (state, read) pair carries a full (write, move, target) assignment with
-target in states-plus-halt: (2*2*(n+1))^(2n) machines.  Each is run from
-a blank tape and classified as halting (the halting transition counts as
-a step) or proven non-halting by one of three sound deciders:
+target in states-plus-halt: (2*2*(n+1))^(2n) machines.  Each is classified
+as halting (the halting transition counts as a step) or proven
+non-halting by one of three sound deciders:
 
 * no halting rule is reachable in the transition graph at all;
-* a configuration fingerprint repeats exactly (translation invariant);
+* a configuration repeats exactly (translation invariant): the engine's
+  cycle check;
 * a translated cycle: the head breaks its positional record twice in the
   same state and the tape, compared inward as deep as the run excursed
   between the two records (padded by the drift), matches shifted - so
   the run replays forever, displaced.
+
+Every other verdict comes from `engine.run` from a blank tape, cycle
+check on, the third decider its `trace` observer.  A verdict depends
+only on the transitions the run executed, so a program that agrees with
+the last one run on every entry that run read (its `profile`) shares
+the verdict exactly and is not run again.
 
 A value is only reported when zero machines remain unclassified at the
 step cap; otherwise the enumeration refuses rather than guess.
@@ -22,8 +29,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .engine import CYCLE, HALTED, RunLimits, RunOutcome, fingerprint, run
-from .machine import HALT, Action, Machine, state_count
+from .engine import CYCLE, HALTED, STEP_LIMIT, RunLimits, RunOutcome, fingerprint, run
+from .machine import HALT, Action, Machine, move_name, state_count
+from .tape import Tape
 from .textfile import Lines, load
 PAPER = "paper"
 COMPUTED = "computed"
@@ -59,11 +67,6 @@ class Registry:
                 raise RegistryError(
                     f"registry not strictly increasing: bb({n1})={e1.value} !< bb({n2})={e2.value}"
                 )
-
-    def serialize(self) -> str:
-        return "".join(
-            f"bb {e.n} {e.value} {e.source}\n" for _, e in sorted(self.entries.items())
-        )
 
 
 def parse_registry(text: str) -> Registry:
@@ -194,32 +197,15 @@ def brute_force_bb(n: int, step_cap: int = 200, mirror_reduction: bool = False) 
         raise ValueError("brute force is limited to n in {1, 2}")
     if step_cap < 1:
         raise ValueError("step cap must be positive")
-    opts = [
-        (w, m, t)
-        for w in (0, 1)
-        for m in (-1, 1)
-        for t in list(range(n)) + [-1]
-    ]
     best_steps = -1
     best_prog = None
-    tally = {"halt": 0, "cycle": 0, "translated": 0, "no_halt_rule": 0, "skipped_mirror": 0}
-    inconclusive = 0
-    total = 0
-    for prog in itertools.product(opts, repeat=2 * n):
-        total += 1
-        if mirror_reduction and prog[0][1] == -1:
-            # the left-first machine is the mirror of an enumerated one
-            tally["skipped_mirror"] += 1
-            continue
-        kind, steps = _classify(prog, n, step_cap)
-        if kind == "halt":
-            tally["halt"] += 1
-            if steps > best_steps:
-                best_steps, best_prog = steps, prog
-        elif kind == "inconclusive":
-            inconclusive += 1
-        else:
-            tally[kind] += 1
+    tally = {"halt": 0, "cycle": 0, "translated": 0, "no_halt_rule": 0, "skipped_mirror": 0,
+             "inconclusive": 0}
+    for prog, (kind, steps) in _verdicts(n, step_cap, mirror_reduction):
+        tally[kind] += 1
+        if kind == "halt" and steps > best_steps:
+            best_steps, best_prog = steps, prog
+    inconclusive = tally.pop("inconclusive")
     if inconclusive:
         raise Inconclusive(
             f"{inconclusive} machines neither halted nor were proven non-halting "
@@ -229,97 +215,118 @@ def brute_force_bb(n: int, step_cap: int = 200, mirror_reduction: bool = False) 
         n=n,
         value=best_steps,
         champion=machine_from_program(best_prog, n),
-        total_machines=total,
+        total_machines=(4 * (n + 1)) ** (2 * n),
         tally=tally,
     )
 
 
+def _verdicts(n: int, cap: int, mirror_reduction: bool = False):
+    """``(program, (kind, steps))`` for every n-state program in product order."""
+    opts = [
+        (w, m, t)
+        for w in (0, 1)
+        for m in (-1, 1)
+        for t in list(range(n)) + [-1]
+    ]
+    ran, read, verdict = None, (), None
+    for prog in itertools.product(opts, repeat=2 * n):
+        if mirror_reduction and prog[0][1] == -1:
+            # the left-first machine is the mirror of an enumerated one
+            yield prog, ("skipped_mirror", 0)
+        elif not _can_halt(prog):
+            yield prog, ("no_halt_rule", 0)
+        else:
+            # a run's verdict depends only on the entries it read, so a
+            # program that agrees with the last one run on them shares it
+            if ran is None or any(prog[j] != ran[j] for j in read):
+                ran = prog
+                verdict, read = _simulate(prog, n, cap)
+            yield prog, verdict
+
+
 _STATE_NAMES = "ABCDEFGH"
+_VERDICTS = {HALTED: "halt", CYCLE: "cycle"}
 
 
 def machine_from_program(prog, n: int) -> Machine:
-    states = {}
-    for s in range(n):
-        acts = []
-        for sym in (0, 1):
-            w, m, t = prog[2 * s + sym]
-            acts.append(Action(w, m, HALT if t == -1 else _STATE_NAMES[t]))
-        states[_STATE_NAMES[s]] = (acts[0], acts[1])
-    return Machine(name=_program_label(prog, n), start="A", states=states)
+    acts = [Action(w, m, HALT if t == -1 else _STATE_NAMES[t]) for w, m, t in prog]
+    label = "".join(f"{a.write}{move_name(a.move)}{a.target[0]}" for a in acts)
+    states = {_STATE_NAMES[s]: (acts[2 * s], acts[2 * s + 1]) for s in range(n)}
+    return Machine(name=label, start="A", states=states)
 
 
-def _program_label(prog, n: int) -> str:
-    parts = []
-    for s in range(n):
-        for sym in (0, 1):
-            w, m, t = prog[2 * s + sym]
-            parts.append(f"{w}{'L' if m < 0 else 'R'}{'H' if t == -1 else _STATE_NAMES[t]}")
-    return "".join(parts)
-
-
-def _classify(prog, n: int, cap: int) -> tuple[str, int]:
-    # decider 1: no halting rule reachable in the state graph
-    reach = {0}
-    frontier = [0]
-    can_halt = False
-    while frontier:
-        s = frontier.pop()
-        for sym in (0, 1):
-            t = prog[2 * s + sym][2]
+def _can_halt(prog) -> bool:
+    """Decider 1, on the state graph: is a halting rule reachable from A?"""
+    reach = [0]
+    for s in reach:  # grows as it goes
+        for _, _, t in prog[2 * s : 2 * s + 2]:
             if t == -1:
-                can_halt = True
-            elif t not in reach:
-                reach.add(t)
-                frontier.append(t)
-    if not can_halt:
-        return ("no_halt_rule", 0)
+                return True
+            if t not in reach:
+                reach.append(t)
+    return False
 
-    tape: dict[int, int] = {}
-    head = 0
-    state = 0
-    seen: dict = {}
-    rrec, lrec = -1, 1
-    records: dict = {}
-    heads: list[int] = []
-    for step in range(cap):
-        # decider 2: exact configuration repeat (translation invariant)
-        if tape:
-            lo, hi = min(tape), max(tape)
-            key = (state, head - lo, tuple(tape.get(i, 0) for i in range(lo, hi + 1)))
-        else:
-            key = (state, 0, ())
-        if key in seen:
-            return ("cycle", step)
-        seen[key] = step
-        # decider 3: translated cycle at positional records
-        for d, isrec in ((1, head > rrec), (-1, head < lrec)):
+
+def _simulate(prog, n: int, cap: int):
+    """Verdict of the blank-tape run of `prog`, and the entries it read.
+
+    An observer cannot stop a run, so the budget starts at 8 steps (most
+    programs are decided within 3) and doubles up to the cap until the
+    verdict falls inside it; a shorter budget cuts the same run short.
+    """
+    machine = machine_from_program(prog, n)
+    budget = min(cap, 8)
+    while True:
+        read: set = set()
+        watch = _RecordWatch(machine.start)
+        out = run(machine, limits=RunLimits(max_steps=budget, cycle_check=True),
+                  trace=watch, profile=read)
+        # a hit at the step the run stopped on loses: to an exact repeat
+        # found there, to the halt, or to a budget it does not fit in
+        if watch.hit is not None and watch.hit < out.steps:
+            verdict = ("translated", watch.hit)
+            break
+        if out.kind != STEP_LIMIT or budget == cap:
+            verdict = (_VERDICTS.get(out.kind, "inconclusive"), out.steps)
+            break
+        budget = min(cap, 2 * budget)
+    return verdict, [2 * _STATE_NAMES.index(s) + sym for s, sym in read]
+
+
+class _RecordWatch:
+    """Decider 3 as a `trace` observer: notes the first translated cycle.
+
+    At each right (left) record of the head, the tape is compared with
+    the snapshot of every earlier record in the same state and direction,
+    shifted by the drift.  `trace` sees configuration s before the
+    engine's cycle check of s, so a hit at s stands only if the run went
+    on past s.
+    """
+
+    def __init__(self, start: str):
+        self.records: dict = {}  # (state, direction) -> [(step, head, tape)]
+        self.heads: list[int] = []
+        self.rrec, self.lrec = -1, 1
+        self.hit = None
+        self(0, start, 0, Tape())  # the blank start, which `trace` never sees
+
+    def __call__(self, step, state, head, tape) -> None:
+        if self.hit is not None:
+            return
+        for d, isrec in ((1, head > self.rrec), (-1, head < self.lrec)):
             if not isrec:
                 continue
-            for t1, h1, snap1 in records.get((state, d), ()):
+            for t1, h1, snap in self.records.get((state, d), ()):
                 drift = (head - h1) * d
                 if drift <= 0:
                     continue
-                inward = 0
-                for hh in heads[t1:step]:
-                    inward = min(inward, (hh - h1) * d)
-                ok = True
-                for j in range(inward - drift, 1):
-                    if tape.get(head + j * d, 0) != snap1.get(h1 + j * d, 0):
-                        ok = False
-                        break
-                if ok:
-                    return ("translated", step)
-            records.setdefault((state, d), []).append((step, head, dict(tape)))
-        rrec = max(rrec, head)
-        lrec = min(lrec, head)
-        heads.append(head)
-        w, m, t = prog[2 * state + tape.get(head, 0)]
-        if w:
-            tape[head] = 1
-        else:
-            tape.pop(head, None)
-        head += m
-        if t == -1:
-            return ("halt", step + 1)
-        state = t
-    return ("inconclusive", cap)
+                # as deep inward as the run excursed between the records
+                inward = min((hh - h1) * d for hh in self.heads[t1:step])
+                if all(tape.read(head + j * d) == snap.read(h1 + j * d)
+                       for j in range(inward - drift, 1)):
+                    self.hit = step
+                    return
+            self.records.setdefault((state, d), []).append((step, head, tape.clone()))
+        self.rrec = max(self.rrec, head)
+        self.lrec = min(self.lrec, head)
+        self.heads.append(head)

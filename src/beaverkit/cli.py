@@ -137,8 +137,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scenarios = load_scenarios(args.scenarios)
     resolver = MachineResolver(Path(args.scenarios).parent)
+    scenarios = load_scenarios(args.scenarios, resolver)
     reports, summary = run_suite(scenarios, resolver)
     for r in reports:
         print(r.line(deterministic=args.deterministic))

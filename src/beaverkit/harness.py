@@ -69,6 +69,7 @@ Expectation = OracleExpect | SnapshotExpect | OutcomeExpect | TransferExpect
 
 _ORACLES = ("square", "factorial_plus_one", "fermat", "prime", "brocard")  # one integer each
 _HEAD_EDGES = ("left", "right", "after")
+_LIMITS = {"steps": "max_steps", "cells": "max_support_cells"}
 
 
 @dataclass
@@ -280,8 +281,12 @@ def run_suite(scenarios, resolver, jobs: int = 1):
     return reports, summary
 
 
-def parse_scenarios(text: str) -> list[Scenario]:
-    """Scenarios in file order; a malformed line raises ValueError("line N: ...")."""
+def parse_scenarios(text: str, resolve=None) -> list[Scenario]:
+    """Scenarios in file order; a malformed line raises ValueError("line N: ...").
+
+    With `resolve` (a `MachineResolver`) every machine is built here, so a
+    bad reference is reported at its `machine` line before any run.
+    """
     out: list[Scenario] = []
     given: list[dict] = []  # per scenario: directive -> line it was last given on
     with Lines(text) as lines:
@@ -306,6 +311,13 @@ def parse_scenarios(text: str) -> list[Scenario]:
                 blocks = " ".join(map(str, s.tape_blocks))
                 raise located(ValueError, f"head block {i} out of range for tape unary {blocks}",
                               where["head"])
+        if resolve is not None:
+            try:
+                resolve(s.machine_ref)
+            except (OSError, ValueError) as e:
+                if getattr(e, "location", (None,))[0] is not None:
+                    raise  # it names the inner file at fault
+                raise located(ValueError, str(e), where["machine"]) from None
     return out
 
 
@@ -340,12 +352,11 @@ def _parse_directive(current: Scenario, parts: list[str]) -> None:
         kw = {}
         for tok in parts[1:]:
             k, _, v = tok.partition("=")
-            if k == "steps":
-                kw["max_steps"] = int(v)
-            elif k == "cells":
-                kw["max_support_cells"] = int(v)
-            else:
+            if k not in _LIMITS:
                 raise ValueError(f"unknown limit {k!r}")
+            if int(v) < 1:
+                raise ValueError(f"limit {k} must be >= 1, got {v}")
+            kw[_LIMITS[k]] = int(v)
         current.limits = RunLimits(**kw)
     elif key == "expect":
         current.expect = _parse_expect(parts[1:])
@@ -387,8 +398,8 @@ def _parse_expect(parts: list[str]) -> Expectation:
     raise ValueError(f"unknown expectation {kind!r}")
 
 
-def load_scenarios(path) -> list[Scenario]:
-    return load(path, parse_scenarios)
+def load_scenarios(path, resolve=None) -> list[Scenario]:
+    return load(path, parse_scenarios, resolve)
 
 
 class MachineResolver:

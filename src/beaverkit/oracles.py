@@ -105,9 +105,6 @@ class UnaryLayout:
 
 
 def encode_tape(layout: UnaryLayout, start_cell: int = 0) -> Tape:
-    for b in layout.blocks:
-        if b < 1:
-            raise ValueError("unary blocks must be >= 1")
     tape = Tape.from_blocks(list(layout.blocks), start_cell=start_cell)
     tape.head = layout.head_position(start_cell)
     return tape

@@ -117,14 +117,6 @@ def load_table(path) -> RawTable:
     return load(path, parse_table, Path(path).stem)
 
 
-def serialize_table(raw: RawTable) -> str:
-    lines = [f"!name {raw.name}"]
-    if raw.declared_start is not None:
-        lines.append(f"!start {raw.declared_start}")
-    lines.extend(r.to_line() for r in raw.rows)
-    return "\n".join(lines) + "\n"
-
-
 def serialize_machine(machine: Machine) -> str:
     """Canonical table text for a Machine (state order preserved)."""
     lines = [f"!name {machine.name}", f"!start {machine.start}"]

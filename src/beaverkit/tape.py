@@ -91,14 +91,6 @@ class Tape:
         hi = self.buf.rfind(1, a, b)
         return (lo - self.org, hi - self.org)
 
-    def ones_high_water(self) -> tuple[int, int]:
-        """Widest (lo, hi) interval that has held 1s; never shrinks.
-
-        Budget enforcement uses this monotone bound so erasures cannot
-        buy back memory headroom mid-run.
-        """
-        return (self._lo1, self._hi1)
-
     def support_size(self) -> int:
         lo, hi = self.support()
         return 0 if hi < lo else hi - lo + 1

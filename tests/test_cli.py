@@ -191,6 +191,8 @@ def test_shipped_suite_report_matches_bench_expected(capsys, suite):
     "expect snapshot 0..2 1",
     "expect snapshot 0..2 2 5",
     "tape window 0 1 2 1",
+    "limit steps=0",
+    "limit steps=10 cells=-1",
 ])
 def test_malformed_scenario_line_exits_2(capsys, tmp_path, bad_line):
     scn = tmp_path / "bad.scn"
@@ -216,3 +218,42 @@ def test_error_in_a_nested_file_names_that_file(capsys, tmp_path):
     assert code == 2
     assert err == f"error: {tmp_path}/bad.tbl:1: expected 5 pipe-separated fields, got 4\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("ref, message", [
+    pytest.param(f"{data_path('fermat.manifest')}#nosuch", "has no section 'nosuch'",
+                 id="missing section"),
+    pytest.param("nosuch.tbl", "No such file or directory", id="missing file"),
+])
+def test_bad_machine_reference_fails_before_any_scenario_runs(capsys, tmp_path, ref, message):
+    scn = tmp_path / "s.scn"
+    scn.write_text(
+        f"scenario first\nmachine {data_path('fermat_t2.tbl')}\ntape unary 2\nexpect nothalt\n\n"
+        f"scenario second\nmachine {ref}\nexpect nothalt\n"
+    )
+    code, out, err = run_cli(capsys, "verify", str(scn))
+    assert code == 2
+    assert err.startswith(f"error: {scn}:7: ") and message in err
+    assert out == ""
+
+
+BRUTE_TALLY = ("tally: {'halt': 9784, 'cycle': 2560, 'translated': 3016, "
+               "'no_halt_rule': 5376, 'skipped_mirror': 0}")
+BRUTE_OUTPUT = {
+    "1": (0, "bb(1) = 1\nchampion: 0LH0LA\nmachines: 64 tally: {'halt': 32, 'cycle': 8, "
+             "'translated': 8, 'no_halt_rule': 16, 'skipped_mirror': 0}\n"),
+    "2": (0, f"bb(2) = 6\nchampion: 0LB0LH1RA1LB\nmachines: 20736 {BRUTE_TALLY}\n"),
+    "2 --mirror": (0, "bb(2) = 6\nchampion: 0RB0LH1LA1RB\nmachines: 20736 tally: {'halt': 4892, "
+                      "'cycle': 1280, 'translated': 1508, 'no_halt_rule': 2688, "
+                      "'skipped_mirror': 10368}\n"),
+    "2 --cap 10": (0, f"bb(2) = 6\nchampion: 0LB0LH1RA1LB\nmachines: 20736 {BRUTE_TALLY}\n"),
+    "2 --cap 3": (1, "inconclusive: 1376 machines neither halted nor were proven non-halting "
+                     "within 3 steps; raise the cap\n"),
+    "1 --cap 2": (1, "inconclusive: 8 machines neither halted nor were proven non-halting "
+                     "within 2 steps; raise the cap\n"),
+}
+
+
+@pytest.mark.parametrize("argv", BRUTE_OUTPUT)
+def test_bb_brute_output(capsys, argv):
+    assert run_cli(capsys, "bb", "brute", *argv.split())[:2] == BRUTE_OUTPUT[argv]
