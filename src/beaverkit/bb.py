@@ -26,7 +26,9 @@ step cap; otherwise the enumeration refuses rather than guess.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .engine import CYCLE, HALTED, STEP_LIMIT, RunLimits, RunOutcome, fingerprint, run
@@ -87,9 +89,15 @@ def load_registry(path) -> Registry:
 
 
 def default_registry() -> Registry:
+    """A fresh copy of the shipped registry; the file is read once."""
+    return Registry(dict(_shipped_entries()))
+
+
+@functools.cache
+def _shipped_entries() -> tuple[tuple[int, BBEntry], ...]:
     from .data import data_path
 
-    return load_registry(data_path("bb.registry"))
+    return tuple(load_registry(data_path("bb.registry")).entries.items())
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,7 @@ def parse_certificate(text: str) -> NonHaltCertificate:
                 kv[key] = int(rest)
             elif key == "basis":
                 kind, *tokens = rest.split()
-                kv[key] = kind, {k: int(v) for k, v in (tok.split("=") for tok in tokens)}
+                kv[key] = kind, dict(_field(tok) for tok in tokens)
             elif line != "certificate nonhalt":
                 kv[key] = rest
     try:
@@ -138,6 +146,13 @@ def parse_certificate(text: str) -> NonHaltCertificate:
     except KeyError as e:
         raise ValueError(f"certificate has no {e.args[0]!r}") from None
     raise ValueError(f"unrecognized certificate basis {kind!r}")
+
+
+def _field(token: str) -> tuple[str, int]:
+    key, eq, value = token.partition("=")
+    if not eq:
+        raise ValueError(f"expected <key>=<integer>, got {token!r}")
+    return key, int(value)
 
 
 def certify_nonhalt(
@@ -164,13 +179,23 @@ def certify_nonhalt(
     return None
 
 
-def replay_certificate(machine: Machine, cert: NonHaltCertificate) -> bool:
-    """Re-check a certificate from scratch against its machine."""
+def replay_certificate(
+    machine: Machine, cert: NonHaltCertificate, registry: Registry | None = None
+) -> bool:
+    """Re-check a certificate from scratch against its machine.
+
+    A bound holds only as the registry's value for the machine's state
+    count; a cycle needs a first visit at step 0 or later and a period of
+    at least one step.
+    """
     if cert.basis == "bb_bound":
-        if state_count(machine) != cert.n:
+        entry = (registry or default_registry()).lookup(state_count(machine))
+        if entry is None or (entry.n, entry.value) != (cert.n, cert.bb_value):
             return False
         outcome = run(machine, limits=RunLimits(max_steps=cert.bb_value + 1))
         return outcome.kind != HALTED and outcome.steps == cert.bb_value + 1
+    if cert.first_visit < 0 or cert.period < 1:
+        return False
     out1 = run(machine, limits=RunLimits(max_steps=cert.first_visit))
     fp1 = fingerprint(out1.config)
     out1.config.steps = 0
@@ -305,7 +330,11 @@ class _RecordWatch:
 
     def __init__(self, start: str):
         self.records: dict = {}  # (state, direction) -> [(step, head, tape)]
-        self.heads: list[int] = []
+        # (step, head) of every suffix minimum (maximum) of the head so far,
+        # oldest first: the lowest (highest) head since step t is the first
+        # entry at t or later
+        self.lows: list[tuple[int, int]] = []
+        self.highs: list[tuple[int, int]] = []
         self.rrec, self.lrec = -1, 1
         self.hit = None
         self(0, start, 0, Tape())  # the blank start, which `trace` never sees
@@ -321,7 +350,8 @@ class _RecordWatch:
                 if drift <= 0:
                     continue
                 # as deep inward as the run excursed between the records
-                inward = min((hh - h1) * d for hh in self.heads[t1:step])
+                extremes = self.lows if d > 0 else self.highs
+                inward = (extremes[bisect_left(extremes, (t1,))][1] - h1) * d
                 if all(tape.read(head + j * d) == snap.read(h1 + j * d)
                        for j in range(inward - drift, 1)):
                     self.hit = step
@@ -329,4 +359,10 @@ class _RecordWatch:
             self.records.setdefault((state, d), []).append((step, head, tape.clone()))
         self.rrec = max(self.rrec, head)
         self.lrec = min(self.lrec, head)
-        self.heads.append(head)
+        lows, highs = self.lows, self.highs
+        while lows and lows[-1][1] >= head:
+            lows.pop()
+        lows.append((step, head))
+        while highs and highs[-1][1] <= head:
+            highs.pop()
+        highs.append((step, head))

@@ -2,7 +2,8 @@
 
 Exit status: 0 on success with no findings, 1 when validation finds
 error-severity defects or any scenario fails or a run is inconclusive
-for certification, 2 on usage or I/O errors.  ``--deterministic``
+for certification or a replayed certificate is refused, 2 on usage or
+I/O errors and malformed input files.  ``--deterministic``
 suppresses wall-clock fields so identical inputs give identical output.
 """
 
@@ -28,6 +29,7 @@ from .tables import (
     validate,
 )
 from .tape import Configuration, Tape
+from .textfile import load
 
 OK, FINDINGS, USAGE = 0, 1, 2
 
@@ -178,6 +180,14 @@ def cmd_bb(args) -> int:
             return FINDINGS
         sys.stdout.write(cert.serialize())
         return OK
+    if args.bb_cmd == "replay":
+        machine = _load_machine(args.machine, args.entry)
+        cert = load(args.certificate, bbmod.parse_certificate)
+        if not bbmod.replay_certificate(machine, cert):
+            print(f"refused: the {cert.basis} certificate does not hold for {machine.name}")
+            return FINDINGS
+        print(f"holds: the {cert.basis} certificate holds for {machine.name}")
+        return OK
     raise AssertionError(args.bb_cmd)
 
 
@@ -234,6 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--steps", type=int, required=True)
     q.add_argument("--entry")
     q.add_argument("--cycle-check", action="store_true")
+    q = bbsub.add_parser("replay", parents=[common],
+                         help="re-check a certificate written by 'bb certify'")
+    q.add_argument("machine")
+    q.add_argument("certificate")
+    q.add_argument("--entry")
     p.set_defaults(fn=cmd_bb)
 
     return ap

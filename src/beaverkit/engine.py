@@ -8,6 +8,14 @@ iteration.  Cycle detection and tracing observe every configuration, so
 they turn the scan off, and nothing else: the stop rules are the same
 whether or not a run is observed.
 
+Cycle detection keeps no tape per step.  Its store maps a fixed-size key,
+(state, head - lo, width of the support, hash of the support's bytes), to
+every step that produced it, so a hash collision hides no older
+configuration.  A key match is confirmed exactly: a clone of the start
+configuration, taken when the run began, is rerun unobserved to the
+earlier step, and the two full fingerprint keys must be equal; when they
+differ the step is stored and the run goes on.
+
 Scanned and single-stepped runs produce identical outcomes, step counts
 and tapes; the property suite asserts this on random machines against
 a reference built on `step`.  The scan sustains well over 10^7
@@ -46,8 +54,11 @@ class RunLimits:
     `max_support_cells` caps the widest cell interval that has held 1s
     (a monotone high-water measure: erasing does not return headroom);
     the write that would exceed it is not executed and the run reports
-    memory_limit with the exact step count.  `cycle_check` fingerprints
-    every configuration, so the run executes one transition at a time.
+    memory_limit with the exact step count.  `cycle_check` keys every
+    configuration, so the run executes one transition at a time and stops
+    with kind cycle at the first exact repeat (translation invariant).  It
+    stores about 230 bytes per step, whatever the support's width, and
+    confirms a key match by rerunning the start to the earlier step.
     """
 
     max_steps: int = DEFAULT_MAX_STEPS
@@ -126,7 +137,10 @@ def run(
     actually read.
     """
     limits = limits or RunLimits()
-    cm = compile_machine(machine)
+    cm = machine.compiled
+    if cm is None:
+        cm = compile_machine(machine)
+        object.__setattr__(machine, "compiled", cm)  # a cache, not a field value
     if config is None:
         config = Configuration(machine.start)
     blank_start = (
@@ -161,6 +175,19 @@ def _fingerprint_key(state, tape: Tape):
     return (state, tape.head - lo, bytes(tape.buf[tape.org + lo : tape.org + hi + 1]))
 
 
+_support_hash = hash  # the cycle store's hash of a support; a name of its own to stub
+
+
+def _replayed(cm, start: Configuration, limits: RunLimits, steps: int) -> Configuration:
+    """The configuration of the unobserved run from `start` at `steps`.
+
+    The run went on past `steps` before, so the replay stops there on its
+    budget, with the scan on and nothing traced, watched or profiled.
+    """
+    budget = RunLimits(steps, limits.max_support_cells)
+    return _run(cm, start.clone(), budget, frozenset(), None, None).config
+
+
 def _outcome(kind, cm, tape, state_idx, steps, exit_name=None, **kw) -> RunOutcome:
     state = exit_name if exit_name is not None else cm.names[state_idx]
     cfg = Configuration(state, tape, steps)
@@ -183,7 +210,11 @@ def _run(cm, config, limits, watch_idx, trace, profile) -> RunOutcome:
     lo1, hi1 = tape._lo1, tape._hi1  # over-approximate 1-bounds, in cells
     cycle_check = limits.cycle_check
     scan = not cycle_check and trace is None  # observers see every step
+    # (state, head-lo, width, support hash) -> the first step with that key,
+    # and the later steps of keys that matched an unequal configuration
     seen: dict = {}
+    later: dict = {}
+    start = config.clone() if cycle_check else None
 
     def sync():
         tape.buf, tape.org, tape.head = buf, org, head
@@ -198,13 +229,17 @@ def _run(cm, config, limits, watch_idx, trace, profile) -> RunOutcome:
     while steps < max_steps:
         if cycle_check:
             sync()
-            key = _fingerprint_key(state, tape)
-            prev = seen.get(key)
-            if prev is not None:
-                return _outcome(
-                    CYCLE, cm, tape, state, steps, first_visit=prev, period=steps - prev
-                )
-            seen[key] = steps
+            full = _fingerprint_key(state, tape)
+            key = (state, full[1], len(full[2]), _support_hash(full[2]))
+            first = seen.setdefault(key, steps)
+            if first != steps:
+                for prev in (first, *later.get(key, ())):
+                    past = _replayed(cm, start, limits, prev)
+                    if _fingerprint_key(cm.index[past.state], past.tape) == full:
+                        return _outcome(
+                            CYCLE, cm, tape, state, steps, first_visit=prev, period=steps - prev
+                        )
+                later.setdefault(key, []).append(steps)
         p = org + head
         if not 0 <= p < len(buf):
             grown(head)

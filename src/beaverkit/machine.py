@@ -11,7 +11,7 @@ executes the write and move, then halts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -59,11 +59,17 @@ class Action(NamedTuple):
 
 @dataclass(frozen=True)
 class Machine:
-    """Immutable transition table with a start state and a label."""
+    """Immutable transition table with a start state and a label.
+
+    `compiled` caches the engine's flat form, filled by its first run.
+    """
 
     name: str
     start: str
     states: Mapping[str, tuple[Action | None, Action | None]]
+    compiled: CompiledMachine | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "states", MappingProxyType(dict(self.states)))

@@ -28,6 +28,8 @@ def test_registry_lookup_shipped():
     assert reg.lookup(1).value == 1
     assert reg.lookup(2).value == 6
     assert reg.lookup(9) is None
+    reg.add(BBEntry(5, 10**6, "configured"))
+    assert default_registry().lookup(5) is None  # each call gets its own copy
 
 
 def test_registry_monotonicity_enforced():
@@ -167,6 +169,29 @@ def test_certificate_round_trip():
 def test_certificate_missing_line_names_it(key, text):
     with pytest.raises(ValueError, match=f"certificate has no '{key}'"):
         parse_certificate(text)
+
+
+@pytest.mark.parametrize("basis", [
+    "basis cycle first=0 period=0",
+    "basis cycle first=2 period=-1",
+    "basis bb-bound n=2 value=2",
+])
+def test_replay_refuses_forged_certificates(basis):
+    # the BB(2) champion halts after 6 steps, so no certificate may hold
+    champion = machine_from_program(((0, -1, 1), (0, -1, -1), (1, 1, 0), (1, -1, 1)), 2)
+    assert champion.name == "0LB0LH1RA1LB"
+    assert run(champion).steps == 6
+    cert = parse_certificate(f"certificate nonhalt\nmachine {champion.name}\nsteps 9\n{basis}\n")
+    assert not replay_certificate(champion, cert)
+    assert not replay_certificate(champion, cert, default_registry())
+
+
+def test_replay_bound_must_be_the_registry_entry():
+    m = spinner(4)
+    cert = certify_nonhalt(m, run(m, limits=RunLimits(max_steps=108)))
+    assert replay_certificate(m, cert, parse_registry("bb 4 107 paper"))
+    assert not replay_certificate(m, cert, parse_registry("bb 4 106 paper"))
+    assert not replay_certificate(m, cert, parse_registry("bb 2 6 computed"))
 
 
 def test_replay_rejects_wrong_machine():

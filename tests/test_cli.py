@@ -68,6 +68,58 @@ def test_bb_certify(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("basis, code", [
+    ("basis bb-bound n=4 value=107", 0),
+    ("basis bb-bound n=4 value=100", 1),
+    ("basis cycle first=0 period=4", 1),
+    ("basis bb-bound n=4 value=x", 2),
+    ("basis sideways", 2),
+    ("basis cycle first period=4", 2),
+])
+def test_bb_replay_exit_codes(capsys, tmp_path, basis, code):
+    # holds, refused by the replay, malformed file
+    table = tmp_path / "spin4.tbl"
+    table.write_text(
+        "!name spin4\n!start A\nA|0|1|R|B\nB|0|1|R|C\nC|0|1|R|D\nD|0|1|R|A\n"
+    )
+    cert = tmp_path / "spin4.cert"
+    cert.write_text(f"certificate nonhalt\nmachine spin4\nsteps 108\n{basis}\n")
+    got, out, err = run_cli(capsys, "bb", "replay", str(table), str(cert))
+    assert got == code
+    if code == 0:
+        assert out.startswith("holds:")
+    elif code == 1:
+        assert out.startswith("refused:")
+    else:
+        assert err.startswith(f"error: {cert}:")
+
+
+def test_bb_certify_then_replay(capsys, tmp_path):
+    table = tmp_path / "mover.tbl"
+    table.write_text("!name mover\n!start A\nA|0|0|R|B\nB|0|0|L|A\n")
+    code, out, _ = run_cli(capsys, "bb", "certify", str(table), "--steps", "50",
+                           "--cycle-check")
+    assert code == 0 and "basis cycle first=0 period=2" in out
+    cert = tmp_path / "mover.cert"
+    cert.write_text(out)
+    assert run_cli(capsys, "bb", "replay", str(table), str(cert))[0] == 0
+    cert.write_text(out.replace("period=2", "period=3"))
+    assert run_cli(capsys, "bb", "replay", str(table), str(cert))[0] == 1
+
+
+def test_bb_replay_runs_from_the_entry_state(capsys, tmp_path):
+    # from A the machine halts at once; from B it glides right forever
+    table = tmp_path / "glide.tbl"
+    table.write_text("!name glide\n!start A\nA|0|1|R|HALT\nB|0|0|R|B\n")
+    code, out, _ = run_cli(capsys, "bb", "certify", str(table), "--steps", "50",
+                           "--cycle-check", "--entry", "B")
+    assert code == 0 and "basis cycle first=0 period=1" in out
+    cert = tmp_path / "glide.cert"
+    cert.write_text(out)
+    assert run_cli(capsys, "bb", "replay", str(table), str(cert), "--entry", "B")[0] == 0
+    assert run_cli(capsys, "bb", "replay", str(table), str(cert))[0] == 1
+
+
 def test_run_five_step_trace_window(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,6 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beaverkit import engine
 from beaverkit.engine import (
     CYCLE,
     HALTED,
@@ -13,9 +17,9 @@ from beaverkit.engine import (
     run,
     step,
 )
-from beaverkit.machine import HALT, Action, Machine
+from beaverkit.machine import HALT, Action, Machine, compile_machine
 from beaverkit.tape import Configuration, Tape
-from stepping import stepped_run
+from stepping import checked_run, read_profile, stepped_run
 
 
 def one_state(write=1, move=1, target="B"):
@@ -151,16 +155,17 @@ def test_trace_lines_emitted_per_step():
 
 
 @st.composite
-def machines(draw, max_states=4):
-    """Random machines: some transitions missing, some to HALT."""
+def machines(draw, max_states=4, halts=True):
+    """Random machines: some transitions missing, some to HALT; without
+    `halts`, every transition defined and into a state."""
     n = draw(st.integers(1, max_states))
     names = [chr(65 + i) for i in range(n)]
     states = {}
     for name in names:
         acts = []
         for _ in (0, 1):
-            if draw(st.booleans()) or name == names[0]:
-                target = draw(st.sampled_from(names + [HALT, "ext"]))
+            if not halts or draw(st.booleans()) or name == names[0]:
+                target = draw(st.sampled_from(names + [HALT, "ext"] if halts else names))
                 acts.append(
                     Action(draw(st.integers(0, 1)), draw(st.sampled_from([-1, 1])), target)
                 )
@@ -217,14 +222,110 @@ def test_scan_matches_single_step(data):
     checked = go(RunLimits(budget, cap, cycle_check=True))
     if checked.kind != CYCLE:
         assert_same_run(scanned, checked)
-    if cap == 1 << 22:  # the reference does not model the support cap
-        kind, trail = stepped_run(m, Configuration(m.start, tape.clone()), budget, watch)
-        ref = trail[-1]
-        assert (scanned.kind, scanned.steps) == (kind, ref.steps)
-        assert scanned.config.state == ref.state
-        assert scanned.config.tape.head == ref.tape.head
-        assert scanned.config.tape.content_equal(ref.tape)
-        assert traced == [(c.steps, c.state, c.tape.head, c.tape.support()) for c in trail[1:]]
+    kind, trail = stepped_run(m, Configuration(m.start, tape.clone()), budget, watch, cap=cap)
+    ref = trail[-1]
+    assert (scanned.kind, scanned.steps) == (kind, ref.steps)
+    assert scanned.config.state == ref.state
+    assert scanned.config.tape.head == ref.tape.head
+    assert scanned.config.tape.content_equal(ref.tape)
+    assert traced == [(c.steps, c.state, c.tape.head, c.tape.support()) for c in trail[1:]]
+
+
+def cells(tape):
+    lo, hi = tape.support()
+    return lo, tape.snapshot(lo, hi + 1)
+
+
+def assert_cycle_check_matches_reference(data):
+    m = data.draw(st.one_of(machines(), machines(halts=False)))
+    blocks = data.draw(st.lists(st.integers(1, 6), max_size=3))
+    tape = Tape.from_blocks(blocks) if blocks else Tape()
+    tape.head = data.draw(st.integers(-3, 8))
+    start = Configuration(m.start, tape, data.draw(st.sampled_from([0, 0, 0, 1, 40])))
+    budget = data.draw(st.integers(0, 300))
+    cap = data.draw(st.one_of(st.just(1 << 22), st.integers(4, 40)))
+    watch = tuple(data.draw(st.lists(st.sampled_from(sorted(m.states)), max_size=2)))
+    traced = [] if data.draw(st.booleans()) else None
+    profile = set() if data.draw(st.booleans()) else None
+
+    def trace(steps, state, head, tape):
+        traced.append((steps, state, head, cells(tape)))
+
+    out = run(m, start.clone(), RunLimits(budget, cap, cycle_check=True), watch=watch,
+              trace=None if traced is None else trace, profile=profile)
+    kind, trail, first = checked_run(m, start.clone(), budget, watch, cap)
+    ref = trail[-1]
+    assert (out.kind, out.steps, out.first_visit) == (kind, ref.steps, first)
+    assert out.period == (None if first is None else ref.steps - first)
+    assert out.config.state == ref.state
+    assert out.config.tape.head == ref.tape.head
+    assert cells(out.config.tape) == cells(ref.tape)
+    if traced is not None:
+        assert traced == [(c.steps, c.state, c.tape.head, cells(c.tape)) for c in trail[1:]]
+    if profile is not None:
+        assert profile == read_profile(m, kind, trail)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cycle_check_matches_full_key_reference(data):
+    assert_cycle_check_matches_reference(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cycle_check_survives_colliding_keys(data):
+    # every support hashes alike, so only the confirmation by replay
+    # tells configurations of one state, head offset and width apart
+    with mock.patch.object(engine, "_support_hash", lambda support: 0):
+        assert_cycle_check_matches_reference(data)
+
+
+@pytest.mark.parametrize("states, head, first_visit, period", [
+    # A flips the middle cell and B walks back, so A and B each stand in
+    # two configurations alike but for that cell: the repeat is of the
+    # older of two keys that match
+    ({"A": (Action(1, -1, "B"), Action(0, -1, "B")),
+      "B": (Action(1, 1, "A"), Action(1, 1, "A"))}, 1, 0, 4),
+    # B fills the middle cell once: the start and step 2 match, and the
+    # repeat is of the newer
+    ({"A": (Action(0, -1, "A"), Action(1, -1, "B")),
+      "B": (Action(1, 1, "A"), Action(1, 1, "A"))}, 2, 2, 2),
+])
+def test_colliding_configurations_are_told_apart(states, head, first_visit, period):
+    m = Machine("collide", "A", states)
+    start = Configuration("A", Tape.from_blocks([1, 1], head=head))  # 1 0 1
+    want = (CYCLE, first_visit + period, first_visit, period)
+    for support_hash in (hash, lambda support: 0):
+        with mock.patch.object(engine, "_support_hash", support_hash):
+            out = run(m, start.clone(), RunLimits(max_steps=50, cycle_check=True))
+        assert (out.kind, out.steps, out.first_visit, out.period) == want
+    assert checked_run(m, start.clone(), 50)[::2] == (CYCLE, first_visit)
+
+
+def test_cycle_store_keeps_no_tape_per_step():
+    # no literal self-loop, one more cell of support every step and no
+    # repeat: a copy of each tape would take about 32 MB
+    spinner = Machine("spinner", "A", {"A": (Action(1, 1, "B"), Action(1, 1, "B")),
+                                       "B": (Action(1, 1, "A"), Action(1, 1, "A"))})
+    tracemalloc.start()
+    try:
+        out = run(spinner, limits=RunLimits(max_steps=8000, cycle_check=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.kind == STEP_LIMIT and out.steps == 8000
+    assert peak < 4 << 20
+
+
+def test_a_machine_compiles_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "compile_machine", lambda m: calls.append(m) or compile_machine(m))
+    m, twin = one_state(target="A"), one_state(target="A")
+    for limits in (RunLimits(max_steps=5), RunLimits(max_steps=9, cycle_check=True)):
+        assert run(m, limits=limits).steps == limits.max_steps
+    assert calls == [m]
+    assert m == twin and repr(m) == repr(twin)
 
 
 @settings(max_examples=80, deadline=None)
