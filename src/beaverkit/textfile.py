@@ -1,5 +1,5 @@
-"""The line reader of all seven text formats: tables, overlays, manifests,
-scenarios, merge plans, the busy-beaver registry and certificates.
+"""The line reader of all six text formats: tables, overlays, manifests,
+scenarios, the busy-beaver registry and certificates.
 
 ``#`` opens a comment at the start of a line or after whitespace, so
 ``x.manifest#label`` stays one token.  Errors read ``line N: message``

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -146,6 +147,15 @@ def test_cycle_certificate_and_replay():
     cert = certify_nonhalt(mover, out)
     assert cert.basis == "cycle" and cert.period == 1
     assert replay_certificate(mover, cert)
+
+
+def test_replay_refuses_cycle_steps_off_the_basis():
+    # certify_nonhalt writes steps = first + period; any other count is forged
+    mover = Machine("mover", "A", {"A": (Action(0, 1, "A"), None)})
+    cert = certify_nonhalt(mover, run(mover, limits=RunLimits(max_steps=100, cycle_check=True)))
+    assert cert.steps_observed == cert.first_visit + cert.period
+    for steps in (cert.steps_observed - 1, cert.steps_observed + 1, 100):
+        assert not replay_certificate(mover, dataclasses.replace(cert, steps_observed=steps))
 
 
 def test_certificate_round_trip():

@@ -7,6 +7,10 @@ from beaverkit.cli import dispatch
 from beaverkit.data import data_path
 
 
+# a 4-state ring writing 1s rightward forever
+SPIN4 = "!name spin4\n!start A\nA|0|1|R|B\nB|0|1|R|C\nC|0|1|R|D\nD|0|1|R|A\n"
+
+
 def run_cli(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
@@ -58,9 +62,7 @@ def test_bb_brute_low_cap(capsys):
 
 def test_bb_certify(capsys, tmp_path):
     table = tmp_path / "spin4.tbl"
-    table.write_text(
-        "!name spin4\n!start A\nA|0|1|R|B\nB|0|1|R|C\nC|0|1|R|D\nD|0|1|R|A\n"
-    )
+    table.write_text(SPIN4)
     code, out, _ = run_cli(capsys, "bb", "certify", str(table), "--steps", "108")
     assert code == 0
     assert "basis bb-bound n=4 value=107" in out
@@ -79,9 +81,7 @@ def test_bb_certify(capsys, tmp_path):
 def test_bb_replay_exit_codes(capsys, tmp_path, basis, code):
     # holds, refused by the replay, malformed file
     table = tmp_path / "spin4.tbl"
-    table.write_text(
-        "!name spin4\n!start A\nA|0|1|R|B\nB|0|1|R|C\nC|0|1|R|D\nD|0|1|R|A\n"
-    )
+    table.write_text(SPIN4)
     cert = tmp_path / "spin4.cert"
     cert.write_text(f"certificate nonhalt\nmachine spin4\nsteps 108\n{basis}\n")
     got, out, err = run_cli(capsys, "bb", "replay", str(table), str(cert))
@@ -92,6 +92,24 @@ def test_bb_replay_exit_codes(capsys, tmp_path, basis, code):
         assert out.startswith("refused:")
     else:
         assert err.startswith(f"error: {cert}:")
+
+
+@pytest.mark.parametrize("machine, steps", [
+    ("someone-else", 1),
+    ("someone-else", 108),
+    ("spin4", 1),
+    ("spin4", 107),
+])
+def test_bb_replay_refuses_another_run(capsys, tmp_path, machine, steps):
+    # the certificate must name the replayed machine and a run past the bound
+    table = tmp_path / "spin4.tbl"
+    table.write_text(SPIN4)
+    cert = tmp_path / "spin4.cert"
+    cert.write_text(
+        f"certificate nonhalt\nmachine {machine}\nsteps {steps}\nbasis bb-bound n=4 value=107\n"
+    )
+    got, out, _ = run_cli(capsys, "bb", "replay", str(table), str(cert))
+    assert got == 1 and out.startswith("refused:")
 
 
 def test_bb_certify_then_replay(capsys, tmp_path):

@@ -203,7 +203,7 @@ def test_scan_matches_single_step(data):
     m = data.draw(machines())
     blocks = data.draw(st.lists(st.integers(1, 6), min_size=0, max_size=3))
     budget = data.draw(st.integers(0, 300))
-    cap = data.draw(st.one_of(st.just(1 << 22), st.integers(4, 40)))
+    cap = data.draw(st.one_of(st.just(1 << 22), st.integers(1, 40)))
     watch = tuple(data.draw(st.lists(st.sampled_from(sorted(m.states)), max_size=2)))
     tape = Tape.from_blocks(blocks) if blocks else Tape()
     limits = RunLimits(max_steps=budget, max_support_cells=cap)
@@ -379,6 +379,35 @@ def test_memory_cap_respects_existing_support():
     )
     assert out.kind == MEMORY_LIMIT
     assert out.config.tape.support() == (-6, 9)
+
+
+def writer(move, states):
+    """Writes 1 and moves `move` on every read; one state scans, two alternate."""
+    names = "AB"[:states]
+    succ = dict(zip(names, names[1:] + names[0]))
+    return Machine("writer", "A", {n: (Action(1, move, succ[n]),) * 2 for n in names})
+
+
+@pytest.mark.parametrize("states", [1, 2])
+@pytest.mark.parametrize(
+    "blocks, head, move, steps, support",
+    [
+        ([3, 3], 3, 1, 0, (0, 6)),  # 7 cells under a cap of 5: no 0->1 write inside
+        ([3], -1, -1, 2, (-2, 2)),  # leftward to exactly 5 cells, the sixth refused
+        ([3], 3, 1, 2, (0, 4)),  # rightward to exactly 5 cells, the sixth refused
+    ],
+)
+def test_memory_cap_edges(states, blocks, head, move, steps, support):
+    m = writer(move, states)
+    tape = Tape.from_blocks(blocks)
+    tape.head = head
+    out = run(m, Configuration("A", tape.clone()), RunLimits(100, max_support_cells=5))
+    kind, trail = stepped_run(m, Configuration("A", tape.clone()), 100, cap=5)
+    ref = trail[-1]
+    assert (out.kind, out.steps) == (kind, ref.steps) == (MEMORY_LIMIT, steps)
+    assert out.config.tape.head == ref.tape.head == head + move * steps
+    assert out.config.tape.content_equal(ref.tape)
+    assert out.config.tape.support() == support
 
 
 def test_budget_clamp_inside_erasing_run():

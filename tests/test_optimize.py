@@ -11,7 +11,6 @@ from beaverkit.optimize import (
     MergePlan,
     apply_merges,
     merge_alias,
-    parse_plan,
     profile_reads,
     propose_merges,
     verify_merge,
@@ -159,13 +158,17 @@ def test_count_arithmetic(fermat_composed):
     assert state_count(merged) == state_count(fermat_composed.machine) - len(plan.pairs)
 
 
-def test_plan_round_trip():
-    plan = MergePlan(pairs=[MergePair("a", "b", "a+b"), MergePair("c", "d", "c+d")])
-    again = parse_plan(plan.serialize())
-    assert [(p.zero_state, p.one_state, p.merged_name) for p in again.pairs] == [
-        ("a", "b", "a+b"),
-        ("c", "d", "c+d"),
-    ]
+def test_plan_serializes_merges_drops_and_residuals():
+    plan = MergePlan(
+        pairs=[MergePair("a", "b", "a+b", dropped=("b on 0",)), MergePair("c", "d", "c+d")],
+        residual_zero=["e"],
+        residual_one=["f"],
+    )
+    assert plan.serialize() == (
+        "merge a b as a+b\n# drops b on 0\nmerge c d as c+d\n"
+        "# residual zero-only e\n# residual one-only f\n"
+    )
+    assert MergePlan().serialize() == ""
 
 
 def test_verify_merge_machine_against_itself(fermat_t2):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from beaverkit.bb import RegistryError, load_registry, parse_certificate, parse_registry
 from beaverkit.compose import ManifestError, load_manifest, parse_manifest
 from beaverkit.harness import load_scenarios, parse_scenarios
-from beaverkit.optimize import parse_plan
 from beaverkit.tables import TableError, load_overlay, load_table, parse_overlay, parse_table
 from beaverkit.textfile import load
 
@@ -37,11 +36,6 @@ FORMATS = {
          "block", "left", "limit", "steps=", "cells=", "expect", "oracle", "square", "prime",
          "snapshot", "halted", "nothalt", "transfer", "values", "m.tbl", "S", "0", "1", "2", "-1"],
         "scenario s\nmachine m.tbl\nexpect transfer S@0\n",
-    ),
-    "plan": (
-        ".plan", lambda t, d: parse_plan(t), lambda p: load(p, parse_plan), ValueError,
-        ["merge", "as", "A", "B", "AB"],
-        "merge A B as AB\n\nmerge C D\n",
     ),
     "registry": (
         ".registry", lambda t, d: parse_registry(t), load_registry, RegistryError,
