@@ -27,12 +27,14 @@ step cap; otherwise the enumeration refuses rather than guess.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .engine import CYCLE, HALTED, STEP_LIMIT, RunLimits, RunOutcome, fingerprint, run
 from .machine import HALT, Action, Machine, move_name, state_count
+from .tables import serialize_machine
 from .tape import Tape
 from .textfile import Lines, load
 PAPER = "paper"
@@ -100,9 +102,19 @@ def _shipped_entries() -> tuple[tuple[int, BBEntry], ...]:
     return tuple(load_registry(data_path("bb.registry")).entries.items())
 
 
+def machine_label(machine: Machine) -> str:
+    """The machine's name and a digest of its whole table, start state included.
+
+    A certificate's `machine` line; a name alone would let the certificate
+    pass for any machine called the same.
+    """
+    table = serialize_machine(machine).encode()
+    return f"{machine.name} {hashlib.blake2b(table, digest_size=8).hexdigest()}"
+
+
 @dataclass(frozen=True)
 class NonHaltCertificate:
-    machine_name: str
+    machine: str  # `machine_label` of the machine the certificate was earned on
     steps_observed: int
     basis: str  # "bb_bound" or "cycle"
     n: int | None = None
@@ -113,7 +125,7 @@ class NonHaltCertificate:
     def serialize(self) -> str:
         lines = [
             "certificate nonhalt",
-            f"machine {self.machine_name}",
+            f"machine {self.machine}",
             f"steps {self.steps_observed}",
         ]
         if self.basis == "bb_bound":
@@ -167,14 +179,14 @@ def certify_nonhalt(
         return None
     if outcome.kind == CYCLE:
         return NonHaltCertificate(
-            machine.name, outcome.steps, "cycle",
+            machine_label(machine), outcome.steps, "cycle",
             first_visit=outcome.first_visit, period=outcome.period,
         )
     registry = registry or default_registry()
     entry = registry.lookup(state_count(machine))
     if entry is not None and outcome.steps > entry.value:
         return NonHaltCertificate(
-            machine.name, outcome.steps, "bb_bound", n=entry.n, bb_value=entry.value
+            machine_label(machine), outcome.steps, "bb_bound", n=entry.n, bb_value=entry.value
         )
     return None
 
@@ -184,13 +196,14 @@ def replay_certificate(
 ) -> bool:
     """Re-check a certificate from scratch against its machine.
 
-    The certificate must name the machine, and its steps must be those
+    The certificate's `machine` line must be the machine's label, name
+    and table digest both, and its steps must be those
     `certify_nonhalt` writes for its basis: past the bound, or the first
     visit plus the period.  A bound holds only as the registry's value
     for the machine's state count; a cycle needs a first visit at step 0
     or later and a period of at least one step.
     """
-    if cert.machine_name != machine.name:
+    if cert.machine != machine_label(machine):
         return False
     if cert.basis == "bb_bound":
         entry = (registry or default_registry()).lookup(state_count(machine))

@@ -4,9 +4,14 @@ One run loop serves every run.  It recognizes self-loop transitions
 (state maps to itself on the symbol under the head) and processes the
 whole uniform run of that symbol in one memchr/memset pass, crediting
 the exact number of steps; everything else executes one transition per
-iteration.  Cycle detection and tracing observe every configuration, so
-they turn the scan off, and nothing else: the stop rules are the same
-whether or not a run is observed.
+iteration.  One scan serves both directions: only the search differs
+(`find` rightward, `rfind` leftward), and the budget clamp, the fill,
+the memory stop and the endless glide over blank are shared.  A fill of
+1s obeys the single-step memory rule in closed form: it takes as many
+cells as one transition at a time would, and no more.  Cycle detection
+and tracing observe every configuration, so they turn the scan off, and
+nothing else: the stop rules are the same whether or not a run is
+observed.
 
 Cycle detection keeps no tape per step.  Its store maps a fixed-size key,
 (state, head - lo, width of the support, hash of the support's bytes), to
@@ -51,16 +56,21 @@ WATCH = "watch"
 
 DEFAULT_MAX_STEPS = 10**8
 DEFAULT_MAX_SUPPORT = 1 << 22
+_FILL = (b"\x00", b"\x01")  # one cell of each symbol, for the scan's fills
 
 
 @dataclass(frozen=True)
 class RunLimits:
     """Budgets for one run.
 
-    `max_support_cells` caps the widest cell interval that has held 1s
-    (a monotone high-water measure: erasing does not return headroom);
-    the write that would exceed it is not executed and the run reports
-    memory_limit with the exact step count.  `cycle_check` keys every
+    `max_steps >= 0` caps the step count.  `max_support_cells >= 1` caps
+    the widest cell interval that has held 1s (a monotone high-water
+    measure: erasing does not return headroom).  One rule serves the
+    single step and the scan's fill alike: a 0->1 write is refused when
+    the 1-extent widened to the written cell would span more than
+    `max_support_cells` cells, also when a start tape was wider already.
+    The refused write is not executed and the run reports memory_limit
+    with the exact step count.  `cycle_check` keys every
     configuration, so the run executes one transition at a time and stops
     with kind cycle at the first exact repeat (translation invariant).  It
     stores about 230 bytes per step, whatever the support's width, and
@@ -70,6 +80,12 @@ class RunLimits:
     max_steps: int = DEFAULT_MAX_STEPS
     max_support_cells: int = DEFAULT_MAX_SUPPORT
     cycle_check: bool = False
+
+    def __post_init__(self):
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+        if self.max_support_cells < 1:
+            raise ValueError(f"max_support_cells must be >= 1, got {self.max_support_cells}")
 
 
 @dataclass
@@ -260,77 +276,52 @@ def _run(cm, config, limits, watched, trace, profile) -> RunOutcome:
         t = target[j]
         if t == state and scan:
             # Self-loop on `sym`: consume the whole uniform run at once.
+            # Only the search depends on the direction; q < 0 means the
+            # run reaches the buffer's edge.
             m = move[j]
             w = write[j]
-            budget = max_steps - steps
             if m > 0:
                 q = buf.find(1 - sym, p)
-                if q < 0:
-                    q = size
-                n = q - p
-                if n > budget:
-                    n = budget
-                if w != sym and n:
-                    if w:  # filling 1s rightward extends support
-                        c0, c1 = head, head + n - 1
-                        n_ok = _fill_allowance(lo1, hi1, c0, c1, cap, rightward=True)
-                        if n_ok < n:
-                            if n_ok:
-                                buf[p : p + n_ok] = b"\x01" * n_ok
-                                lo1, hi1 = _merge_bounds(lo1, hi1, c0, c0 + n_ok - 1)
-                                head += n_ok
-                                steps += n_ok
-                            sync()
-                            return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
-                        buf[p : p + n] = b"\x01" * n
-                        lo1, hi1 = _merge_bounds(lo1, hi1, c0, c1)
-                    else:
-                        buf[p : p + n] = b"\x00" * n
-                head += n
-                steps += n
-                if steps >= max_steps:
-                    break
-                if p + n >= size:
-                    if sym == 0 and w == 0:
-                        # gliding right over blank forever: no 1 ahead anywhere
-                        head += max_steps - steps
-                        steps = max_steps
-                        break
-                    grown(head)
-                continue
+                n = (size if q < 0 else q) - p
             else:
                 q = buf.rfind(1 - sym, 0, p + 1)
                 n = p - q
-                if n > budget:
-                    n = budget
-                    q = p - n
-                if w != sym and n:
-                    if w:
-                        c1, c0 = head, head - n + 1
-                        n_ok = _fill_allowance(lo1, hi1, c1, c0, cap, rightward=False)
-                        if n_ok < n:
-                            if n_ok:
-                                buf[p - n_ok + 1 : p + 1] = b"\x01" * n_ok
-                                lo1, hi1 = _merge_bounds(lo1, hi1, c1 - n_ok + 1, c1)
-                                head -= n_ok
-                                steps += n_ok
-                            sync()
-                            return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
-                        buf[q + 1 : p + 1] = b"\x01" * n
-                        lo1, hi1 = _merge_bounds(lo1, hi1, c0, c1)
+            if n > max_steps - steps:
+                n = max_steps - steps
+            if w != sym:
+                k = n
+                if w:
+                    # n writes of 0->1 under the single-step rule: each is
+                    # refused once the 1-extent widened to its cell would
+                    # pass `cap` cells, so k of them are taken
+                    lo, hi = (head, head) if hi1 < lo1 else (min(lo1, head), max(hi1, head))
+                    if hi - lo >= cap:
+                        k = 0
+                    elif m > 0:
+                        k = min(n, cap - (head - lo))
+                        lo1, hi1 = lo, max(hi, head + k - 1)
                     else:
-                        buf[q + 1 : p + 1] = b"\x00" * n
-                head -= n
-                steps += n
-                if steps >= max_steps:
+                        k = min(n, cap - (hi - head))
+                        lo1, hi1 = min(lo, head - k + 1), hi
+                a = p if m > 0 else p - k + 1
+                buf[a : a + k] = _FILL[w] * k
+                if k < n:
+                    head += m * k
+                    steps += k
+                    sync()
+                    return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
+            head += m * n
+            steps += n
+            if steps >= max_steps:
+                break
+            if q < 0:
+                if sym == 0 and w == 0:
+                    # gliding over blank forever: no 1 ahead anywhere
+                    head += m * (max_steps - steps)
+                    steps = max_steps
                     break
-                if q < 0:
-                    if sym == 0 and w == 0:
-                        head -= max_steps - steps
-                        steps = max_steps
-                        break
-                    grown(head)
-                continue
+                grown(head)
+            continue
         if t == NO_ACTION:
             sync()
             return _outcome(HALTED, cm, tape, state, steps)
@@ -362,37 +353,3 @@ def _run(cm, config, limits, watched, trace, profile) -> RunOutcome:
         state = t
     sync()
     return _outcome(STEP_LIMIT, cm, tape, state, steps)
-
-
-def _merge_bounds(lo1, hi1, a, b):
-    if hi1 < lo1:
-        return a, b
-    return min(lo1, a), max(hi1, b)
-
-
-def _fill_allowance(lo1, hi1, start, end, cap, rightward):
-    """How many 1s of a uniform fill from `start` toward `end` keep the
-    1-extent within `cap`.  Returns the full count when all fit."""
-    n = abs(end - start) + 1
-    if hi1 < lo1:
-        return min(n, cap)
-    if rightward:
-        # extent = max(hi1, start+k-1) - min(lo1, start) + 1 for k cells
-        base_lo = min(lo1, start)
-        full_hi = max(hi1, end)
-        if full_hi - base_lo + 1 <= cap:
-            return n
-        k = cap - 1 + base_lo - start + 1  # largest k with start+k-1-base_lo+1 <= cap
-        k = min(n, max(0, k))
-        while k and max(hi1, start + k - 1) - base_lo + 1 > cap:
-            k -= 1
-        return k
-    base_hi = max(hi1, start)
-    full_lo = min(lo1, end)
-    if base_hi - full_lo + 1 <= cap:
-        return n
-    k = cap - 1 - base_hi + start + 1
-    k = min(n, max(0, k))
-    while k and base_hi - min(lo1, start - k + 1) + 1 > cap:
-        k -= 1
-    return k

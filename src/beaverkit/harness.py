@@ -84,26 +84,21 @@ class Scenario:
     expect: Expectation = OutcomeExpect("nothalt")
 
     def build_tape(self) -> Tape:
+        kind, *rule = self.head
+        if kind == "block":
+            if self.tape_blocks is None:
+                raise ValueError(f"{self.name}: head block rule needs a unary tape")
+            return oracles.encode_tape(oracles.UnaryLayout(self.tape_blocks, *rule))
+        if kind != "abs":
+            raise ValueError(f"{self.name}: unknown head rule {self.head!r}")
         if self.tape_blocks is not None:
-            layout = oracles.UnaryLayout(blocks=self.tape_blocks, head_block=None)
-            tape = oracles.encode_tape(layout)
+            tape = oracles.encode_tape(oracles.UnaryLayout(self.tape_blocks))
         elif self.tape_window is not None:
             start, symbols = self.tape_window
             tape = Tape.from_symbols(list(symbols), start_cell=start)
         else:
             tape = Tape()
-        kind = self.head[0]
-        if kind == "abs":
-            tape.head = self.head[1]
-        elif kind == "block":
-            if self.tape_blocks is None:
-                raise ValueError(f"{self.name}: head block rule needs a unary tape")
-            layout = oracles.UnaryLayout(
-                blocks=self.tape_blocks, head_block=self.head[1], head_edge=self.head[2]
-            )
-            tape.head = layout.head_position()
-        else:
-            raise ValueError(f"{self.name}: unknown head rule {self.head!r}")
+        tape.head = rule[0]
         return tape
 
 

@@ -74,27 +74,24 @@ def is_perfect_square(n: int) -> tuple[bool, int | None]:
 
 @dataclass(frozen=True)
 class UnaryLayout:
-    """Blocks of 1s separated by single 0 cells, plus a head rule.
+    """Blocks of 1s from cell 0, separated by single 0 cells, plus a head rule.
 
     head_block/head_edge place the head at an edge of a named block
-    ("left", "right", or "after" = first cell right of the block);
-    head_cell places it absolutely.
+    ("left", "right", or "after" = first cell right of the block); with
+    no blocks the head stands on cell 0.
     """
 
     blocks: tuple[int, ...]
-    head_block: int | None = 0
+    head_block: int = 0
     head_edge: str = "left"
-    head_cell: int | None = None
 
-    def head_position(self, start_cell: int = 0) -> int:
-        if self.head_cell is not None:
-            return self.head_cell
-        if self.head_block is None or not self.blocks:
-            return start_cell
+    def head_position(self) -> int:
+        if not self.blocks:
+            return 0
         i = self.head_block
         if not 0 <= i < len(self.blocks):
             raise ValueError(f"head block {i} out of range")
-        left = start_cell + sum(b + 1 for b in self.blocks[:i])
+        left = sum(b + 1 for b in self.blocks[:i])
         if self.head_edge == "left":
             return left
         if self.head_edge == "right":
@@ -104,7 +101,7 @@ class UnaryLayout:
         raise ValueError(f"unknown head edge {self.head_edge!r}")
 
 
-def encode_tape(layout: UnaryLayout, start_cell: int = 0) -> Tape:
-    tape = Tape.from_blocks(list(layout.blocks), start_cell=start_cell)
-    tape.head = layout.head_position(start_cell)
+def encode_tape(layout: UnaryLayout) -> Tape:
+    tape = Tape.from_blocks(list(layout.blocks))
+    tape.head = layout.head_position()
     return tape

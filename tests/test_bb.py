@@ -13,6 +13,7 @@ from beaverkit.bb import (
     certify_nonhalt,
     default_registry,
     machine_from_program,
+    machine_label,
     parse_certificate,
     parse_registry,
     replay_certificate,
@@ -191,7 +192,8 @@ def test_replay_refuses_forged_certificates(basis):
     champion = machine_from_program(((0, -1, 1), (0, -1, -1), (1, 1, 0), (1, -1, 1)), 2)
     assert champion.name == "0LB0LH1RA1LB"
     assert run(champion).steps == 6
-    cert = parse_certificate(f"certificate nonhalt\nmachine {champion.name}\nsteps 9\n{basis}\n")
+    label = machine_label(champion)
+    cert = parse_certificate(f"certificate nonhalt\nmachine {label}\nsteps 9\n{basis}\n")
     assert not replay_certificate(champion, cert)
     assert not replay_certificate(champion, cert, default_registry())
 
@@ -208,7 +210,13 @@ def test_replay_rejects_wrong_machine():
     m4 = spinner(4)
     out = run(m4, limits=RunLimits(max_steps=108))
     cert = certify_nonhalt(m4, out, default_registry())
+    assert replay_certificate(spinner(4), cert)
     assert not replay_certificate(spinner(3), cert)
+    # the same name and a run past the bound, but another table or start
+    ring = Machine(m4.name, "A", dict(m4.states, D=(Action(1, 1, "B"), None)))
+    for other in (ring, dataclasses.replace(m4, start="B")):
+        assert run(other, limits=RunLimits(max_steps=108)).steps == 108
+        assert not replay_certificate(other, cert)
 
 
 def test_halted_machine_earns_no_certificate():

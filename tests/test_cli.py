@@ -3,12 +3,15 @@ from pathlib import Path
 
 import pytest
 
+from beaverkit.bb import machine_label
 from beaverkit.cli import dispatch
 from beaverkit.data import data_path
+from beaverkit.tables import build_machine, parse_table
 
 
 # a 4-state ring writing 1s rightward forever
 SPIN4 = "!name spin4\n!start A\nA|0|1|R|B\nB|0|1|R|C\nC|0|1|R|D\nD|0|1|R|A\n"
+SPIN4_LABEL = machine_label(build_machine(parse_table(SPIN4)))
 
 
 def run_cli(capsys, *argv):
@@ -83,7 +86,7 @@ def test_bb_replay_exit_codes(capsys, tmp_path, basis, code):
     table = tmp_path / "spin4.tbl"
     table.write_text(SPIN4)
     cert = tmp_path / "spin4.cert"
-    cert.write_text(f"certificate nonhalt\nmachine spin4\nsteps 108\n{basis}\n")
+    cert.write_text(f"certificate nonhalt\nmachine {SPIN4_LABEL}\nsteps 108\n{basis}\n")
     got, out, err = run_cli(capsys, "bb", "replay", str(table), str(cert))
     assert got == code
     if code == 0:
@@ -97,11 +100,13 @@ def test_bb_replay_exit_codes(capsys, tmp_path, basis, code):
 @pytest.mark.parametrize("machine, steps", [
     ("someone-else", 1),
     ("someone-else", 108),
-    ("spin4", 1),
-    ("spin4", 107),
+    pytest.param("spin4", 108, id="spin4-no-digest-108"),
+    pytest.param(SPIN4_LABEL, 1, id="spin4-1"),
+    pytest.param(SPIN4_LABEL, 107, id="spin4-107"),
 ])
 def test_bb_replay_refuses_another_run(capsys, tmp_path, machine, steps):
-    # the certificate must name the replayed machine and a run past the bound
+    # the certificate must carry the replayed machine's label, name and
+    # table digest, and a run past the bound
     table = tmp_path / "spin4.tbl"
     table.write_text(SPIN4)
     cert = tmp_path / "spin4.cert"
@@ -123,6 +128,24 @@ def test_bb_certify_then_replay(capsys, tmp_path):
     assert run_cli(capsys, "bb", "replay", str(table), str(cert))[0] == 0
     cert.write_text(out.replace("period=2", "period=3"))
     assert run_cli(capsys, "bb", "replay", str(table), str(cert))[0] == 1
+
+
+def test_bb_replay_refuses_a_table_of_the_same_name(capsys, tmp_path):
+    # both tables are named `mover`; the other one's glide also repeats
+    # after the certificate's two steps, so only the table digest differs
+    table = tmp_path / "mover.tbl"
+    table.write_text("!name mover\n!start A\nA|0|0|R|B\nB|0|0|L|A\n")
+    code, out, _ = run_cli(capsys, "bb", "certify", str(table), "--steps", "50",
+                           "--cycle-check")
+    assert code == 0 and out.splitlines()[1].startswith("machine mover ")
+    cert = tmp_path / "mover.cert"
+    cert.write_text(out)
+    other = tmp_path / "other.tbl"
+    other.write_text("!name mover\n!start A\nA|0|0|R|A\n")
+    assert run_cli(capsys, "bb", "certify", str(other), "--steps", "50",
+                   "--cycle-check")[0] == 0
+    got, out, _ = run_cli(capsys, "bb", "replay", str(other), str(cert))
+    assert got == 1 and out.startswith("refused:")
 
 
 def test_bb_replay_runs_from_the_entry_state(capsys, tmp_path):
@@ -227,6 +250,13 @@ def test_usage_errors_exit_2(capsys):
     assert dispatch(["run"]) == 2
     assert dispatch(["run", "/nonexistent/file.tbl"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("budget", [["--steps", "20", "--cells", "0"], ["--steps", "-5"]])
+def test_run_refuses_out_of_range_budgets(capsys, budget):
+    code, out, err = run_cli(capsys, "run", str(data_path("brocard.manifest")), *budget)
+    assert code == 2 and out == ""
+    assert err.startswith("error: max_")
 
 
 def test_deterministic_output_is_reproducible(capsys):

@@ -118,6 +118,15 @@ def test_memory_limit_on_unbounded_fill():
     assert out.kind == MEMORY_LIMIT and out.steps == 64
 
 
+def test_run_limits_reject_out_of_range_budgets():
+    assert RunLimits(max_steps=0, max_support_cells=1).max_steps == 0
+    with pytest.raises(ValueError, match="max_steps must be >= 0"):
+        RunLimits(max_steps=-1)
+    for cells in (0, -3):
+        with pytest.raises(ValueError, match="max_support_cells must be >= 1"):
+            RunLimits(max_support_cells=cells)
+
+
 def test_step_budget_is_exact_mid_scan():
     # a long scan must stop exactly at the budget even inside a skip
     tape = Tape.from_blocks([1000])
@@ -206,6 +215,7 @@ def test_scan_matches_single_step(data):
     cap = data.draw(st.one_of(st.just(1 << 22), st.integers(1, 40)))
     watch = tuple(data.draw(st.lists(st.sampled_from(sorted(m.states)), max_size=2)))
     tape = Tape.from_blocks(blocks) if blocks else Tape()
+    tape.head = data.draw(st.integers(-3, 8))
     limits = RunLimits(max_steps=budget, max_support_cells=cap)
 
     def go(limits=limits, **kw):
@@ -395,6 +405,9 @@ def writer(move, states):
         ([3, 3], 3, 1, 0, (0, 6)),  # 7 cells under a cap of 5: no 0->1 write inside
         ([3], -1, -1, 2, (-2, 2)),  # leftward to exactly 5 cells, the sixth refused
         ([3], 3, 1, 2, (0, 4)),  # rightward to exactly 5 cells, the sixth refused
+        # 6 cells under a cap of 5, the head on the 0 inside: no write at all
+        ([2, 3], 2, 1, 0, (0, 5)),
+        ([3, 2], 3, -1, 0, (0, 5)),
     ],
 )
 def test_memory_cap_edges(states, blocks, head, move, steps, support):

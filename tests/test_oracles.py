@@ -106,7 +106,6 @@ def test_encode_head_rules():
     assert encode_tape(UnaryLayout(blocks=(3, 2), head_block=1, head_edge="left")).head == 4
     assert encode_tape(UnaryLayout(blocks=(3, 2), head_block=1, head_edge="right")).head == 5
     assert encode_tape(UnaryLayout(blocks=(3, 2), head_block=0, head_edge="after")).head == 3
-    assert encode_tape(UnaryLayout(blocks=(3,), head_cell=-7)).head == -7
 
 
 def test_encode_rejects_empty_block():
