@@ -194,34 +194,58 @@ def certify_nonhalt(
 def replay_certificate(
     machine: Machine, cert: NonHaltCertificate, registry: Registry | None = None
 ) -> bool:
-    """Re-check a certificate from scratch against its machine.
+    """Re-check a certificate from scratch against its machine: does it hold?"""
+    return certificate_refusal(machine, cert, registry) is None
+
+
+def certificate_refusal(
+    machine: Machine, cert: NonHaltCertificate, registry: Registry | None = None
+) -> str | None:
+    """Why the certificate does not hold for `machine`, or None when it holds.
 
     The certificate's `machine` line must be the machine's label, name
     and table digest both, and its steps must be those
     `certify_nonhalt` writes for its basis: past the bound, or the first
     visit plus the period.  A bound holds only as the registry's value
     for the machine's state count; a cycle needs a first visit at step 0
-    or later and a period of at least one step.
+    or later and a period of at least one step.  Then the run from a
+    blank tape must not stop within the bound, or must come back to the
+    configuration of its first visit after the period.
     """
-    if cert.machine != machine_label(machine):
-        return False
+    label = machine_label(machine)
+    if cert.machine != label:
+        return f"it was earned on another table: {cert.machine}, not {label}"
     if cert.basis == "bb_bound":
-        entry = (registry or default_registry()).lookup(state_count(machine))
-        if entry is None or (entry.n, entry.value) != (cert.n, cert.bb_value):
-            return False
+        n = state_count(machine)
+        entry = (registry or default_registry()).lookup(n)
+        if entry is None:
+            return f"the registry holds no bound for {n} states"
+        if (entry.n, entry.value) != (cert.n, cert.bb_value):
+            return (f"its bound n={cert.n} value={cert.bb_value} is not the registry's "
+                    f"n={entry.n} value={entry.value}")
         if cert.steps_observed <= cert.bb_value:
-            return False
-        outcome = run(machine, limits=RunLimits(max_steps=cert.bb_value + 1))
-        return outcome.kind != HALTED and outcome.steps == cert.bb_value + 1
+            return f"its steps {cert.steps_observed} are not past the bound {cert.bb_value}"
+        limit = cert.bb_value + 1
+        outcome = run(machine, limits=RunLimits(max_steps=limit))
+        if outcome.kind == HALTED or outcome.steps != limit:
+            return f"the run stops ({outcome.kind}) at step {outcome.steps}, within the bound"
+        return None
     if cert.first_visit < 0 or cert.period < 1:
-        return False
+        return (f"first={cert.first_visit} period={cert.period} is no cycle: "
+                "it needs first >= 0 and period >= 1")
     if cert.steps_observed != cert.first_visit + cert.period:
-        return False
-    out1 = run(machine, limits=RunLimits(max_steps=cert.first_visit))
-    fp1 = fingerprint(out1.config)
-    out1.config.steps = 0
-    out2 = run(machine, out1.config, RunLimits(max_steps=cert.period))
-    return out2.kind == "step_limit" and fingerprint(out2.config) == fp1
+        return (f"its steps {cert.steps_observed} are not first + period = "
+                f"{cert.first_visit + cert.period}")
+    out = run(machine, limits=RunLimits(max_steps=cert.first_visit))
+    first = fingerprint(out.config)
+    if out.kind == STEP_LIMIT:
+        out = run(machine, out.config, RunLimits(max_steps=cert.steps_observed))
+    if out.kind != STEP_LIMIT:
+        return f"the run stops ({out.kind}) at step {out.steps}, before step {cert.steps_observed}"
+    if fingerprint(out.config) != first:
+        return (f"the configuration at step {cert.first_visit} does not recur "
+                f"at step {cert.steps_observed}")
+    return None
 
 
 class Inconclusive(RuntimeError):

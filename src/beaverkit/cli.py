@@ -183,8 +183,10 @@ def cmd_bb(args) -> int:
     if args.bb_cmd == "replay":
         machine = _load_machine(args.machine, args.entry)
         cert = load(args.certificate, bbmod.parse_certificate)
-        if not bbmod.replay_certificate(machine, cert):
-            print(f"refused: the {cert.basis} certificate does not hold for {machine.name}")
+        reason = bbmod.certificate_refusal(machine, cert)
+        if reason is not None:
+            print(f"refused: the {cert.basis} certificate does not hold for {machine.name}: "
+                  f"{reason}")
             return FINDINGS
         print(f"holds: the {cert.basis} certificate holds for {machine.name}")
         return OK

@@ -155,8 +155,11 @@ def run(
     these states from another state (a self-loop is no entry, and the
     state a run starts in is not entered).  `trace(steps, state, head,
     tape)` is called after every executed transition, the halting one
-    included.  `profile` is a set collecting every (state, symbol) pair
-    actually read.
+    included.  `profile` is a set that gains every (state, symbol) pair
+    the run read, and keeps what it held, so one set can gather the reads
+    of several runs.  The loop sets a flag per transition entry it reads
+    and the set is updated once the run returns, so profiling adds one
+    list store per loop iteration, not a tuple and a set insertion.
     """
     limits = limits or RunLimits()
     cm = machine.compiled
@@ -178,7 +181,10 @@ def run(
         outcome = RunOutcome(HALTED, config.steps, config, halting_state=config.state)
     else:
         watched = tuple(name in watch for name in cm.names)
-        outcome = _run(cm, config, limits, watched, trace, profile)
+        reads = None if profile is None else [0] * len(cm.write)
+        outcome = _run(cm, config, limits, watched, trace, reads)
+        if reads is not None:
+            profile.update((cm.names[j >> 1], j & 1) for j, r in enumerate(reads) if r)
     outcome.blank_start = blank_start
     return outcome
 
@@ -218,7 +224,7 @@ def _outcome(kind, cm, tape, state_idx, steps, exit_name=None, **kw) -> RunOutco
     return RunOutcome(kind, steps, cfg, halting_state=halting, **kw)
 
 
-def _run(cm, config, limits, watched, trace, profile) -> RunOutcome:
+def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
     tape = config.tape
     state = cm.index[config.state]
     steps = config.steps
@@ -271,8 +277,8 @@ def _run(cm, config, limits, watched, trace, profile) -> RunOutcome:
             p = org + head
         sym = buf[p]
         j = 2 * state + sym
-        if profile is not None:
-            profile.add((names[state], sym))
+        if reads is not None:
+            reads[j] = 1
         t = target[j]
         if t == state and scan:
             # Self-loop on `sym`: consume the whole uniform run at once.

@@ -6,28 +6,52 @@ is retargeted at the merged state.  Candidates are found structurally
 (a state simply lacks the other action) and, when a read profile from a
 scenario suite is supplied, semantically (the suite never exercised the
 other action).  Profile-backed merges are sound only relative to that
-suite, which is exactly what verify_merge re-checks, run for run.
+suite, which verify_merge checks step for step.  The profiled runs are
+the original's runs there: a plan keeps the profile it was drawn from,
+and verify_merge reruns only the merged machine on a scenario the
+profile ran, so the suite is run twice, not three times.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .engine import HALTED, RunLimits, run
+from .engine import HALTED, RunLimits, RunOutcome, run
 from .machine import RIGHT, Action, Machine
 from .tape import Configuration
+
+if TYPE_CHECKING:
+    from .harness import Scenario
 
 
 @dataclass
 class ReadProfile:
-    """Observed (state -> set of symbols read) over a scenario suite."""
+    """Observed (state -> set of symbols read) over a scenario suite.
+
+    `runs` maps each scenario's name to a copy of the scenario and the
+    outcome of its run on `machine`, the machine profiled.
+    """
 
     observed: dict[str, set[int]] = field(default_factory=dict)
-    coverage: dict[str, int] = field(default_factory=dict)  # scenario -> steps
+    machine: Machine | None = None
+    runs: dict[str, tuple[Scenario, RunOutcome]] = field(default_factory=dict)
 
     def reads(self, state: str) -> set[int]:
         return self.observed.get(state, set())
+
+    def outcome(self, machine: Machine, scenario: Scenario) -> RunOutcome | None:
+        """The profiled run of `scenario` on `machine`, if this profile made it.
+
+        Only a run of this very machine object, on a scenario equal field
+        for field to the one profiled, is the same run.
+        """
+        if machine is not self.machine:
+            return None
+        scn, outcome = self.runs.get(scenario.name, (None, None))
+        return outcome if scn == scenario else None
 
 
 def profile_reads(machine: Machine, scenarios) -> ReadProfile:
@@ -37,15 +61,16 @@ def profile_reads(machine: Machine, scenarios) -> ReadProfile:
     states of `machine`; their machine_ref is ignored.  Each scenario
     runs exactly as the harness would judge it (transfer expectations
     stop at their target), so the profile's horizon is the same one
-    verify_merge later compares.
+    verify_merge later compares, and its outcome is kept for that check.
     """
     from .harness import execute_scenario
 
-    profile = ReadProfile()
+    profile = ReadProfile(machine=machine)
     sink: set = set()
     for scn in scenarios:
         outcome = execute_scenario(scn, machine, profile=sink)
-        profile.coverage[scn.name] = outcome.steps
+        # a copy, so a scenario edited in place later no longer matches
+        profile.runs[scn.name] = copy.copy(scn), outcome
     for state, sym in sink:
         profile.observed.setdefault(state, set()).add(sym)
     return profile
@@ -64,6 +89,8 @@ class MergePlan:
     pairs: list[MergePair] = field(default_factory=list)
     residual_zero: list[str] = field(default_factory=list)
     residual_one: list[str] = field(default_factory=list)
+    # the profile the plan was drawn from, whose runs verify_merge reuses
+    profile: ReadProfile | None = field(default=None, compare=False, repr=False)
 
     def serialize(self) -> str:
         lines = []
@@ -115,7 +142,7 @@ def propose_merges(machine: Machine, profile: ReadProfile | None = None) -> Merg
         pairs.append(_pair(machine, fq.pop(0), oq.pop(0), profile))
     while len(fq) >= 2:
         pairs.append(_pair(machine, fq.pop(0), fq.pop(0), profile))
-    return MergePlan(pairs=pairs, residual_zero=zq + fq, residual_one=oq)
+    return MergePlan(pairs=pairs, residual_zero=zq + fq, residual_one=oq, profile=profile)
 
 
 def _capable(on_zero, on_one, obs, zero_side: bool) -> bool:
@@ -224,14 +251,19 @@ def verify_merge(original: Machine, merged: Machine, scenarios, plan: MergePlan 
 
     Scenarios run exactly as the harness judges them; entry and watch
     state names are translated through the merge aliases for the merged
-    run.  On divergence, _locate_divergence finds the first differing step.
+    run.  The original's run is the one the plan's profile made, when it
+    made one of `original` on an equal scenario; otherwise it is run
+    here.  On divergence, _locate_divergence finds the first differing step.
     """
     from .harness import execute_scenario
 
     alias = merge_alias(plan) if plan else {}
+    profile = plan.profile if plan else None
     comparisons = []
     for scn in scenarios:
-        out_a = execute_scenario(scn, original)
+        out_a = profile.outcome(original, scn) if profile else None
+        if out_a is None:
+            out_a = execute_scenario(scn, original)
         out_b = execute_scenario(scn, merged, alias=alias)
         end_a = alias.get(out_a.config.state, out_a.config.state)
         same = (

@@ -148,6 +148,51 @@ def test_bb_replay_refuses_a_table_of_the_same_name(capsys, tmp_path):
     assert got == 1 and out.startswith("refused:")
 
 
+MOVER = "!name mover\n!start A\nA|0|0|R|B\nB|0|0|L|A\n"  # repeats every 2 steps
+SPIN3 = "!name spin3\n!start A\nA|0|1|R|B\nB|0|1|R|C\nC|0|1|R|A\n"
+# the BB(2) champion, which halts after 6 steps
+CHAMPION = "!name champ\n!start A\nA|0|0|L|B\nA|1|0|L|HALT\nB|0|1|R|A\nB|1|1|L|B\n"
+
+
+@pytest.mark.parametrize("table, machine, steps, basis, reason", [
+    pytest.param(SPIN4, "spin4 0000000000000000", 108, "bb-bound n=4 value=107",
+                 "it was earned on another table: spin4 0000000000000000, not spin4 ",
+                 id="another-table"),
+    pytest.param(SPIN4, None, 107, "bb-bound n=4 value=107",
+                 "its steps 107 are not past the bound 107", id="bound-steps"),
+    pytest.param(MOVER, None, 3, "cycle first=0 period=2",
+                 "its steps 3 are not first + period = 2", id="cycle-steps"),
+    pytest.param(SPIN4, None, 108, "bb-bound n=4 value=100",
+                 "its bound n=4 value=100 is not the registry's n=4 value=107",
+                 id="bound-not-registry"),
+    pytest.param(SPIN3, None, 50, "bb-bound n=3 value=21",
+                 "the registry holds no bound for 3 states", id="bound-unregistered"),
+    pytest.param(MOVER, None, 2, "cycle first=2 period=0",
+                 "first=2 period=0 is no cycle", id="first-period"),
+    pytest.param(MOVER, None, 3, "cycle first=0 period=3",
+                 "the configuration at step 0 does not recur at step 3", id="no-repeat"),
+    pytest.param(CHAMPION, None, 9, "bb-bound n=2 value=6",
+                 "the run stops (halted) at step 6, within the bound", id="halts-in-bound"),
+    pytest.param(CHAMPION, None, 9, "cycle first=3 period=6",
+                 "the run stops (halted) at step 6, before step 9", id="halts-in-cycle"),
+    # halts into an exit name before the first visit, so nothing is rerun from there
+    pytest.param("!name ext\n!start A\nA|0|1|R|X\n", None, 5, "cycle first=3 period=2",
+                 "the run stops (halted) at step 1, before step 5", id="exits-before-first"),
+])
+def test_bb_replay_names_the_refused_check(capsys, tmp_path, table, machine, steps, basis,
+                                           reason):
+    path = tmp_path / "m.tbl"
+    path.write_text(table)
+    machine = machine or machine_label(build_machine(parse_table(table)))
+    cert = tmp_path / "m.cert"
+    cert.write_text(f"certificate nonhalt\nmachine {machine}\nsteps {steps}\nbasis {basis}\n")
+    got, out, _ = run_cli(capsys, "bb", "replay", str(path), str(cert))
+    name = table.split("\n", 1)[0].split()[1]
+    kind = "cycle" if basis.startswith("cycle") else "bb_bound"
+    assert got == 1
+    assert out.startswith(f"refused: the {kind} certificate does not hold for {name}: {reason}")
+
+
 def test_bb_replay_runs_from_the_entry_state(capsys, tmp_path):
     # from A the machine halts at once; from B it glides right forever
     table = tmp_path / "glide.tbl"

@@ -107,6 +107,13 @@ def test_watch_stops_on_entry():
     assert out2.kind == WATCH and out2.steps == 3
 
 
+def test_profile_keeps_what_the_set_held():
+    m = Machine("w", "A", {"A": (Action(1, 1, "B"), None), "B": (Action(1, 1, "A"), None)})
+    profile = {("elsewhere", 1)}
+    run(m, limits=RunLimits(max_steps=5), profile=profile)
+    assert profile == {("elsewhere", 1), ("A", 0), ("B", 0)}
+
+
 def test_memory_limit_on_unbounded_fill():
     filler = Machine("fill", "A", {"A": (Action(1, 1, "A"), None)})
     out = run(filler, limits=RunLimits(max_steps=10**6, max_support_cells=64))

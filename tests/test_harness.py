@@ -1,6 +1,6 @@
 import pytest
 
-from beaverkit.engine import RunLimits
+from beaverkit.engine import WATCH, RunLimits
 from beaverkit.harness import (
     OracleExpect,
     OutcomeExpect,
@@ -8,11 +8,15 @@ from beaverkit.harness import (
     Scenario,
     SnapshotExpect,
     TransferExpect,
+    execute_scenario,
     parse_scenarios,
     run_scenario,
     run_suite,
 )
+from beaverkit.machine import Action, Machine
 from beaverkit.oracles import is_prime
+from beaverkit.tape import Configuration, Tape
+from stepping import read_profile, stepped_run
 
 
 def test_parse_scenarios_stanza():
@@ -190,3 +194,19 @@ def test_square_check_sweep_matches_oracle(resolver):
         )
         r = run_scenario(scn, resolver)
         assert r.passed, (s, r.line())
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_transfer_profile_gathers_every_leg(k):
+    # only the first leg reads A; the later legs loop B -> C -> B
+    m = Machine("legs", "A", {
+        "A": (Action(1, 1, "B"), None),
+        "B": (Action(0, 1, "C"), None),
+        "C": (Action(0, 1, "B"), None),
+    })
+    scn = Scenario("legs", "unused", expect=TransferExpect("B", occurrence=k))
+    profile: set = set()
+    out = execute_scenario(scn, m, profile=profile)
+    kind, trail = stepped_run(m, Configuration("A", Tape()), 1000, ("B",), k)
+    assert (out.kind, out.steps) == (kind, trail[-1].steps) == (WATCH, 2 * k - 1)
+    assert profile == read_profile(m, kind, trail) == {("A", 0), ("B", 0), ("C", 0)}

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beaverkit import harness
 from beaverkit.engine import HALTED, RunLimits
 from beaverkit.harness import OutcomeExpect, Scenario, TransferExpect, load_scenarios
 from beaverkit.machine import HALT, Action, Machine, state_count
@@ -33,9 +35,10 @@ def scenario(name="s", entry=None, blocks=None, steps=1000, expect=None):
 
 def test_profile_right_mover_sees_only_zero():
     m = Machine("mover", "A", {"A": (Action(0, 1, "A"), None)})
-    profile = profile_reads(m, [scenario(steps=50)])
+    scn = scenario(steps=50)
+    profile = profile_reads(m, [scn])
     assert profile.reads("A") == {0}
-    assert profile.coverage["s"] == 50
+    assert profile.outcome(m, scn).steps == 50
 
 
 def test_profile_empty_suite_is_empty():
@@ -269,6 +272,89 @@ def test_brocard_divergences_located(data_dir, brocard_ref):
         "square_check_oracle_35": 36,
         "no_halt_within_budget": 12598,
     }
+
+
+@pytest.mark.parametrize("suite, profiled", [
+    ("fermat_composed", None),
+    ("brocard", None),
+    pytest.param("brocard", BROCARD_CHEAP, id="brocard-cheap"),
+])
+def test_reused_runs_give_the_verdict_of_fresh_ones(data_dir, fermat_composed, brocard_ref,
+                                                    suite, profiled):
+    machine = (fermat_composed if suite == "fermat_composed" else brocard_ref).machine
+    scns = load_scenarios(data_dir / "scenarios" / f"{suite}.scn")
+    plan = propose_merges(
+        machine, profile_reads(machine, [s for s in scns if profiled is None or s.name in profiled])
+    )
+    merged = apply_merges(machine, plan)
+    reused = verify_merge(machine, merged, scns, plan)
+    fresh = verify_merge(machine, merged, scns, dataclasses.replace(plan, profile=None))
+    assert reused.comparisons == fresh.comparisons
+
+
+def counting_executions(monkeypatch):
+    calls = []
+    execute = harness.execute_scenario
+
+    def counted(scn, machine, **kw):
+        calls.append(scn.name)
+        return execute(scn, machine, **kw)
+
+    monkeypatch.setattr(harness, "execute_scenario", counted)
+    return calls
+
+
+def test_profile_and_verify_run_the_suite_twice(monkeypatch, data_dir, brocard_ref):
+    scns = [s for s in load_scenarios(data_dir / "scenarios" / "brocard.scn")
+            if s.name in BROCARD_CHEAP]
+    machine = brocard_ref.machine
+    calls = counting_executions(monkeypatch)
+    plan = propose_merges(machine, profile_reads(machine, scns))
+    verdict = verify_merge(machine, apply_merges(machine, plan), scns, plan)
+    # a divergence is located by a probe run, not by another execution
+    assert len(plan.pairs) > 0 and not verdict.equivalent
+    assert len(calls) == 2 * len(scns) == 10
+
+
+def halts_on_a_one():
+    m = Machine("seek", "A", {"A": (Action(0, 1, "A"), None)})
+    scn = scenario("seek", steps=50)
+    return m, scn, propose_merges(m, profile_reads(m, [scn]))
+
+
+def test_a_plan_profiled_on_another_machine_object_is_rerun(monkeypatch):
+    m, scn, plan = halts_on_a_one()
+    twin = dataclasses.replace(m)
+    assert twin == m and twin is not m
+    calls = counting_executions(monkeypatch)
+    verdict = verify_merge(twin, apply_merges(twin, plan), [scn], plan)
+    assert verdict.equivalent and len(calls) == 2
+    calls.clear()
+    assert verify_merge(m, apply_merges(m, plan), [scn], plan).equivalent
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("change, kind, steps", [
+    ({"limits": RunLimits(max_steps=60)}, "step_limit", 60),
+    ({"tape_window": (5, (1,))}, "halted", 5),
+])
+def test_a_changed_scenario_of_the_same_name_is_rerun(monkeypatch, change, kind, steps):
+    m, scn, plan = halts_on_a_one()
+    changed = dataclasses.replace(scn, **change)
+    assert changed.name == scn.name and changed != scn
+    calls = counting_executions(monkeypatch)
+    verdict = verify_merge(m, apply_merges(m, plan), [changed], plan)
+    (comp,) = verdict.comparisons
+    assert len(calls) == 2 and verdict.equivalent
+    assert (comp.kind_a, comp.steps_a) == (comp.kind_b, comp.steps_b) == (kind, steps)
+
+
+def test_a_scenario_edited_in_place_is_rerun(monkeypatch):
+    m, scn, plan = halts_on_a_one()
+    scn.limits = RunLimits(max_steps=60)
+    calls = counting_executions(monkeypatch)
+    (comp,) = verify_merge(m, apply_merges(m, plan), [scn], plan).comparisons
+    assert len(calls) == 2 and comp.equivalent and comp.steps_a == 60
 
 
 def lockstep_divergence(original, merged, scn, alias):
