@@ -132,11 +132,29 @@ def _is_true_halt(outcome: RunOutcome) -> bool:
     return outcome.kind == HALTED and outcome.halting_state != NEXT_MACHINE
 
 
-def _kf_states(machine: Machine, alias: dict | None = None) -> tuple[str, ...]:
-    names = {s for s in machine.states if s == "Kf" or s.endswith(".Kf")}
-    if alias:
-        names.update(v for k, v in alias.items() if k == "Kf" or k.endswith(".Kf"))
-    return tuple(sorted(names))
+def entry_state(scenario: Scenario, machine: Machine, alias: dict | None = None) -> str:
+    """The state `scenario` starts `machine` in, its name translated by `alias`."""
+    entry = scenario.entry or machine.start
+    return (alias or {}).get(entry, entry)
+
+
+def watch_states(scenario: Scenario, machine: Machine, alias: dict | None = None) -> tuple[str, ...]:
+    """The states whose entry stops a run of `scenario` on `machine`.
+
+    A transfer watches its target; the square-check oracle watches the
+    factorial-return states, those named ``Kf`` or ``*.Kf``; other
+    expectations watch nothing.  `alias` translates the names, as for
+    `entry_state`.
+    """
+    alias = alias or {}
+    exp = scenario.expect
+    if isinstance(exp, TransferExpect):
+        return (alias.get(exp.state, exp.state),)
+    if isinstance(exp, OracleExpect) and exp.name == "brocard":
+        kf = {s for s in machine.states if s == "Kf" or s.endswith(".Kf")}
+        kf.update(v for k, v in alias.items() if k == "Kf" or k.endswith(".Kf"))
+        return tuple(sorted(kf))
+    return ()
 
 
 def execute_scenario(
@@ -148,31 +166,21 @@ def execute_scenario(
 ) -> RunOutcome:
     """Run a scenario's machine exactly as its expectation demands.
 
-    Transfer expectations stop at the k-th entry into the named state;
-    the square-check oracle watches the factorial-return states; all
-    other expectations run to halt or budget.  `alias` translates entry
-    and watch state names (used when judging merged machines).
+    The run starts in `entry_state` and stops on entering one of
+    `watch_states`; a transfer to `S@k` runs on to the k-th entry into
+    S.  `alias` translates entry and watch state names (used when
+    judging merged machines).
     """
-    alias = alias or {}
-    entry = scenario.entry or machine.start
-    entry = alias.get(entry, entry)
-    config = Configuration(entry, scenario.build_tape())
+    config = Configuration(entry_state(scenario, machine, alias), scenario.build_tape())
+    watch = watch_states(scenario, machine, alias)
     exp = scenario.expect
-    if isinstance(exp, TransferExpect):
-        watch_state = alias.get(exp.state, exp.state)
-        outcome = None
-        for _ in range(exp.occurrence):
-            outcome = run(
-                machine, config, scenario.limits, watch=(watch_state,), profile=profile
-            )
-            config = outcome.config
-            if outcome.kind != WATCH:
-                break
-        return outcome
-    if isinstance(exp, OracleExpect) and exp.name == "brocard":
-        kf = _kf_states(machine, alias)
-        return run(machine, config, scenario.limits, watch=kf, profile=profile)
-    return run(machine, config, scenario.limits, profile=profile)
+    legs = exp.occurrence if isinstance(exp, TransferExpect) else 1
+    for _ in range(legs):
+        outcome = run(machine, config, scenario.limits, watch=watch, profile=profile)
+        config = outcome.config
+        if outcome.kind != WATCH:
+            break
+    return outcome
 
 
 def run_scenario(scenario: Scenario, resolver) -> Report:
@@ -279,8 +287,10 @@ def run_suite(scenarios, resolver, jobs: int = 1):
 def parse_scenarios(text: str, resolve=None) -> list[Scenario]:
     """Scenarios in file order; a malformed line raises ValueError("line N: ...").
 
-    With `resolve` (a `MachineResolver`) every machine is built here, so a
-    bad reference is reported at its `machine` line before any run.
+    A text that holds no scenario raises ValueError("holds no scenario"):
+    a suite of none verifies nothing.  With `resolve` (a `MachineResolver`)
+    every machine is built here, so a bad reference is reported at its
+    `machine` line before any run.
     """
     out: list[Scenario] = []
     given: list[dict] = []  # per scenario: directive -> line it was last given on
@@ -295,6 +305,8 @@ def parse_scenarios(text: str, resolve=None) -> list[Scenario]:
             else:
                 _parse_directive(out[-1], parts)
                 given[-1][parts[0]] = lineno
+    if not out:
+        raise ValueError("holds no scenario")
     for s, where in zip(out, given):
         if not s.machine_ref:
             raise located(ValueError, f"scenario {s.name!r} names no machine", where["scenario"])

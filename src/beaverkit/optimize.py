@@ -6,10 +6,27 @@ is retargeted at the merged state.  Candidates are found structurally
 (a state simply lacks the other action) and, when a read profile from a
 scenario suite is supplied, semantically (the suite never exercised the
 other action).  Profile-backed merges are sound only relative to that
-suite, which verify_merge checks step for step.  The profiled runs are
-the original's runs there: a plan keeps the profile it was drawn from,
-and verify_merge reruns only the merged machine on a scenario the
-profile ran, so the suite is run twice, not three times.
+suite, which verify_merge checks step for step.
+
+The suite is run once.  A merge changes a known set of (state, symbol)
+entries: those whose original action, retargeted through the alias, is
+not the merged state's action, one side missing counting as a change.
+A run of the original is the merged machine's run mapped through the
+alias, step for step, when:
+
+1. it read no changed entry;
+2. each state it read in or ended in is defined, and watched, exactly
+   when its merged state is, and no two of them share a watched merged
+   state: a transition inside a class enters a watch on one side only,
+   and the run's last step, which no read shows, can be one;
+3. the merged run starts where the original's does, through the alias;
+4. the scenario has no cycle check, as the merged machine can repeat a
+   configuration sooner.
+
+A plan keeps the profile it was drawn from, which holds each scenario's
+run and read set, so on such a scenario verify_merge runs nothing; on any
+other it runs the original once, gathering its reads.  Only when the
+rule fails does the merged machine run and its outcome get compared.
 """
 
 from __future__ import annotations
@@ -31,27 +48,28 @@ if TYPE_CHECKING:
 class ReadProfile:
     """Observed (state -> set of symbols read) over a scenario suite.
 
-    `runs` maps each scenario's name to a copy of the scenario and the
-    outcome of its run on `machine`, the machine profiled.
+    `runs` maps each scenario's name to a copy of the scenario, the
+    outcome of its run on `machine`, the machine profiled, and the set of
+    (state, symbol) entries that run read.
     """
 
     observed: dict[str, set[int]] = field(default_factory=dict)
     machine: Machine | None = None
-    runs: dict[str, tuple[Scenario, RunOutcome]] = field(default_factory=dict)
+    runs: dict[str, tuple[Scenario, RunOutcome, frozenset]] = field(default_factory=dict)
 
     def reads(self, state: str) -> set[int]:
         return self.observed.get(state, set())
 
-    def outcome(self, machine: Machine, scenario: Scenario) -> RunOutcome | None:
-        """The profiled run of `scenario` on `machine`, if this profile made it.
+    def lookup(self, machine: Machine, scenario: Scenario) -> tuple[RunOutcome, frozenset] | None:
+        """The profiled run of `scenario` on `machine` and its reads, if this profile made it.
 
         Only a run of this very machine object, on a scenario equal field
         for field to the one profiled, is the same run.
         """
         if machine is not self.machine:
             return None
-        scn, outcome = self.runs.get(scenario.name, (None, None))
-        return outcome if scn == scenario else None
+        scn, outcome, reads = self.runs.get(scenario.name, (None, None, None))
+        return (outcome, reads) if scn == scenario else None
 
 
 def profile_reads(machine: Machine, scenarios) -> ReadProfile:
@@ -61,18 +79,19 @@ def profile_reads(machine: Machine, scenarios) -> ReadProfile:
     states of `machine`; their machine_ref is ignored.  Each scenario
     runs exactly as the harness would judge it (transfer expectations
     stop at their target), so the profile's horizon is the same one
-    verify_merge later compares, and its outcome is kept for that check.
+    verify_merge later compares, and its outcome and reads are kept for
+    that check.
     """
     from .harness import execute_scenario
 
     profile = ReadProfile(machine=machine)
-    sink: set = set()
     for scn in scenarios:
+        sink: set = set()
         outcome = execute_scenario(scn, machine, profile=sink)
         # a copy, so a scenario edited in place later no longer matches
-        profile.runs[scn.name] = copy.copy(scn), outcome
-    for state, sym in sink:
-        profile.observed.setdefault(state, set()).add(sym)
+        profile.runs[scn.name] = copy.copy(scn), outcome, frozenset(sink)
+        for state, sym in sink:
+            profile.observed.setdefault(state, set()).add(sym)
     return profile
 
 
@@ -251,19 +270,34 @@ def verify_merge(original: Machine, merged: Machine, scenarios, plan: MergePlan 
 
     Scenarios run exactly as the harness judges them; entry and watch
     state names are translated through the merge aliases for the merged
-    run.  The original's run is the one the plan's profile made, when it
-    made one of `original` on an equal scenario; otherwise it is run
-    here.  On divergence, _locate_divergence finds the first differing step.
+    run.  The original's run and reads are the ones the plan's profile
+    kept, when it ran `original` on an equal scenario; otherwise the
+    original runs here, gathering its reads.  When that run is the
+    merged machine's run through the alias (the rule in the module
+    docstring: no changed entry read, watches kept apart, the same
+    start, no cycle check), the scenario is equivalent with the
+    original's kind and steps on both sides, and the merged machine does
+    not run.  Otherwise it runs, and on divergence _locate_divergence
+    finds the first differing step.
     """
     from .harness import execute_scenario
 
     alias = merge_alias(plan) if plan else {}
     profile = plan.profile if plan else None
+    changed = _changed_entries(original, merged, alias)
     comparisons = []
     for scn in scenarios:
-        out_a = profile.outcome(original, scn) if profile else None
-        if out_a is None:
-            out_a = execute_scenario(scn, original)
+        kept = profile.lookup(original, scn) if profile else None
+        if kept is None:
+            reads: set = set()
+            out_a = execute_scenario(scn, original, profile=reads)
+        else:
+            out_a, reads = kept
+        if _maps_onto_merged(original, merged, scn, alias, changed, out_a, reads):
+            comparisons.append(ScenarioComparison(
+                scn.name, True, out_a.kind, out_a.kind, out_a.steps, out_a.steps
+            ))
+            continue
         out_b = execute_scenario(scn, merged, alias=alias)
         end_a = alias.get(out_a.config.state, out_a.config.state)
         same = (
@@ -277,35 +311,83 @@ def verify_merge(original: Machine, merged: Machine, scenarios, plan: MergePlan 
         )
         if not same:
             comp.first_divergence, comp.detail = _locate_divergence(
-                original, merged, scn, alias, out_a, out_b
+                original, merged, scn, alias, out_a, out_b, changed
             )
         comparisons.append(comp)
     return MergeVerdict(all(c.equivalent for c in comparisons), comparisons)
 
 
-def _locate_divergence(original, merged, scn, alias, out_a, out_b):
+def _changed_entries(original: Machine, merged: Machine, alias: dict[str, str]) -> set[tuple[str, int]]:
+    """The (state, symbol) entries of `original` whose action the merge changed."""
+    return {
+        (name, sym)
+        for name, actions in original.states.items()
+        for sym, act in enumerate(actions)
+        if _retarget(act, alias) != merged.action(alias.get(name, name), sym)
+    }
+
+
+def _maps_onto_merged(original, merged, scn, alias, changed, out_a, reads) -> bool:
+    """Whether the merged run of `scn` is `out_a`'s run through the alias.
+
+    It is when both runs start in the same state through the alias, the
+    scenario has no cycle check, the run read no changed entry, and each
+    state it read in or ended in is a state (or not) on both sides, is
+    watched on both sides or on neither, and is the only such state in
+    its merged class when watched.
+    """
+    from .harness import entry_state, watch_states
+
+    start = entry_state(scn, original)
+    if scn.limits.cycle_check or alias.get(start, start) != entry_state(scn, merged, alias):
+        return False
+    if not changed.isdisjoint(reads):
+        return False
+    watch_a = watch_states(scn, original)
+    watch_b = watch_states(scn, merged, alias)
+    visited = {state for state, _ in reads}
+    visited.add(out_a.config.state)
+    watched_by: dict[str, str] = {}
+    for state in visited:
+        image = alias.get(state, state)
+        if (state in original.states) != (image in merged.states):
+            return False
+        if (state in watch_a) != (image in watch_b):
+            return False
+        if image in watch_b and watched_by.setdefault(image, state) != state:
+            return False
+    return True
+
+
+def _locate_divergence(original, merged, scn, alias, out_a, out_b, changed):
     """First step at which the two runs part; returns (step, detail).
 
-    A merge changes a known set of (state, symbol) transitions, so both
-    runs agree step for step until the original reads one of them, or
-    until one run stops where the other does not.  One run of a probe,
-    the original with each changed transition redirected to an exit
-    marker naming it (writing 0, which no memory cap refuses), finds
+    Runs that start in different states part at step 0.  Otherwise a
+    merge changes a known set of (state, symbol) transitions, `changed`,
+    so both runs agree step for step until the original reads one of
+    them, or until one run stops where the other does not.  One run of
+    a probe, the original with each changed transition redirected to an
+    exit marker naming it (writing 0, which no memory cap refuses), finds
     the first such read within the horizon.
     """
-    probe, marks = {}, set()
-    for name, actions in original.states.items():
-        row = list(actions)
-        for sym, act in enumerate(actions):
-            if _retarget(act, alias) != merged.action(alias.get(name, name), sym):
-                row[sym] = Action(0, RIGHT, f"{name} read-{sym}")
-                marks.add(row[sym].target)
-        probe[name] = tuple(row)
+    from .harness import entry_state
+
+    start_a, start_b = entry_state(scn, original), entry_state(scn, merged, alias)
+    if alias.get(start_a, start_a) != start_b:
+        return 0, f"starts differ: {start_a} vs {start_b}"
+    marks = {(name, sym): f"{name} read-{sym}" for name, sym in changed}
+    probe = {
+        name: tuple(
+            Action(0, RIGHT, marks[name, sym]) if (name, sym) in marks else act
+            for sym, act in enumerate(actions)
+        )
+        for name, actions in original.states.items()
+    }
     horizon = min(out_a.steps, out_b.steps)
     limits = RunLimits(max_steps=horizon + 1, max_support_cells=scn.limits.max_support_cells)
-    config = Configuration(scn.entry or original.start, scn.build_tape())
+    config = Configuration(start_a, scn.build_tape())
     out = run(Machine(original.name, original.start, probe), config, limits)
-    read = out.halting_state if out.halting_state in marks else None
+    read = out.halting_state if out.halting_state in marks.values() else None
     if read and out.steps <= horizon:
         return out.steps, f"original reads {read}, changed by the merge"
     # a watch, budget or memory stop at the horizon that the other run lacks

@@ -1,0 +1,39 @@
+"""Reference merge comparison: both machines run on every scenario.
+
+`verify_merge` runs the merged machine only when the original's run does
+not provably map onto it; this module runs both machines on every
+scenario and compares their outcomes, so the tests can hold
+`verify_merge` against it.
+"""
+
+from beaverkit.harness import execute_scenario
+from beaverkit.optimize import (
+    MergeVerdict,
+    ScenarioComparison,
+    _changed_entries,
+    _locate_divergence,
+    merge_alias,
+)
+
+
+def compared_merge(original, merged, scenarios, plan=None):
+    """`verify_merge`'s verdict, from a run of each machine per scenario."""
+    alias = merge_alias(plan) if plan else {}
+    comparisons = []
+    for scn in scenarios:
+        out_a = execute_scenario(scn, original)
+        out_b = execute_scenario(scn, merged, alias=alias)
+        same = (
+            out_a.kind == out_b.kind
+            and out_a.steps == out_b.steps
+            and alias.get(out_a.config.state, out_a.config.state) == out_b.config.state
+            and out_a.config.tape.content_equal(out_b.config.tape)
+        )
+        comp = ScenarioComparison(scn.name, same, out_a.kind, out_b.kind, out_a.steps, out_b.steps)
+        if not same:
+            comp.first_divergence, comp.detail = _locate_divergence(
+                original, merged, scn, alias, out_a, out_b,
+                _changed_entries(original, merged, alias),
+            )
+        comparisons.append(comp)
+    return MergeVerdict(all(c.equivalent for c in comparisons), comparisons)

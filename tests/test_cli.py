@@ -290,6 +290,18 @@ def test_optimize_without_scenarios_says_so(capsys):
     assert "states before: 45" in out
 
 
+@pytest.mark.parametrize("command", [
+    ["verify"],
+    ["optimize", str(data_path("fermat.manifest")), "--scenarios"],
+], ids=["verify", "optimize"])
+def test_an_empty_scenario_file_is_refused(capsys, tmp_path, command):
+    scn = tmp_path / "empty.scn"
+    scn.write_text("# no scenario here\n")
+    code, out, err = run_cli(capsys, *command, str(scn))
+    assert code == 2 and out == ""
+    assert err == f"error: {scn}: holds no scenario\n"
+
+
 def test_usage_errors_exit_2(capsys):
     assert dispatch(["frobnicate"]) == 2
     assert dispatch(["run"]) == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from beaverkit import harness
 from beaverkit.engine import HALTED, RunLimits
-from beaverkit.harness import OutcomeExpect, Scenario, TransferExpect, load_scenarios
+from beaverkit.harness import OracleExpect, OutcomeExpect, Scenario, TransferExpect, load_scenarios
 from beaverkit.machine import HALT, Action, Machine, state_count
 from beaverkit.optimize import (
     MergePair,
@@ -18,6 +18,7 @@ from beaverkit.optimize import (
     verify_merge,
 )
 from beaverkit.tape import Configuration
+from merging import compared_merge
 from stepping import stepped_run
 
 
@@ -38,7 +39,8 @@ def test_profile_right_mover_sees_only_zero():
     scn = scenario(steps=50)
     profile = profile_reads(m, [scn])
     assert profile.reads("A") == {0}
-    assert profile.outcome(m, scn).steps == 50
+    outcome, reads = profile.lookup(m, scn)
+    assert outcome.steps == 50 and reads == {("A", 0)}
 
 
 def test_profile_empty_suite_is_empty():
@@ -289,7 +291,8 @@ def test_reused_runs_give_the_verdict_of_fresh_ones(data_dir, fermat_composed, b
     merged = apply_merges(machine, plan)
     reused = verify_merge(machine, merged, scns, plan)
     fresh = verify_merge(machine, merged, scns, dataclasses.replace(plan, profile=None))
-    assert reused.comparisons == fresh.comparisons
+    assert reused.comparisons == fresh.comparisons == compared_merge(
+        machine, merged, scns, plan).comparisons
 
 
 def counting_executions(monkeypatch):
@@ -304,16 +307,23 @@ def counting_executions(monkeypatch):
     return calls
 
 
-def test_profile_and_verify_run_the_suite_twice(monkeypatch, data_dir, brocard_ref):
+def test_profile_and_verify_run_the_suite_once(monkeypatch, data_dir, brocard_ref):
     scns = [s for s in load_scenarios(data_dir / "scenarios" / "brocard.scn")
             if s.name in BROCARD_CHEAP]
     machine = brocard_ref.machine
     calls = counting_executions(monkeypatch)
     plan = propose_merges(machine, profile_reads(machine, scns))
-    verdict = verify_merge(machine, apply_merges(machine, plan), scns, plan)
+    merged = apply_merges(machine, plan)
+    verdict = verify_merge(machine, merged, scns, plan)
+    # factorial_stage_5 reads no changed entry, but it reads in b.Pf, the
+    # merge partner of its watch b.Mf, so the merged machine runs there,
+    # and only there;
     # a divergence is located by a probe run, not by another execution
     assert len(plan.pairs) > 0 and not verdict.equivalent
-    assert len(calls) == 2 * len(scns) == 10
+    assert len(calls) == len(scns) + 1 == 6 and calls[-1] == "factorial_stage_5"
+    (bad,) = [c for c in verdict.comparisons if not c.equivalent]
+    assert (bad.name, bad.first_divergence) == ("factorial_stage_5", 603)
+    assert verdict.comparisons == compared_merge(machine, merged, scns, plan).comparisons
 
 
 def halts_on_a_one():
@@ -328,10 +338,10 @@ def test_a_plan_profiled_on_another_machine_object_is_rerun(monkeypatch):
     assert twin == m and twin is not m
     calls = counting_executions(monkeypatch)
     verdict = verify_merge(twin, apply_merges(twin, plan), [scn], plan)
-    assert verdict.equivalent and len(calls) == 2
+    assert verdict.equivalent and len(calls) == 1
     calls.clear()
     assert verify_merge(m, apply_merges(m, plan), [scn], plan).equivalent
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("change, kind, steps", [
@@ -345,7 +355,7 @@ def test_a_changed_scenario_of_the_same_name_is_rerun(monkeypatch, change, kind,
     calls = counting_executions(monkeypatch)
     verdict = verify_merge(m, apply_merges(m, plan), [changed], plan)
     (comp,) = verdict.comparisons
-    assert len(calls) == 2 and verdict.equivalent
+    assert len(calls) == 1 and verdict.equivalent
     assert (comp.kind_a, comp.steps_a) == (comp.kind_b, comp.steps_b) == (kind, steps)
 
 
@@ -354,7 +364,76 @@ def test_a_scenario_edited_in_place_is_rerun(monkeypatch):
     scn.limits = RunLimits(max_steps=60)
     calls = counting_executions(monkeypatch)
     (comp,) = verify_merge(m, apply_merges(m, plan), [scn], plan).comparisons
-    assert len(calls) == 2 and comp.equivalent and comp.steps_a == 60
+    assert len(calls) == 1 and comp.equivalent and comp.steps_a == 60
+
+
+def enters_the_watch_partner():
+    """A0 enters D, whose merged state C+D is the watch of transfer C."""
+    m = Machine("partner", "A", {
+        "A": (Action(1, 1, "D"), Action(1, 1, "D")),
+        "C": (Action(1, 1, "A"), None),
+        "D": (None, Action(1, 1, "A")),
+    })
+    scn = scenario("budget_1", steps=1, expect=TransferExpect("C"))
+    plan = MergePlan([MergePair("C", "D", "C+D")], profile=profile_reads(m, [scn]))
+    return m, apply_merges(m, plan), scn, plan
+
+
+def enters_a_watch_of_the_same_class():
+    """a.Kf0 enters b.Kf, a watch; merged, the two are one state."""
+    m = Machine("two-kf", "A", {
+        "A": (Action(1, 1, "a.Kf"), None),
+        "a.Kf": (Action(1, 1, "b.Kf"), None),
+        "b.Kf": (None, Action(1, 1, "a.Kf")),
+    })
+    scn = scenario("kf", entry="a.Kf", steps=10, expect=OracleExpect("brocard", (5,)))
+    plan = MergePlan([MergePair("a.Kf", "b.Kf", "a.Kf+b.Kf")])
+    return m, apply_merges(m, plan), scn, plan
+
+
+def repeats_sooner_when_merged():
+    """B0 is A0's action, so A+B repeats the blank configuration a step early."""
+    m = Machine("repeat", "A", {
+        "A": (Action(0, 1, "B"), None),
+        "B": (Action(0, 1, "B"), Action(1, 1, "A")),
+    })
+    scn = dataclasses.replace(scenario("cycle"), limits=RunLimits(10, cycle_check=True))
+    plan = MergePlan([MergePair("A", "B", "A+B", ("B read-0",))])
+    return m, apply_merges(m, plan), scn, plan
+
+
+def defines_the_exit_of_the_original():
+    """The original halts entering Q; the other machine defines Q."""
+    m = Machine("exit", "A", {"A": (Action(1, 1, "Q"), None)})
+    other = Machine("other", "A", {**m.states, "Q": (Action(1, 1, "Q"), None)})
+    return m, other, scenario("exit", steps=10), None
+
+
+@pytest.mark.parametrize("case, kinds", [
+    (enters_the_watch_partner, ("step_limit", "watch")),
+    (enters_a_watch_of_the_same_class, ("watch", "step_limit")),
+    (repeats_sooner_when_merged, ("cycle", "cycle")),
+    (defines_the_exit_of_the_original, ("halted", "step_limit")),
+])
+def test_a_run_reading_no_changed_entry_can_still_diverge(monkeypatch, case, kinds):
+    m, merged, scn, plan = case()
+    calls = counting_executions(monkeypatch)
+    verdict = verify_merge(m, merged, [scn], plan)
+    (comp,) = verdict.comparisons
+    # no entry the run read changed, yet the merged machine runs
+    assert len(calls) == 1 + (plan is None or plan.profile is None)
+    assert not comp.equivalent and (comp.kind_a, comp.kind_b) == kinds
+    assert verdict.comparisons == compared_merge(m, merged, [scn], plan).comparisons
+
+
+def test_runs_that_start_apart_diverge_at_step_0():
+    m = Machine("m", "A", {"A": (Action(1, 1, "B"), None), "B": (Action(0, 1, HALT), None)})
+    restarted = dataclasses.replace(m, start="B")
+    scns = [scenario("blank")]
+    verdict = verify_merge(m, restarted, scns)
+    (comp,) = verdict.comparisons
+    assert (comp.first_divergence, comp.detail) == (0, "starts differ: A vs B")
+    assert verdict.comparisons == compared_merge(m, restarted, scns).comparisons
 
 
 def lockstep_divergence(original, merged, scn, alias):
@@ -391,9 +470,12 @@ def lockstep_divergence(original, merged, scn, alias):
 
 
 @st.composite
-def small_machines(draw):
-    """2-4 states, some transitions missing, some to HALT."""
-    names = [chr(65 + i) for i in range(draw(st.integers(2, 4)))]
+def small_machines(draw, most=4, kf=False):
+    """2 to `most` states, some transitions missing, some to HALT; with
+    `kf`, one state but the start may be named x.Kf."""
+    names = [chr(65 + i) for i in range(draw(st.integers(2, most)))]
+    if kf and draw(st.booleans()):
+        names[draw(st.integers(1, len(names) - 1))] = "x.Kf"
     states = {}
     for name in names:
         acts = [
@@ -424,3 +506,43 @@ def test_located_divergence_matches_lockstep(data):
     (comp,) = verdict.comparisons
     if not comp.equivalent:
         assert comp.first_divergence == lockstep_divergence(m, merged, long, merge_alias(plan))
+
+
+@st.composite
+def merge_scenarios(draw, machine, name):
+    """A scenario of `machine` with an entry, a tape, a step budget, maybe
+    a memory cap or a cycle check, and a transfer, brocard or no watch."""
+    blocks = tuple(draw(st.lists(st.integers(1, 3), max_size=2))) or None
+    limits = RunLimits(
+        max_steps=draw(st.integers(0, 40)),
+        max_support_cells=draw(st.sampled_from([1, 2, 4, 1 << 22])),
+        cycle_check=draw(st.integers(0, 4)) == 0,
+    )
+    expect = draw(st.one_of(
+        st.just(OutcomeExpect("nothalt")),
+        st.just(OracleExpect("brocard", (5,))),
+        st.builds(lambda s, k: TransferExpect(s, occurrence=k),
+                  st.sampled_from(sorted(machine.states) + [HALT]), st.integers(1, 4)),
+    ))
+    entry = draw(st.one_of(st.none(), st.sampled_from(sorted(machine.states))))
+    return dataclasses.replace(scenario(name, entry=entry, blocks=blocks, expect=expect),
+                               limits=limits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verify_merge_matches_the_two_machine_reference(data):
+    m = data.draw(small_machines(most=5, kf=True))
+    scns = [data.draw(merge_scenarios(m, f"s{i}")) for i in range(data.draw(st.integers(1, 3)))]
+    # profiled on every scenario, on some, on a short extra run, or not at all
+    profiled = [s for s in scns if data.draw(st.booleans())]
+    if data.draw(st.booleans()):
+        profiled.append(scenario("short", steps=data.draw(st.integers(1, 8))))
+    plan = propose_merges(m, profile_reads(m, profiled) if profiled else None)
+    if data.draw(st.booleans()):
+        plan = dataclasses.replace(plan, profile=None)
+    merged = apply_merges(m, plan)
+    if data.draw(st.booleans()):
+        merged = dataclasses.replace(merged, start=data.draw(st.sampled_from(sorted(merged.states))))
+    got = verify_merge(m, merged, scns, plan)
+    assert got.comparisons == compared_merge(m, merged, scns, plan).comparisons
