@@ -237,12 +237,12 @@ def certificate_refusal(
         return (f"its steps {cert.steps_observed} are not first + period = "
                 f"{cert.first_visit + cert.period}")
     out = run(machine, limits=RunLimits(max_steps=cert.first_visit))
-    first = fingerprint(out.config)
+    first = fingerprint(out.config.state, out.config.tape)
     if out.kind == STEP_LIMIT:
         out = run(machine, out.config, RunLimits(max_steps=cert.steps_observed))
     if out.kind != STEP_LIMIT:
         return f"the run stops ({out.kind}) at step {out.steps}, before step {cert.steps_observed}"
-    if fingerprint(out.config) != first:
+    if fingerprint(out.config.state, out.config.tape) != first:
         return (f"the configuration at step {cert.first_visit} does not recur "
                 f"at step {cert.steps_observed}")
     return None

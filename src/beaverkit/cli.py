@@ -21,7 +21,6 @@ from .machine import Machine, state_count
 from .optimize import apply_merges, profile_reads, propose_merges, verify_merge
 from .tables import (
     apply_overlay,
-    build_machine,
     errors_of,
     load_overlay,
     load_table,
@@ -34,12 +33,9 @@ from .textfile import load
 OK, FINDINGS, USAGE = 0, 1, 2
 
 
-def _load_machine(path: str, entry: str | None) -> Machine:
-    p = Path(path)
-    if p.suffix == ".manifest":
-        m = compose(load_manifest(p)).machine
-    else:
-        m = build_machine(load_table(p))
+def _load_machine(ref: str, entry: str | None) -> Machine:
+    """The machine `ref` names, as a scenario's `machine` line does."""
+    m = MachineResolver(".")(ref)
     if entry:
         if entry not in m.states:
             raise ValueError(f"entry state {entry!r} not in machine")
@@ -205,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlay")
     p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("run", help="run a table or composed manifest", parents=[common])
+    p = sub.add_parser("run", help="run a table, a manifest or one of its sections",
+                       parents=[common])
     p.add_argument("machine")
     p.add_argument("--entry")
     p.add_argument("--steps", type=int, default=10**8)

@@ -48,7 +48,6 @@ class SectionManifest:
 @dataclass
 class ComposedMachine:
     machine: Machine
-    provenance: dict[str, tuple[str, str]]  # composed name -> (label, original)
 
 
 class ManifestError(ValueError):
@@ -105,6 +104,12 @@ def load_manifest(path) -> SectionManifest:
     return load(path, parse_manifest, Path(path).parent)
 
 
+def section_machine(sec: Section) -> Machine:
+    """The section on its own: overlay applied, its NM exits left open."""
+    table = apply_overlay(sec.table, sec.overlay) if sec.overlay else sec.table
+    return build_machine(table, start=sec.start or table.declared_start)
+
+
 def compose(manifest: SectionManifest) -> ComposedMachine:
     """One machine from all sections, NM exits rewired per the manifest."""
     labels = [s.label for s in manifest.sections]
@@ -117,13 +122,8 @@ def compose(manifest: SectionManifest) -> ComposedMachine:
         if target != HALT and target[0] not in by_label:
             raise ManifestError(f"wiring target references unknown section {target[0]!r}")
 
-    built: dict[str, Machine] = {}
-    for sec in manifest.sections:
-        table = apply_overlay(sec.table, sec.overlay) if sec.overlay else sec.table
-        built[sec.label] = build_machine(table, start=sec.start or table.declared_start)
-
+    built = {sec.label: section_machine(sec) for sec in manifest.sections}
     states: dict[str, tuple[Action | None, Action | None]] = {}
-    provenance: dict[str, tuple[str, str]] = {}
     for sec in manifest.sections:
         m = built[sec.label]
         uses_nm = NEXT_MACHINE in m.external_targets()
@@ -151,9 +151,7 @@ def compose(manifest: SectionManifest) -> ComposedMachine:
             return act._replace(target=f"{sec.label}.{t}")
 
         for name, (on_zero, on_one) in m.states.items():
-            composed = f"{sec.label}.{name}"
-            states[composed] = (retarget(on_zero), retarget(on_one))
-            provenance[composed] = (sec.label, name)
+            states[f"{sec.label}.{name}"] = (retarget(on_zero), retarget(on_one))
 
     elabel, estate = manifest.entry
     if elabel not in by_label or estate not in built[elabel].states:
@@ -163,4 +161,4 @@ def compose(manifest: SectionManifest) -> ComposedMachine:
         start=f"{elabel}.{estate}",
         states=states,
     )
-    return ComposedMachine(machine=machine, provenance=provenance)
+    return ComposedMachine(machine=machine)

@@ -18,25 +18,24 @@ Cycle detection keeps no tape per step.  Its store maps a fixed-size key,
 every step that produced it, so a hash collision hides no older
 configuration.  A key match is confirmed exactly: a clone of the start
 configuration, taken when the run began, is rerun unobserved to the
-earlier step, and the two full fingerprint keys must be equal; when they
-differ the step is stored and the run goes on.
+earlier step, and the two `fingerprint`s must be equal; when they differ
+the step is stored and the run goes on.
 
 Scanned and single-stepped runs produce identical outcomes, step counts
 and tapes; the property suite asserts this on random machines against
-a reference built on `step`.  The scan sustains well over 10^7
-credited steps per second on the unary-arithmetic tables this package
-ships, whose inner loops are long scans.  A transition that is not a
-self-loop makes no function call: the 1-extent, the buffer's size and
-the watch test are kept in locals.  Such transitions run at about
-2×10^6 per second (1.6-2.9 M/s, CPython 3.11 on a 2-core x86 host),
-timed on the 2-state machine A0:1RB A1:0RB B0:1LA B1:0LA, which has no
-self-loop and flips the two cells it visits, over 3×10^5 steps, best
-of 7 runs.
+the reference `step` in `tests/stepping.py`, one pure transition at a
+time.  The scan sustains well over 10^7 credited steps per second on
+the unary-arithmetic tables this package ships, whose inner loops are
+long scans.  A transition that is not a self-loop makes no function
+call: the 1-extent, the buffer's size and the watch test are kept in
+locals.  Such transitions run at about 2×10^6 per second (1.6-2.9
+M/s, CPython 3.11 on a 2-core x86 host), timed on the 2-state machine
+A0:1RB A1:0RB B0:1LA B1:0LA, which has no self-loop and flips the two
+cells it visits, over 3×10^5 steps, best of 7 runs.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from .machine import (
@@ -109,36 +108,6 @@ class RunOutcome:
     watched_state: str | None = None
     blank_start: bool = False
 
-    @property
-    def halted(self) -> bool:
-        return self.kind == HALTED
-
-
-@dataclass
-class HaltEvent:
-    """A (state, read) lookup with no action: the machine has halted."""
-
-    config: Configuration
-
-
-def step(machine: Machine, config: Configuration) -> Configuration | HaltEvent:
-    """One transition, purely: returns a new Configuration or HaltEvent.
-
-    Convenience for interactive poking, spot checks and test references;
-    the run loop below does not build per-step Configurations.
-    """
-    if config.state not in machine.states:
-        return HaltEvent(config)
-    act = machine.action(config.state, config.tape.read(config.tape.head))
-    if act is None:
-        return HaltEvent(config)
-    nxt = config.clone()
-    nxt.tape.write(nxt.tape.head, act.write)
-    nxt.tape.head += act.move
-    nxt.state = act.target
-    nxt.steps += 1
-    return nxt
-
 
 def run(
     machine: Machine,
@@ -189,14 +158,12 @@ def run(
     return outcome
 
 
-def fingerprint(config: Configuration) -> str:
-    """Digest of (state, head-relative support); translation invariant."""
-    return hashlib.blake2b(
-        repr(_fingerprint_key(config.state, config.tape)).encode(), digest_size=16
-    ).hexdigest()
+def fingerprint(state, tape: Tape) -> tuple:
+    """The key (state, head - lo, bytes of the support) of a configuration.
 
-
-def _fingerprint_key(state, tape: Tape):
+    Two keys are equal exactly when the configurations are equal up to
+    translation; the empty support keys as (state, 0, b"").
+    """
     lo, hi = tape.support()
     if hi < lo:
         return (state, 0, b"")
@@ -260,13 +227,13 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
     while steps < max_steps:
         if cycle_check:
             sync()
-            full = _fingerprint_key(state, tape)
+            full = fingerprint(state, tape)
             key = (state, full[1], len(full[2]), _support_hash(full[2]))
             first = seen.setdefault(key, steps)
             if first != steps:
                 for prev in (first, *later.get(key, ())):
                     past = _replayed(cm, start, limits, prev)
-                    if _fingerprint_key(cm.index[past.state], past.tape) == full:
+                    if fingerprint(cm.index[past.state], past.tape) == full:
                         return _outcome(
                             CYCLE, cm, tape, state, steps, first_visit=prev, period=steps - prev
                         )

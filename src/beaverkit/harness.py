@@ -34,7 +34,7 @@ from . import oracles
 from .engine import HALTED, WATCH, RunLimits, RunOutcome, run
 from .machine import HALT, NEXT_MACHINE, Machine, parse_symbol
 from .tape import Configuration, Tape
-from .compose import compose, load_manifest
+from .compose import compose, load_manifest, section_machine
 from .tables import build_machine, load_table
 from .textfile import Lines, load, located
 
@@ -432,13 +432,9 @@ class MachineResolver:
         path, _, label = ref.partition("#")
         full = self.base / path
         if label:
-            manifest = load_manifest(full)
-            for sec in manifest.sections:
+            for sec in load_manifest(full).sections:
                 if sec.label == label:
-                    from .tables import apply_overlay
-
-                    table = apply_overlay(sec.table, sec.overlay) if sec.overlay else sec.table
-                    return build_machine(table, start=sec.start or table.declared_start)
+                    return section_machine(sec)
             raise ValueError(f"manifest {path} has no section {label!r}")
         if full.suffix == ".manifest":
             return compose(load_manifest(full)).machine

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .engine import HALTED, RunLimits, RunOutcome, run
-from .machine import RIGHT, Action, Machine
+from .machine import RESERVED_NAMES, RIGHT, Action, Machine
 from .tape import Configuration
 
 if TYPE_CHECKING:
@@ -136,14 +136,13 @@ def propose_merges(machine: Machine, profile: ReadProfile | None = None) -> Merg
     strict_one: list[str] = []
     flex: list[str] = []
     for name, (on_zero, on_one) in machine.states.items():
+        if profile is None and name == machine.start:
+            # pairing the start is only safe with profile evidence that
+            # the conflicting read never happens
+            continue
         obs = profile.reads(name) if profile is not None else None
         zero_cap = _capable(on_zero, on_one, obs, zero_side=True)
         one_cap = _capable(on_zero, on_one, obs, zero_side=False)
-        if name == machine.start:
-            # pairing the start is only safe with profile evidence that
-            # the conflicting read never happens
-            zero_cap = zero_cap and obs is not None and 1 not in obs
-            one_cap = one_cap and obs is not None and 0 not in obs
         if zero_cap and one_cap:
             flex.append(name)
         elif zero_cap:
@@ -241,6 +240,12 @@ def merge_alias(plan: MergePlan) -> dict[str, str]:
 
 @dataclass
 class ScenarioComparison:
+    """One scenario's runs on the original (a) and the merged machine (b).
+
+    A merged machine with no state to start the scenario in does not run:
+    its kind reads "none" and its steps 0, and the runs part at step 0.
+    """
+
     name: str
     equivalent: bool
     kind_a: str
@@ -277,10 +282,11 @@ def verify_merge(original: Machine, merged: Machine, scenarios, plan: MergePlan 
     docstring: no changed entry read, watches kept apart, the same
     start, no cycle check), the scenario is equivalent with the
     original's kind and steps on both sides, and the merged machine does
-    not run.  Otherwise it runs, and on divergence _locate_divergence
-    finds the first differing step.
+    not run.  Otherwise it runs, unless the scenario's entry, through the
+    alias, is no state of it (divergent at step 0), and on divergence
+    _locate_divergence finds the first differing step.
     """
-    from .harness import execute_scenario
+    from .harness import entry_state, execute_scenario
 
     alias = merge_alias(plan) if plan else {}
     profile = plan.profile if plan else None
@@ -296,6 +302,13 @@ def verify_merge(original: Machine, merged: Machine, scenarios, plan: MergePlan 
         if _maps_onto_merged(original, merged, scn, alias, changed, out_a, reads):
             comparisons.append(ScenarioComparison(
                 scn.name, True, out_a.kind, out_a.kind, out_a.steps, out_a.steps
+            ))
+            continue
+        start_b = entry_state(scn, merged, alias)
+        if start_b not in merged.states and start_b not in RESERVED_NAMES:
+            comparisons.append(ScenarioComparison(
+                scn.name, False, out_a.kind, "none", out_a.steps, 0,
+                0, f"entry {start_b} is not a state of {merged.name}",
             ))
             continue
         out_b = execute_scenario(scn, merged, alias=alias)

@@ -6,7 +6,8 @@ scenario and compares their outcomes, so the tests can hold
 `verify_merge` against it.
 """
 
-from beaverkit.harness import execute_scenario
+from beaverkit.harness import entry_state, execute_scenario
+from beaverkit.machine import RESERVED_NAMES
 from beaverkit.optimize import (
     MergeVerdict,
     ScenarioComparison,
@@ -22,6 +23,14 @@ def compared_merge(original, merged, scenarios, plan=None):
     comparisons = []
     for scn in scenarios:
         out_a = execute_scenario(scn, original)
+        start_b = entry_state(scn, merged, alias)
+        if start_b not in merged.states and start_b not in RESERVED_NAMES:
+            # the merged machine has no state to start in: it does not run
+            detail = f"entry {start_b} is not a state of {merged.name}"
+            comparisons.append(ScenarioComparison(
+                scn.name, False, out_a.kind, "none", out_a.steps, 0, 0, detail
+            ))
+            continue
         out_b = execute_scenario(scn, merged, alias=alias)
         same = (
             out_a.kind == out_b.kind

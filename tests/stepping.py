@@ -1,20 +1,37 @@
-"""Reference runs built on `engine.step`, one transition at a time.
+"""Reference runs built on `step`, one transition at a time.
 
 `run` scans self-loops, keeps its tape in loop variables and stores a
 hash per configuration; this module shares none of that, so the tests can
 hold `run` against it.
 """
 
-from beaverkit.engine import (
-    CYCLE,
-    HALTED,
-    MEMORY_LIMIT,
-    STEP_LIMIT,
-    WATCH,
-    HaltEvent,
-    _fingerprint_key,
-    step,
-)
+from dataclasses import dataclass
+
+from beaverkit.engine import CYCLE, HALTED, MEMORY_LIMIT, STEP_LIMIT, WATCH, fingerprint
+from beaverkit.machine import Machine
+from beaverkit.tape import Configuration
+
+
+@dataclass
+class HaltEvent:
+    """A (state, read) lookup with no action: the machine has halted."""
+
+    config: Configuration
+
+
+def step(machine: Machine, config: Configuration) -> Configuration | HaltEvent:
+    """One transition, purely: returns a new Configuration or HaltEvent."""
+    if config.state not in machine.states:
+        return HaltEvent(config)
+    act = machine.action(config.state, config.tape.read(config.tape.head))
+    if act is None:
+        return HaltEvent(config)
+    nxt = config.clone()
+    nxt.tape.write(nxt.tape.head, act.write)
+    nxt.tape.head += act.move
+    nxt.state = act.target
+    nxt.steps += 1
+    return nxt
 
 
 def stepped_run(machine, config, max_steps, watch=(), need=1, cap=None):
@@ -70,7 +87,7 @@ def checked_run(machine, config, max_steps, watch=(), cap=None):
     for i, c in enumerate(trail[:-1] if kind == WATCH else trail):
         if c.steps >= max_steps:
             break
-        key = _fingerprint_key(c.state, c.tape)
+        key = fingerprint(c.state, c.tape)
         if key in seen:
             return CYCLE, trail[: i + 1], seen[key]
         seen[key] = c.steps

@@ -239,6 +239,36 @@ def test_run_reports_outcome_fields(capsys):
     assert "steps: 464" in out
 
 
+def test_run_takes_a_section_reference(capsys):
+    # the machine a scenario's `machine` line names: test_square_scenario_passes
+    ref = f"{data_path('fermat.manifest')}#t2"
+    code, out, _ = run_cli(capsys, "run", ref, "--entry", "0", "--tape-unary", "4")
+    assert code == 0
+    for line in ("outcome: halted", "steps: 464", "halting state: NM", "blocks: [17]"):
+        assert line in out.splitlines()
+
+
+def test_bb_certify_then_replay_a_section_reference(capsys, tmp_path):
+    ref = f"{data_path('brocard.manifest')}#b"
+    code, out, _ = run_cli(capsys, "bb", "certify", ref, "--entry", "Ps", "--steps", "100",
+                           "--cycle-check")
+    assert code == 0 and "basis cycle first=3 period=1" in out
+    cert = tmp_path / "ps.cert"
+    cert.write_text(out)
+    code, out, _ = run_cli(capsys, "bb", "replay", ref, str(cert), "--entry", "Ps")
+    assert code == 0 and out.startswith("holds:")
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["optimize"], ["bb", "certify", "--steps", "10"], ["bb", "replay", "x.cert"],
+], ids=["run", "optimize", "bb-certify", "bb-replay"])
+def test_a_section_the_manifest_lacks_exits_2(capsys, command):
+    ref = f"{data_path('fermat.manifest')}#nosuch"
+    code, out, err = run_cli(capsys, *command[:2], ref, *command[2:])
+    assert code == 2 and out == ""
+    assert err == f"error: manifest {data_path('fermat.manifest')} has no section 'nosuch'\n"
+
+
 def test_compose_writes_table(capsys, tmp_path):
     out_file = tmp_path / "fermat.tbl"
     code, _, err = run_cli(

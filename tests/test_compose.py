@@ -71,14 +71,6 @@ def test_composed_fermat_state_count(fermat_composed, fermat_t1, fermat_t2, ferm
     assert state_count(fermat_composed.machine) == total == 92
 
 
-def test_provenance_is_a_bijection(fermat_composed):
-    prov = fermat_composed.provenance
-    assert len(prov) == state_count(fermat_composed.machine)
-    assert len(set(prov.values())) == len(prov)
-    for composed_name, (label, original) in prov.items():
-        assert composed_name == f"{label}.{original}"
-
-
 @pytest.mark.parametrize("x", [1, 2, 3, 4, 5])
 def test_section_preservation(fermat_t2, fermat_composed, x):
     # standalone squarer, run to its NM exit

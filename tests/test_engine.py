@@ -11,15 +11,13 @@ from beaverkit.engine import (
     MEMORY_LIMIT,
     STEP_LIMIT,
     WATCH,
-    HaltEvent,
     RunLimits,
     fingerprint,
     run,
-    step,
 )
 from beaverkit.machine import HALT, Action, Machine, compile_machine
 from beaverkit.tape import Configuration, Tape
-from stepping import checked_run, read_profile, stepped_run
+from stepping import HaltEvent, checked_run, read_profile, step, stepped_run
 
 
 def one_state(write=1, move=1, target="B"):
@@ -144,19 +142,20 @@ def test_step_budget_is_exact_mid_scan():
 
 
 def test_fingerprint_properties():
-    a = Configuration("S", Tape())
-    b = Configuration("S", Tape())
-    assert fingerprint(a) == fingerprint(b)
-    c = Configuration("T", Tape())
-    assert fingerprint(a) != fingerprint(c)
+    assert fingerprint("S", Tape()) == fingerprint("S", Tape()) == ("S", 0, b"")
+    assert fingerprint("S", Tape()) != fingerprint("T", Tape())
     # translation invariance: same pattern shifted, head shifted alike
     t1 = Tape.from_blocks([3], start_cell=0)
     t1.head = 1
     t2 = Tape.from_blocks([3], start_cell=40)
     t2.head = 41
-    assert fingerprint(Configuration("S", t1)) == fingerprint(Configuration("S", t2))
+    assert fingerprint("S", t1) == fingerprint("S", t2) == ("S", 1, b"\x01\x01\x01")
     t2.head = 42
-    assert fingerprint(Configuration("S", t1)) != fingerprint(Configuration("S", t2))
+    assert fingerprint("S", t1) != fingerprint("S", t2)
+    # the key is a copy: writing the tape later does not change it
+    key = fingerprint("S", t1)
+    t1.write(5, 1)
+    assert key == ("S", 1, b"\x01\x01\x01") != fingerprint("S", t1)
 
 
 def test_trace_lines_emitted_per_step():
@@ -377,10 +376,10 @@ def test_cycle_soundness_replay(data):
     if out.kind != CYCLE:
         return
     first = run(m, limits=RunLimits(max_steps=out.first_visit))
-    fp = fingerprint(first.config)
+    fp = fingerprint(first.config.state, first.config.tape)
     first.config.steps = 0
     again = run(m, first.config, RunLimits(max_steps=out.period))
-    assert fingerprint(again.config) == fp
+    assert fingerprint(again.config.state, again.config.tape) == fp
 
 
 def test_memory_cap_respects_existing_support():

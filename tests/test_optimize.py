@@ -76,8 +76,8 @@ def test_propose_structural_pair_excludes_start_without_profile():
     assert "Z" not in merge_alias(plan)
 
 
-def test_propose_structural_pair_nonstart():
-    m = Machine(
+def start_then_pair():
+    return Machine(
         "pairable",
         "S",
         {
@@ -86,6 +86,10 @@ def test_propose_structural_pair_nonstart():
             "O": (None, Action(0, 1, "Z")),
         },
     )
+
+
+def test_propose_structural_pair_nonstart():
+    m = start_then_pair()
     plan = propose_merges(m)
     assert [(p.zero_state, p.one_state) for p in plan.pairs] == [("Z", "O")]
     assert plan.pairs[0].merged_name == "Z+O"
@@ -434,6 +438,25 @@ def test_runs_that_start_apart_diverge_at_step_0():
     (comp,) = verdict.comparisons
     assert (comp.first_divergence, comp.detail) == (0, "starts differ: A vs B")
     assert verdict.comparisons == compared_merge(m, restarted, scns).comparisons
+
+
+def test_an_entry_the_merged_machine_lacks_diverges_at_step_0():
+    m = start_then_pair()
+    plan = propose_merges(m)
+    merged = apply_merges(m, plan)
+    scns = [scenario("from-z", entry="Z", steps=10)]
+    # without the plan, entry Z is not translated to Z+O: the merged
+    # machine has no state to start in, and does not run
+    verdict = verify_merge(m, merged, scns)
+    (comp,) = verdict.comparisons
+    assert not verdict.equivalent
+    assert (comp.kind_b, comp.steps_b, comp.first_divergence, comp.detail) == (
+        "none", 0, 0, "entry Z is not a state of pairable (merged)")
+    assert verdict.comparisons == compared_merge(m, merged, scns).comparisons
+    # with it, Z+O runs from the entry
+    (comp,) = verify_merge(m, merged, scns, plan).comparisons
+    assert comp.kind_b != "none" and comp.first_divergence != 0
+    assert [comp] == compared_merge(m, merged, scns, plan).comparisons
 
 
 def lockstep_divergence(original, merged, scn, alias):
