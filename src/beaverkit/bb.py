@@ -1,12 +1,14 @@
 """Busy-beaver registry, non-halting certificates, small-n brute force.
 
-``brute_force_bb`` enumerates every n-state binary machine in which each
-(state, read) pair carries a full (write, move, target) assignment with
-target in states-plus-halt: (2*2*(n+1))^(2n) machines.  Each is classified
-as halting (the halting transition counts as a step) or proven
-non-halting by one of three sound deciders:
+``brute_force_bb`` covers every n-state binary program, (2*2*(n+1))^(2n)
+of them: each (state, read) entry carries a (write, move, target) with
+target in states-plus-halt.  It walks Brady's tree normal form: an entry
+is chosen only when a run first reads it, and the tree branches there
+over every action, so one leaf covers every completion of the entries
+its run never read.  A leaf halts (the halting transition counts as a
+step) or is proven non-halting by one of three sound deciders:
 
-* no halting rule is reachable in the transition graph at all;
+* no undefined entry and no halting rule is reachable in the graph;
 * a configuration repeats exactly (translation invariant): the engine's
   cycle check;
 * a translated cycle: the head breaks its positional record twice in the
@@ -14,21 +16,18 @@ non-halting by one of three sound deciders:
   between the two records (padded by the drift), matches shifted - so
   the run replays forever, displaced.
 
-Every other verdict comes from `engine.run` from a blank tape, cycle
-check on, the third decider its `trace` observer.  A verdict depends
-only on the transitions the run executed, so a program that agrees with
-the last one run on every entry that run read (its `profile`) shares
-the verdict exactly and is not run again.
+The last two come from `engine.run` from a blank tape, cycle check on,
+the third decider its `trace` observer.  A verdict depends only on the
+entries the run read, so every completion of the leaf shares it.
 
 A value is only reported when zero machines remain unclassified at the
-step cap; otherwise the enumeration refuses rather than guess.
+step cap; otherwise the search refuses rather than guess.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -257,61 +256,58 @@ class BruteForceResult:
     n: int
     value: int
     champion: Machine
-    total_machines: int
-    tally: dict[str, int]
+    total_machines: int  # (4(n+1))^(2n), the programs the tree's leaves cover
+    tally: dict[str, int]  # those programs by the verdict of the leaf covering them
 
 
-def brute_force_bb(n: int, step_cap: int = 200, mirror_reduction: bool = False) -> BruteForceResult:
-    """Exhaustive BB(n) for n in {1, 2}; refuses to emit an unsound value."""
+def brute_force_bb(n: int, step_cap: int = 200) -> BruteForceResult:
+    """Exhaustive BB(n) for n in {1, 2}; refuses to emit an unsound value.
+
+    The champion is the first program in product order that reaches the
+    value: the least minimal completion among the best halting leaves.
+    """
     if n not in (1, 2):
         raise ValueError("brute force is limited to n in {1, 2}")
     if step_cap < 1:
         raise ValueError("step cap must be positive")
-    best_steps = -1
-    best_prog = None
-    tally = {"halt": 0, "cycle": 0, "translated": 0, "no_halt_rule": 0, "skipped_mirror": 0,
-             "inconclusive": 0}
-    for prog, (kind, steps) in _verdicts(n, step_cap, mirror_reduction):
-        tally[kind] += 1
-        if kind == "halt" and steps > best_steps:
-            best_steps, best_prog = steps, prog
-    inconclusive = tally.pop("inconclusive")
-    if inconclusive:
-        raise Inconclusive(
-            f"{inconclusive} machines neither halted nor were proven non-halting "
-            f"within {step_cap} steps; raise the cap"
-        )
-    return BruteForceResult(
-        n=n,
-        value=best_steps,
-        champion=machine_from_program(best_prog, n),
-        total_machines=(4 * (n + 1)) ** (2 * n),
-        tally=tally,
-    )
+    opts = [(w, m, t) for w in (0, 1) for m in (-1, 1) for t in [*range(n), -1]]
+    tally = dict.fromkeys(("halt", "cycle", "translated", "no_halt_rule", "inconclusive"), 0)
+    halts = []
+    for prog, (kind, steps) in _leaves(n, step_cap, opts):
+        tally[kind] += len(opts) ** prog.count(None)
+        if kind == "halt":
+            halts.append((-steps, [0 if e is None else opts.index(e) for e in prog]))
+    if inconclusive := tally.pop("inconclusive"):
+        raise Inconclusive(f"{inconclusive} machines neither halted nor were proven "
+                           f"non-halting within {step_cap} steps; raise the cap")
+    steps, first = min(halts)
+    champion = machine_from_program([opts[i] for i in first], n)
+    return BruteForceResult(n, -steps, champion, len(opts) ** (2 * n), tally)
 
 
-def _verdicts(n: int, cap: int, mirror_reduction: bool = False):
-    """``(program, (kind, steps))`` for every n-state program in product order."""
-    opts = [
-        (w, m, t)
-        for w in (0, 1)
-        for m in (-1, 1)
-        for t in list(range(n)) + [-1]
-    ]
-    ran, read, verdict = None, (), None
-    for prog in itertools.product(opts, repeat=2 * n):
-        if mirror_reduction and prog[0][1] == -1:
-            # the left-first machine is the mirror of an enumerated one
-            yield prog, ("skipped_mirror", 0)
-        elif not _can_halt(prog):
-            yield prog, ("no_halt_rule", 0)
-        else:
-            # a run's verdict depends only on the entries it read, so a
-            # program that agrees with the last one run on them shares it
-            if ran is None or any(prog[j] != ran[j] for j in read):
-                ran = prog
-                verdict, read = _simulate(prog, n, cap)
-            yield prog, verdict
+def _leaves(n: int, cap: int, opts: list):
+    """``(program, (kind, steps))`` for every leaf; None marks a free entry.
+
+    An entry opened at step s branches over every action of `opts`: a
+    halt is a leaf at s + 1, and any other child is judged by decider 1
+    or by a run from a blank tape.  No child holds a halting rule, so a
+    run halts only on an undefined entry, and that entry opens next.
+    """
+    stack = [((None,) * (2 * n), 0, 0)]  # (program, open entry, step it is read at)
+    while stack:
+        prog, j, s = stack.pop()
+        for act in opts:
+            child = prog[:j] + (act,) + prog[j + 1 :]
+            if act[2] == -1:
+                yield child, ("halt", s + 1)
+            elif not _can_halt(child):
+                yield child, ("no_halt_rule", 0)
+            else:
+                verdict, read = _simulate(child, n, cap)
+                if verdict[0] == "halt":
+                    stack.append((child, next(i for i in read if child[i] is None), verdict[1]))
+                else:
+                    yield child, verdict
 
 
 _STATE_NAMES = "ABCDEFGH"
@@ -319,26 +315,29 @@ _VERDICTS = {HALTED: "halt", CYCLE: "cycle"}
 
 
 def machine_from_program(prog, n: int) -> Machine:
-    acts = [Action(w, m, HALT if t == -1 else _STATE_NAMES[t]) for w, m, t in prog]
-    label = "".join(f"{a.write}{move_name(a.move)}{a.target[0]}" for a in acts)
-    states = {_STATE_NAMES[s]: (acts[2 * s], acts[2 * s + 1]) for s in range(n)}
+    """The machine of `prog`; None entries (``---``) and empty states stay undefined."""
+    acts = [e and Action(e[0], e[1], HALT if e[2] == -1 else _STATE_NAMES[e[2]]) for e in prog]
+    label = "".join(f"{a.write}{move_name(a.move)}{a.target[0]}" if a else "---" for a in acts)
+    states = {_STATE_NAMES[s]: (acts[2 * s], acts[2 * s + 1]) for s in range(n)
+              if acts[2 * s] or acts[2 * s + 1]}
     return Machine(name=label, start="A", states=states)
 
 
 def _can_halt(prog) -> bool:
-    """Decider 1, on the state graph: is a halting rule reachable from A?"""
+    """Decider 1, on the state graph: can a run from A read an undefined or halting entry?"""
     reach = [0]
     for s in reach:  # grows as it goes
-        for _, _, t in prog[2 * s : 2 * s + 2]:
-            if t == -1:
+        for e in prog[2 * s : 2 * s + 2]:
+            if e is None or e[2] == -1:
                 return True
-            if t not in reach:
-                reach.append(t)
+            if e[2] not in reach:
+                reach.append(e[2])
     return False
 
 
 def _simulate(prog, n: int, cap: int):
-    """Verdict of the blank-tape run of `prog`, and the entries it read.
+    """Verdict of the blank-tape run of `prog`, and the entries it read;
+    an undefined entry halts the run without a step, and counts as read.
 
     An observer cannot stop a run, so the budget starts at 8 steps (most
     programs are decided within 3) and doubles up to the cap until the
@@ -360,6 +359,8 @@ def _simulate(prog, n: int, cap: int):
             verdict = (_VERDICTS.get(out.kind, "inconclusive"), out.steps)
             break
         budget = min(cap, 2 * budget)
+    if out.halting_state not in (None, HALT):  # an undefined state or action stopped it
+        read.add((out.halting_state, out.config.tape.read(out.config.tape.head)))
     return verdict, [2 * _STATE_NAMES.index(s) + sym for s, sym in read]
 
 

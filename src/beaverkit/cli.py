@@ -158,7 +158,7 @@ def cmd_bb(args) -> int:
         return OK
     if args.bb_cmd == "brute":
         try:
-            result = bbmod.brute_force_bb(args.n, args.cap, mirror_reduction=args.mirror)
+            result = bbmod.brute_force_bb(args.n, args.cap)
         except bbmod.Inconclusive as e:
             print(f"inconclusive: {e}")
             return FINDINGS
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = bbsub.add_parser("brute", parents=[common])
     q.add_argument("n", type=int)
     q.add_argument("--cap", type=int, default=200)
-    q.add_argument("--mirror", action="store_true")
     q = bbsub.add_parser("certify", parents=[common])
     q.add_argument("machine")
     q.add_argument("--steps", type=int, required=True)

@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import importlib.util
+import itertools
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,7 @@ from beaverkit.bb import (
 from beaverkit.engine import CYCLE, RunLimits, run
 from beaverkit.machine import Action, Machine, state_count
 from beaverkit.tape import Configuration, Tape
+import bb_reference
 
 
 def test_registry_lookup_shipped():
@@ -82,7 +86,7 @@ PINNED_VERDICTS = {
 
 @pytest.mark.parametrize("cap", sorted(PINNED_VERDICTS))
 def test_every_two_state_verdict_is_pinned(cap):
-    verdicts = [v for _, v in bb._verdicts(2, cap)]
+    verdicts = [v for _, v in bb_reference.verdicts(2, cap)]
     assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == PINNED_VERDICTS[cap]
 
 
@@ -90,9 +94,9 @@ def test_every_two_state_verdict_is_pinned(cap):
 def test_shared_verdicts_match_a_run_of_every_program(cap):
     # a program that agrees with the last one run on every entry that run
     # read shares its verdict; a run of its own must give the same one
-    for prog, verdict in bb._verdicts(2, cap):
-        fresh = bb._simulate(prog, 2, cap)[0] if bb._can_halt(prog) else ("no_halt_rule", 0)
-        assert verdict == fresh, prog
+    for prog, verdict in bb_reference.verdicts(2, cap):
+        run_it = bb_reference.can_halt(prog)
+        assert verdict == (bb._simulate(prog, 2, cap)[0] if run_it else ("no_halt_rule", 0)), prog
 
 
 def test_brute_force_rejects_low_cap_as_inconclusive():
@@ -105,9 +109,69 @@ def test_brute_force_rejects_big_n():
         brute_force_bb(3)
 
 
-def test_mirror_reduction_preserves_values():
-    for n in (1, 2):
-        assert brute_force_bb(n).value == brute_force_bb(n, mirror_reduction=True).value
+def completions(prog, fill):
+    """Every program that agrees with `prog` on its defined entries, in product order."""
+    free = [i for i, e in enumerate(prog) if e is None]
+    for acts in itertools.product(fill, repeat=len(free)):
+        full = list(prog)
+        for i, act in zip(free, acts):
+            full[i] = act
+        yield tuple(full)
+
+
+@pytest.mark.parametrize("n, cap", [(1, 200), (2, 3), (2, 200)])
+def test_every_leaf_gives_the_verdict_of_the_programs_it_covers(n, cap):
+    # the leaves cover each program once, with the verdict its own run
+    # gives; decider 1 judges a full program before any run, so where it
+    # fires, the leaf's run may prove non-halting another way, or, under
+    # a low cap, fail to
+    opts = bb_reference.options(n)
+    reference = dict(bb_reference.verdicts(n, cap))
+    other_proof = {"cycle", "translated"} | ({"inconclusive"} if cap < 200 else set())
+    for leaf, verdict in bb._leaves(n, cap, opts):
+        for prog in completions(leaf, opts):
+            want = reference.pop(prog)
+            assert verdict == want or (
+                want[0] == "no_halt_rule" and verdict[0] in other_proof
+            ), (prog, leaf, verdict, want)
+    assert not reference
+
+
+def test_two_state_tally_and_champion():
+    result = brute_force_bb(2)
+    assert result.tally["halt"] == 9784
+    assert sum(result.tally.values()) == result.total_machines == 20736
+    # the champion is the first program in product order to reach the value
+    reference = bb_reference.verdicts(2, 200)
+    first = next(prog for prog, verdict in reference if verdict == ("halt", result.value))
+    assert result.champion.name == machine_from_program(first, 2).name == "0LB0LH1RA1LB"
+    assert max(steps for _, (kind, steps) in reference if kind == "halt") == 6
+    # an entry opens only where a run read it: 408 leaves, not 20,736
+    assert len(list(bb._leaves(2, 200, bb_reference.options(2)))) == 408
+
+
+def load_refsim():
+    path = Path(__file__).resolve().parents[1] / "bench" / "refsim.py"
+    spec = importlib.util.spec_from_file_location("refsim", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_leaves_hold_on_an_independent_simulator(n):
+    # bench/refsim.py shares no code with beaverkit.  A halting leaf's
+    # first completion halts at the leaf's step; a non-halting leaf's run
+    # never reads a free entry, so filling those with halts changes nothing
+    refsim = load_refsim()
+    opts = bb_reference.options(n)
+    for leaf, (kind, steps) in bb._leaves(n, 200, opts):
+        if kind == "halt":
+            prog = next(completions(leaf, opts))
+            assert refsim.run(prog, 10**4)[:2] == (True, steps), leaf
+        else:
+            prog = next(completions(leaf, [(1, 1, -1)]))
+            assert refsim.run(prog, 10**4)[:2] == (False, 10**4), leaf
 
 
 def spinner(n):
@@ -257,6 +321,9 @@ def test_machine_from_program_shape():
     assert m.states["A"][0].target == "HALT"
     out = run(m)
     assert out.kind == "halted" and out.steps == 1
+    # a free entry stays undefined, and so does a state with none defined
+    partial = machine_from_program(((1, 1, 1), None, None, None), 2)
+    assert partial.name == "1RB---------" and list(partial.states) == ["A"]
 
 
 def test_registry_values_match_brute_force():

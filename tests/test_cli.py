@@ -424,19 +424,16 @@ def test_bad_machine_reference_fails_before_any_scenario_runs(capsys, tmp_path, 
     assert out == ""
 
 
-BRUTE_TALLY = ("tally: {'halt': 9784, 'cycle': 2560, 'translated': 3016, "
-               "'no_halt_rule': 5376, 'skipped_mirror': 0}")
+# machines counted by the verdict of the tree leaf that covers them
+BRUTE_TALLY = "tally: {'halt': 9784, 'cycle': 4992, 'translated': 5784, 'no_halt_rule': 176}"
 BRUTE_OUTPUT = {
-    "1": (0, "bb(1) = 1\nchampion: 0LH0LA\nmachines: 64 tally: {'halt': 32, 'cycle': 8, "
-             "'translated': 8, 'no_halt_rule': 16, 'skipped_mirror': 0}\n"),
+    "1": (0, "bb(1) = 1\nchampion: 0LH0LA\nmachines: 64 tally: {'halt': 32, 'cycle': 16, "
+             "'translated': 16, 'no_halt_rule': 0}\n"),
     "2": (0, f"bb(2) = 6\nchampion: 0LB0LH1RA1LB\nmachines: 20736 {BRUTE_TALLY}\n"),
-    "2 --mirror": (0, "bb(2) = 6\nchampion: 0RB0LH1LA1RB\nmachines: 20736 tally: {'halt': 4892, "
-                      "'cycle': 1280, 'translated': 1508, 'no_halt_rule': 2688, "
-                      "'skipped_mirror': 10368}\n"),
     "2 --cap 10": (0, f"bb(2) = 6\nchampion: 0LB0LH1RA1LB\nmachines: 20736 {BRUTE_TALLY}\n"),
-    "2 --cap 3": (1, "inconclusive: 1376 machines neither halted nor were proven non-halting "
+    "2 --cap 3": (1, "inconclusive: 2784 machines neither halted nor were proven non-halting "
                      "within 3 steps; raise the cap\n"),
-    "1 --cap 2": (1, "inconclusive: 8 machines neither halted nor were proven non-halting "
+    "1 --cap 2": (1, "inconclusive: 16 machines neither halted nor were proven non-halting "
                      "within 2 steps; raise the cap\n"),
 }
 
@@ -444,3 +441,9 @@ BRUTE_OUTPUT = {
 @pytest.mark.parametrize("argv", BRUTE_OUTPUT)
 def test_bb_brute_output(capsys, argv):
     assert run_cli(capsys, "bb", "brute", *argv.split())[:2] == BRUTE_OUTPUT[argv]
+
+
+def test_bb_brute_mirror_is_an_unknown_option(capsys):
+    code, out, err = run_cli(capsys, "bb", "brute", "2", "--mirror")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --mirror" in err
