@@ -27,7 +27,6 @@ step cap; otherwise the search refuses rather than guess.
 from __future__ import annotations
 
 import functools
-import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -36,6 +35,11 @@ from .machine import HALT, Action, Machine, move_name, state_count
 from .tables import serialize_machine
 from .tape import Tape
 from .textfile import Lines, load
+
+try:  # the built-in module; `hashlib` would also map OpenSSL's libcrypto
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 PAPER = "paper"
 COMPUTED = "computed"
 CONFIGURED = "configured"
@@ -108,7 +112,7 @@ def machine_label(machine: Machine) -> str:
     pass for any machine called the same.
     """
     table = serialize_machine(machine).encode()
-    return f"{machine.name} {hashlib.blake2b(table, digest_size=8).hexdigest()}"
+    return f"{machine.name} {blake2b(table, digest_size=8).hexdigest()}"
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,11 @@ the memory stop and the endless glide over blank are shared.  A fill of
 cells as one transition at a time would, and no more.  Cycle detection
 and tracing observe every configuration, so they turn the scan off, and
 nothing else: the stop rules are the same whether or not a run is
-observed.
+observed.  A scan across at least `LONG_SCAN` cells may hand the run to
+a proven shuttle rule (`rules.py`), which applies a repeating cycle of
+scans k times in closed form with the outcome, steps, tape, 1-extent and
+read profile of the run one transition at a time.  Traced and
+cycle-checked runs never scan, so they never use a rule.
 
 Cycle detection keeps no tape per step.  Its store maps a fixed-size key,
 (state, head - lo, width of the support, hash of the support's bytes), to
@@ -45,6 +49,7 @@ from .machine import (
     Machine,
     compile_machine,
 )
+from .rules import LONG_SCAN, Prover
 from .tape import Configuration, Tape
 
 HALTED = "halted"
@@ -212,6 +217,7 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
     seen: dict = {}
     later: dict = {}
     start = config.clone() if cycle_check else None
+    prover = None  # made at the first long scan
 
     def sync():
         tape.buf, tape.org, tape.head = buf, org, head
@@ -259,6 +265,18 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
             else:
                 q = buf.rfind(1 - sym, 0, p + 1)
                 n = p - q
+            if n >= LONG_SCAN:
+                if prover is None:
+                    prover = Prover(cm, watched)
+                if prover.due(j):
+                    sync()
+                    done = prover.apply(tape, state, j, max_steps - steps, cap, reads)
+                    if done:
+                        steps += done
+                        buf, org, head = tape.buf, tape.org, tape.head
+                        lo1, hi1 = tape._lo1, tape._hi1
+                        size = len(buf)
+                        continue
             if n > max_steps - steps:
                 n = max_steps - steps
             if w != sym:

@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import importlib.util
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -260,6 +263,21 @@ def test_replay_refuses_forged_certificates(basis):
     cert = parse_certificate(f"certificate nonhalt\nmachine {label}\nsteps 9\n{basis}\n")
     assert not replay_certificate(champion, cert)
     assert not replay_certificate(champion, cert, default_registry())
+
+
+def test_machine_label_digest_is_pinned():
+    # blake2b from `_blake2` or from `hashlib` is one function: the digest
+    # a certificate carries does not depend on where it was imported from
+    champion = machine_from_program(((0, -1, 1), (0, -1, -1), (1, 1, 0), (1, -1, 1)), 2)
+    assert machine_label(champion) == "0LB0LH1RA1LB 1b9d3b6261da8489"
+
+
+def test_cli_import_loads_no_openssl_hash_module():
+    src = Path(bb.__file__).resolve().parents[1]
+    code = "import sys, beaverkit.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_replay_bound_must_be_the_registry_entry():

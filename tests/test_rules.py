@@ -1,0 +1,200 @@
+"""Proven shuttle rules against runs that step one transition at a time.
+
+A run with a `trace` never scans, so it never applies a rule; every test
+here compares a plain run with a traced one on kind, steps, state, head,
+tape, the 1-extent `_lo1/_hi1` and the read profile.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+
+from beaverkit import oracles, rules
+from beaverkit.engine import MEMORY_LIMIT, STEP_LIMIT, WATCH, RunLimits, run
+from beaverkit.machine import Action, Machine, compile_machine
+from beaverkit.tape import Configuration, Tape
+
+
+def untraced(*args, **kw):
+    return run(*args, **kw)
+
+
+def traced(*args, **kw):
+    return run(*args, trace=lambda *a: None, **kw)
+
+
+def result(out, profile):
+    tape = out.config.tape
+    lo, hi = tape.support()
+    cells = bytes(tape.buf[tape.org + lo : tape.org + hi + 1]) if hi >= lo else b""
+    return (out.kind, out.steps, out.config.state, tape.head, lo, cells,
+            tape._lo1, tape._hi1, out.watched_state, profile)
+
+
+def both(machine, start, limits, watch=()):
+    """(rules on, rules off) results of one run from `start`, profiled."""
+    out = []
+    for go in (untraced, traced):
+        profile = set()
+        o = go(machine, start(), limits, watch=watch, profile=profile)
+        out.append(result(o, profile))
+    return out
+
+
+class Spy:
+    """Counts the steps each rule application credited."""
+
+    def __init__(self):
+        self.credited = []
+
+    def __enter__(self):
+        real = rules._apply
+
+        def spy(rule, runs, tape, budget, cap, reads):
+            steps = real(rule, runs, tape, budget, cap, reads)
+            if steps:
+                self.credited.append((budget, steps, tape._lo1, tape._hi1))
+            return steps
+
+        self.patch = mock.patch.object(rules, "_apply", spy)
+        self.patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.stop()
+
+
+# Moves block A, on the left, onto the right end of block B one cell at a
+# time: S scans B rightward and appends a 1, L scans B back, M scans the
+# gap and erases A's last cell, G scans the gap into B.  Each round A
+# shrinks by one cell and the gap and B grow by one.  Once A is gone, M
+# glides left over the blank.
+TRANSFER = Machine("transfer", "S", {
+    "S": (Action(1, -1, "L"), Action(1, 1, "S")),
+    "L": (Action(0, -1, "M"), Action(1, -1, "L")),
+    "M": (Action(0, -1, "M"), Action(0, 1, "G")),
+    "G": (Action(0, 1, "G"), Action(1, 1, "S")),
+})
+
+
+def transfer(a, b=70):
+    """The start with A = a cells, B = b cells, S on B's second cell."""
+    def start():
+        tape = Tape.from_blocks([a, b])
+        tape.head = a + 2
+        return Configuration("S", tape)
+    return start
+
+
+def first_rule(start, limits=RunLimits(max_steps=10**6), watch=()):
+    """(steps before, steps credited, 1-extent after) of the run's first rule."""
+    with Spy() as spy:
+        untraced(TRANSFER, start(), limits, watch=watch)
+    budget, steps, lo, hi = spy.credited[0]
+    return limits.max_steps - budget, steps, (lo, hi)
+
+
+def test_a_rule_credits_the_transfer_loop():
+    with Spy() as spy:
+        on, off = both(TRANSFER, transfer(100), RunLimits(max_steps=40_000))
+    assert on == off
+    assert len(spy.credited) == 1 and spy.credited[0][1] > 30_000
+
+
+@pytest.mark.parametrize("a", range(16, 40))
+def test_shrinking_block_runs_out(a):
+    # the rule stops while A still covers its proof's c, and the machine
+    # steps the rest until A is gone; short loops are not worth a proof
+    with Spy() as spy:
+        on, off = both(TRANSFER, transfer(a), RunLimits(max_steps=50_000))
+    assert on == off
+    assert on[0] == STEP_LIMIT and on[4:6] == (a + 1, b"\x01" * (a + 71))
+    if a < rules.MIN_REPEATS:
+        assert not spy.credited
+    if a >= 30:
+        assert spy.credited
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_budget_at_the_rules_step_total(delta):
+    before, steps, _ = first_rule(transfer(100))
+    on, off = both(TRANSFER, transfer(100), RunLimits(max_steps=before + steps + delta))
+    assert on == off and on[0] == STEP_LIMIT
+
+
+@pytest.mark.parametrize("under", [0, 1])
+def test_cap_at_the_extent_after_the_rule(under):
+    _, _, (lo, hi) = first_rule(transfer(100))
+    limits = RunLimits(max_steps=10**6, max_support_cells=hi - lo + 1 - under)
+    on, off = both(TRANSFER, transfer(100), limits)
+    assert on == off and on[0] == MEMORY_LIMIT
+
+
+def test_a_cycle_through_a_watched_state_is_refused():
+    # a run stops at its first entry into a watched state, so the prover
+    # is asked directly, at the start of the fourth round
+    config = transfer(100)()
+    for _ in range(3):
+        config = traced(TRANSFER, config, RunLimits(max_steps=1000), watch=("S",)).config
+    cm = compile_machine(TRANSFER)
+    state = cm.index["S"]
+    for watched, credited in (("G", False), ("", True)):
+        tape = config.tape.clone()
+        prover = rules.Prover(cm, tuple(name == watched for name in cm.names))
+        steps = prover.apply(tape, state, 2 * state + 1, 10**6, 1 << 22, None)
+        assert bool(steps) == credited
+        assert tape.content_equal(config.tape) != credited
+
+
+def unary(n):
+    def start(entry):
+        return lambda: Configuration(entry, oracles.encode_tape(oracles.UnaryLayout((n,), 0, "left")))
+    return start
+
+
+def sections(resolver):
+    """(machine, start) of the shipped sections the rules serve."""
+    rng = random.Random(14)
+    t1, t2, t3 = (resolver(f"../fermat.manifest#{s}") for s in ("t1", "t2", "t3"))
+    brocard = resolver("../brocard.manifest")
+    yield t1, lambda: Configuration("25")
+    yield brocard, lambda: Configuration(brocard.start)
+    for n in sorted(rng.sample(range(1, 201), 24)):
+        yield t2, unary(n)("0")
+        yield t3, unary(n)("1")
+
+
+def test_rules_match_single_steps_on_the_shipped_sections(resolver):
+    rng = random.Random(1490)
+    through_rules = runs = 0
+    for machine, start in sections(resolver):
+        for _ in range(2):
+            whole = untraced(machine, start(), RunLimits(max_steps=100_000))
+            budget = rng.randint(1, whole.steps)
+            t = untraced(machine, start(), RunLimits(max_steps=budget)).config.tape
+            cap = max(1, t._hi1 - t._lo1 + 1 - rng.randint(0, 40)) if t._hi1 >= t._lo1 else 1
+            watch = tuple(rng.sample(sorted(machine.states), rng.choice([0, 0, 1])))
+            with Spy() as spy:
+                on, off = both(machine, start, RunLimits(budget, cap), watch)
+            assert on == off, (machine.name, budget, cap, watch)
+            runs += 1
+            through_rules += bool(spy.credited)
+    assert runs == 100 and through_rules >= 50
+
+
+# Steps at each entry into the Brocard guard b.Mf from a blank tape, as the
+# machine reaches them one transition at a time; the first seven took about
+# 5 s before the rules.
+GUARD_STEPS = [54, 600, 12594, 447290, 22238882, 1444879772, 119315309536, 12036688579090]
+
+
+def test_brocard_reaches_its_n10_guard(brocard_ref):
+    config, steps = None, []
+    for _ in GUARD_STEPS:
+        out = run(brocard_ref.machine, config, RunLimits(max_steps=10**14), watch=("b.Mf",))
+        assert out.kind == WATCH
+        config = out.config
+        steps.append(out.steps)
+    assert steps == GUARD_STEPS
+    assert config.tape.blocks() == [10, 362880, 3265920]  # n = 10, 9! and 10! - 9!
