@@ -17,13 +17,20 @@ scans k times in closed form with the outcome, steps, tape, 1-extent and
 read profile of the run one transition at a time.  Traced and
 cycle-checked runs never scan, so they never use a rule.
 
-Cycle detection keeps no tape per step.  Its store maps a fixed-size key,
-(state, head - lo, width of the support, hash of the support's bytes), to
-every step that produced it, so a hash collision hides no older
+Cycle detection keeps no tape per step, and hashes no tape per step.  It
+keeps h, the sum of R^(c - head) mod P over the cells c that hold 1 (P =
+2^61 - 1, R a fixed primitive root): the tape seen from the head, a
+rolling hash after Karp and Rabin.  h is computed once from the start
+tape, and each executed transition updates it in O(1) with one factor
+per transition entry.  Configurations equal up to translation have equal
+h, so no repeat is missed.  The store maps one int, folding h and the
+transition entry read (the state and the symbol under the head), to
+every step that produced it, so a collision hides no older
 configuration.  A key match is confirmed exactly: a clone of the start
-configuration, taken when the run began, is rerun unobserved to the
-earlier step, and the two `fingerprint`s must be equal; when they differ
-the step is stored and the run goes on.
+configuration, taken when the run began, is rerun unobserved through the
+earlier steps with that key, in one pass, and the `fingerprint`s must be
+equal at one of them; when none is, the step is stored and the run goes
+on.  Only a key match takes a `fingerprint`.
 
 Scanned and single-stepped runs produce identical outcomes, step counts
 and tapes; the property suite asserts this on random machines against
@@ -76,9 +83,12 @@ class RunLimits:
     The refused write is not executed and the run reports memory_limit
     with the exact step count.  `cycle_check` keys every
     configuration, so the run executes one transition at a time and stops
-    with kind cycle at the first exact repeat (translation invariant).  It
-    stores about 230 bytes per step, whatever the support's width, and
-    confirms a key match by rerunning the start to the earlier step.
+    with kind cycle at the first exact repeat (translation invariant).  The
+    key folds the state and the symbol read into a hash of the tape seen
+    from the head, which each transition updates in O(1).  The store takes
+    about 110 bytes per step, whatever the support's width, and a key
+    match is confirmed by rerunning the start through the earlier steps
+    with that key.
     """
 
     max_steps: int = DEFAULT_MAX_STEPS
@@ -175,18 +185,33 @@ def fingerprint(state, tape: Tape) -> tuple:
     return (state, tape.head - lo, bytes(tape.buf[tape.org + lo : tape.org + hi + 1]))
 
 
-_support_hash = hash  # the cycle store's hash of a support; a name of its own to stub
+_support_hash = hash  # the store's hash of h (h itself); a name of its own to stub
+_P = (1 << 61) - 1  # a Mersenne prime, the modulus of h
+_R = 0x1E3779B97F4A7C1A  # a primitive root mod _P, the base of h
+_SHIFT = {m: pow(_R, -m, _P) for m in (-1, 1)}  # h's factor when the head moves m
 
 
-def _replayed(cm, start: Configuration, limits: RunLimits, steps: int) -> Configuration:
-    """The configuration of the unobserved run from `start` at `steps`.
+def _tape_hash(tape: Tape) -> int:
+    """h = the sum of R^(c - head) mod P over the cells c that hold 1.
+
+    Configurations equal up to translation have equal h.
+    """
+    lo, hi = tape.support()
+    h = 0
+    for b in reversed(tape.buf[tape.org + lo : tape.org + hi + 1]):
+        h = (h * _R + b) % _P
+    return h * pow(_R, lo - tape.head, _P) % _P
+
+
+def _replayed(cm, past: Configuration, cap: int, steps: int) -> Configuration:
+    """`past`, an earlier configuration of the run, run on to `steps`.
 
     The run went on past `steps` before, so the replay stops there on its
-    budget, with the scan on and nothing traced, watched or profiled.
+    budget, with the scan on and nothing traced, watched or profiled.  It
+    takes over `past`'s tape.
     """
-    budget = RunLimits(steps, limits.max_support_cells)
     unwatched = (False,) * len(cm.names)
-    return _run(cm, start.clone(), budget, unwatched, None, None).config
+    return _run(cm, past, RunLimits(steps, cap), unwatched, None, None).config
 
 
 def _outcome(kind, cm, tape, state_idx, steps, exit_name=None, **kw) -> RunOutcome:
@@ -212,11 +237,18 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
     lo1, hi1 = tape._lo1, tape._hi1  # over-approximate 1-bounds, in cells
     cycle_check = limits.cycle_check
     scan = not cycle_check and trace is None  # observers see every step
-    # (state, head-lo, width, support hash) -> the first step with that key,
-    # and the later steps of keys that matched an unequal configuration
-    seen: dict = {}
-    later: dict = {}
-    start = config.clone() if cycle_check else None
+    if cycle_check:
+        # h is `_tape_hash` of the configuration at hand: entry j writes,
+        # then moves, so executing it makes h into h * shift[j] + bump[j]
+        h = _tape_hash(tape)
+        shift = [_SHIFT[m] for m in move]
+        bump = [(w - (j & 1)) * shift[j] % _P for j, w in enumerate(write)]
+        n_entries = len(write)
+        # _support_hash(h) * n_entries + j -> the first step with that key,
+        # and the later steps of keys that matched an unequal configuration
+        seen: dict = {}
+        later: dict = {}
+        start = config.clone()
     prover = None  # made at the first long scan
 
     def sync():
@@ -231,25 +263,27 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
         size = len(buf)
 
     while steps < max_steps:
-        if cycle_check:
-            sync()
-            full = fingerprint(state, tape)
-            key = (state, full[1], len(full[2]), _support_hash(full[2]))
-            first = seen.setdefault(key, steps)
-            if first != steps:
-                for prev in (first, *later.get(key, ())):
-                    past = _replayed(cm, start, limits, prev)
-                    if fingerprint(cm.index[past.state], past.tape) == full:
-                        return _outcome(
-                            CYCLE, cm, tape, state, steps, first_visit=prev, period=steps - prev
-                        )
-                later.setdefault(key, []).append(steps)
         p = org + head
         if not 0 <= p < size:
             grown(head)
             p = org + head
         sym = buf[p]
         j = 2 * state + sym
+        if cycle_check:
+            key = _support_hash(h) * n_entries + j
+            first = seen.setdefault(key, steps)
+            if first != steps:
+                sync()
+                full = fingerprint(state, tape)
+                past = start.clone()
+                for prev in (first, *later.get(key, ())):  # in step order
+                    past = _replayed(cm, past, cap, prev)
+                    if fingerprint(cm.index[past.state], past.tape) == full:
+                        return _outcome(
+                            CYCLE, cm, tape, state, steps, first_visit=prev, period=steps - prev
+                        )
+                later.setdefault(key, []).append(steps)
+            h = (h * shift[j] + bump[j]) % _P
         if reads is not None:
             reads[j] = 1
         t = target[j]

@@ -297,7 +297,7 @@ def test_cycle_check_survives_colliding_keys(data):
         assert_cycle_check_matches_reference(data)
 
 
-@pytest.mark.parametrize("states, head, first_visit, period", [
+COLLIDING = [
     # A flips the middle cell and B walks back, so A and B each stand in
     # two configurations alike but for that cell: the repeat is of the
     # older of two keys that match
@@ -307,10 +307,17 @@ def test_cycle_check_survives_colliding_keys(data):
     # repeat is of the newer
     ({"A": (Action(0, -1, "A"), Action(1, -1, "B")),
       "B": (Action(1, 1, "A"), Action(1, 1, "A"))}, 2, 2, 2),
-])
+]
+
+
+def colliding_start(head):
+    return Configuration("A", Tape.from_blocks([1, 1], head=head))  # 1 0 1
+
+
+@pytest.mark.parametrize("states, head, first_visit, period", COLLIDING)
 def test_colliding_configurations_are_told_apart(states, head, first_visit, period):
     m = Machine("collide", "A", states)
-    start = Configuration("A", Tape.from_blocks([1, 1], head=head))  # 1 0 1
+    start = colliding_start(head)
     want = (CYCLE, first_visit + period, first_visit, period)
     for support_hash in (hash, lambda support: 0):
         with mock.patch.object(engine, "_support_hash", support_hash):
@@ -319,19 +326,79 @@ def test_colliding_configurations_are_told_apart(states, head, first_visit, peri
     assert checked_run(m, start.clone(), 50)[::2] == (CYCLE, first_visit)
 
 
+def test_cycle_check_sees_a_repeat_translated_off_the_start_tape():
+    # the eraser wipes 1 1 and walks on over blank: step 3 is step 2
+    # translated, which the hash sees only if it took the start tape's
+    # cells, and every write and move since, alike
+    eraser = Machine("eraser", "A", {"A": (Action(0, 1, "A"), Action(0, 1, "A"))})
+    start = Configuration("A", Tape.from_blocks([2]))
+    out = run(eraser, start.clone(), RunLimits(max_steps=50, cycle_check=True))
+    assert (out.kind, out.steps, out.first_visit, out.period) == (CYCLE, 3, 2, 1)
+    assert checked_run(eraser, start.clone(), 50)[::2] == (CYCLE, 2)
+
+
+# no literal self-loop, one more cell of support every step and no repeat
+SPINNER = Machine("spinner", "A", {"A": (Action(1, 1, "B"), Action(1, 1, "B")),
+                                   "B": (Action(1, 1, "A"), Action(1, 1, "A"))})
+
+
 def test_cycle_store_keeps_no_tape_per_step():
-    # no literal self-loop, one more cell of support every step and no
-    # repeat: a copy of each tape would take about 32 MB
-    spinner = Machine("spinner", "A", {"A": (Action(1, 1, "B"), Action(1, 1, "B")),
-                                       "B": (Action(1, 1, "A"), Action(1, 1, "A"))})
-    tracemalloc.start()
-    try:
-        out = run(spinner, limits=RunLimits(max_steps=8000, cycle_check=True))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.kind == STEP_LIMIT and out.steps == 8000
-    assert peak < 4 << 20
+    # a copy of each tape would take about 32 MB at 8,000 steps and 512 MB
+    # at 32,000; the store's key and step take a fixed size
+    for steps, bound in ((8000, 4 << 20), (32000, 6 << 20)):
+        tracemalloc.start()
+        try:
+            out = run(SPINNER, limits=RunLimits(max_steps=steps, cycle_check=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.kind == STEP_LIMIT and out.steps == steps
+        assert peak < bound
+
+
+def test_cycle_check_fingerprints_only_on_a_key_match(monkeypatch):
+    # the exact key is taken only to confirm a key match: of the current
+    # configuration and of each earlier one replayed
+    calls = []
+
+    def counted(state, tape):
+        key = fingerprint(state, tape)
+        calls.append(key)
+        return key
+
+    monkeypatch.setattr(engine, "fingerprint", counted)
+    out = run(SPINNER, limits=RunLimits(max_steps=8000, cycle_check=True))
+    assert out.steps == 8000 and calls == []
+    cases = [(Machine("collide", "A", states), colliding_start(head))
+             for states, head, _, _ in COLLIDING]
+    # two states on one blank tape: only the state tells their keys apart
+    walker = Machine("walker", "A", {"A": (Action(0, 1, "B"), None),
+                                     "B": (Action(0, 1, "A"), None)})
+    cases.append((walker, Configuration("A")))
+    for m, start in cases:
+        index = compile_machine(m).index
+        trail = checked_run(m, start.clone(), 50)[1]
+        exact = [fingerprint(index[c.state], c.tape) for c in trail]
+        # with the real hash only the repeat itself matches a key, and it
+        # is confirmed by one replay; with every support hashing alike,
+        # only configurations of one state may share a key
+        for support_hash, key in ((hash, exact), (lambda h: 0, [k[0] for k in exact])):
+            matched = {f for f, k in zip(exact, key) if key.count(k) > 1}
+            calls.clear()
+            with mock.patch.object(engine, "_support_hash", support_hash):
+                assert run(m, start.clone(), RunLimits(50, cycle_check=True)).kind == CYCLE
+            assert calls and set(calls) <= matched
+            if support_hash is hash:
+                assert calls == [exact[-1]] * 2
+
+
+def test_cycle_check_leaves_long_runs_unchanged(fermat_composed, brocard_ref):
+    # supports of 368 and 430 cells, far past what the properties draw
+    for m in (fermat_composed.machine, brocard_ref.machine):
+        plain, checked = (run(m, limits=RunLimits(100_000, cycle_check=c)) for c in (False, True))
+        assert plain.kind == checked.kind == STEP_LIMIT
+        assert_same_run(plain, checked)
+        assert plain.config.tape.support_size() > 300
 
 
 def test_a_machine_compiles_once(monkeypatch):
