@@ -1,21 +1,27 @@
 """Execution engine: budgeted runs, cycle detection, tracing, fingerprints.
 
-One run loop serves every run.  It recognizes self-loop transitions
-(state maps to itself on the symbol under the head) and processes the
-whole uniform run of that symbol in one memchr/memset pass, crediting
-the exact number of steps; everything else executes one transition per
-iteration.  One scan serves both directions: only the search differs
-(`find` rightward, `rfind` leftward), and the budget clamp, the fill,
-the memory stop and the endless glide over blank are shared.  A fill of
-1s obeys the single-step memory rule in closed form: it takes as many
-cells as one transition at a time would, and no more.  Cycle detection
-and tracing observe every configuration, so they turn the scan off, and
-nothing else: the stop rules are the same whether or not a run is
-observed.  A scan across at least `LONG_SCAN` cells may hand the run to
-a proven shuttle rule (`rules.py`), which applies a repeating cycle of
-scans k times in closed form with the outcome, steps, tape, 1-extent and
-read profile of the run one transition at a time.  Traced and
-cycle-checked runs never scan, so they never use a rule.
+One run loop serves every run.  It recognizes sweeps: a cycle of k >= 1
+states (k = 1 is a self-loop) that all read the symbol under the head
+and move the same way.  `compile_machine` finds each entry's cycle once,
+so the loop only looks it up.  A sweep crosses the whole uniform run of
+that symbol ahead in one memchr pass and one fill of the cycle's writes,
+tiled, crediting the exact number of steps and ending in the state the
+crossing's length reaches in the cycle; everything else executes one
+transition per iteration.  One scan serves both directions: only the
+search differs (`find` rightward, `rfind` leftward), and the budget
+clamp, the fill, the memory stop and the endless glide over blank of a
+cycle that writes only 0s are shared.  A fill's 0->1 writes obey the
+single-step memory rule: the crossing stops short of the first write the
+rule refuses, and the next iteration refuses it.  A sweep through k > 1
+states enters each of them, so a run with a watched state in the cycle
+steps it one transition at a time.  Cycle detection and tracing observe
+every configuration, so they turn the scan off, and nothing else: the
+stop rules are the same whether or not a run is observed.  A self-loop
+scan across at least `LONG_SCAN` cells may hand the run to a proven
+shuttle rule (`rules.py`), which applies a repeating cycle of scans k
+times in closed form with the outcome, steps, tape, 1-extent and read
+profile of the run one transition at a time.  Traced and cycle-checked
+runs never scan, so they never use a rule.
 
 Cycle detection keeps no tape per step, and hashes no tape per step.  It
 keeps h, the sum of R^(c - head) mod P over the cells c that hold 1 (P =
@@ -37,12 +43,12 @@ and tapes; the property suite asserts this on random machines against
 the reference `step` in `tests/stepping.py`, one pure transition at a
 time.  The scan sustains well over 10^7 credited steps per second on
 the unary-arithmetic tables this package ships, whose inner loops are
-long scans.  A transition that is not a self-loop makes no function
-call: the 1-extent, the buffer's size and the watch test are kept in
-locals.  Such transitions run at about 2×10^6 per second (1.6-2.9
-M/s, CPython 3.11 on a 2-core x86 host), timed on the 2-state machine
-A0:1RB A1:0RB B0:1LA B1:0LA, which has no self-loop and flips the two
-cells it visits, over 3×10^5 steps, best of 7 runs.
+long scans.  A transition that is not a sweep makes no function call:
+the 1-extent, the buffer's size and the watch test are kept in locals.
+Such transitions run at about 2×10^6 per second (1.6-2.9 M/s, CPython
+3.11 on a 2-core x86 host), timed on the 2-state machine A0:1RB A1:0RB
+B0:1LA B1:0LA, which has no sweep (A moves right, B left) and flips
+the two cells it visits, over 3×10^5 steps, best of 7 runs.
 """
 
 from __future__ import annotations
@@ -67,7 +73,6 @@ WATCH = "watch"
 
 DEFAULT_MAX_STEPS = 10**8
 DEFAULT_MAX_SUPPORT = 1 << 22
-_FILL = (b"\x00", b"\x01")  # one cell of each symbol, for the scan's fills
 
 
 @dataclass(frozen=True)
@@ -236,7 +241,15 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
     head = tape.head
     lo1, hi1 = tape._lo1, tape._hi1  # over-approximate 1-bounds, in cells
     cycle_check = limits.cycle_check
-    scan = not cycle_check and trace is None  # observers see every step
+    sweep = cm.sweep
+    if cycle_check or trace is not None:
+        sweep = (None,) * len(write)  # observers see every step
+    elif cm.cycles and True in watched:
+        # a sweep through k > 1 states enters each of them
+        sweep = list(sweep)
+        for j in cm.cycles:
+            if any(watched[e >> 1] for e in sweep[j][3]):  # its entries
+                sweep[j] = None
     if cycle_check:
         # h is `_tape_hash` of the configuration at hand: entry j writes,
         # then moves, so executing it makes h into h * shift[j] + bump[j]
@@ -286,20 +299,20 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
             h = (h * shift[j] + bump[j]) % _P
         if reads is not None:
             reads[j] = 1
-        t = target[j]
-        if t == state and scan:
-            # Self-loop on `sym`: consume the whole uniform run at once.
-            # Only the search depends on the direction; q < 0 means the
-            # run reaches the buffer's edge.
+        if sweep[j] is not None:
+            # A cycle of k states (k = 1: a self-loop) that read `sym` and
+            # move one way crosses the whole uniform run ahead at once.
+            # Only the search depends on the direction; q < 0 means the run
+            # reaches the buffer's edge, which the next iteration grows.
+            k, fill, first1, entries = sweep[j]
             m = move[j]
-            w = write[j]
             if m > 0:
                 q = buf.find(1 - sym, p)
                 n = (size if q < 0 else q) - p
             else:
                 q = buf.rfind(1 - sym, 0, p + 1)
                 n = p - q
-            if n >= LONG_SCAN:
+            if n >= LONG_SCAN and k == 1:
                 if prover is None:
                     prover = Prover(cm, watched)
                 if prover.due(j):
@@ -311,42 +324,49 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
                         lo1, hi1 = tape._lo1, tape._hi1
                         size = len(buf)
                         continue
-            if n > max_steps - steps:
+            if q < 0 and not sym and fill is None:
+                n = max_steps - steps  # gliding over blank forever: no 1 ahead anywhere
+            elif n > max_steps - steps:
                 n = max_steps - steps
-            if w != sym:
-                k = n
-                if w:
-                    # n writes of 0->1 under the single-step rule: each is
-                    # refused once the 1-extent widened to its cell would
-                    # pass `cap` cells, so k of them are taken
-                    lo, hi = (head, head) if hi1 < lo1 else (min(lo1, head), max(hi1, head))
+            if fill is not None:
+                if first1 is not None and first1 < n:
+                    # the single-step rule on the 0->1 writes: the crossing
+                    # stops short of the first one that would widen the
+                    # 1-extent past `cap` cells, and the next iteration
+                    # refuses it
+                    c = head + m * first1
+                    lo, hi = (c, c) if hi1 < lo1 else (min(lo1, c), max(hi1, c))
                     if hi - lo >= cap:
-                        k = 0
-                    elif m > 0:
-                        k = min(n, cap - (head - lo))
-                        lo1, hi1 = lo, max(hi, head + k - 1)
+                        n = first1
                     else:
-                        k = min(n, cap - (hi - head))
-                        lo1, hi1 = min(lo, head - k + 1), hi
-                a = p if m > 0 else p - k + 1
-                buf[a : a + k] = _FILL[w] * k
-                if k < n:
-                    head += m * k
-                    steps += k
-                    sync()
-                    return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
+                        # the cells from offset `lim` on lie past `cap` cells
+                        lim = lo + cap - head if m > 0 else head - hi + cap
+                        if lim < n:
+                            r = lim % k
+                            n = min(n, lim - r + (fill * 2).index(1, r))
+                    if not n:  # the write at the head is the one refused
+                        sync()
+                        return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
+                a = p if m > 0 else p - n + 1
+                if k == 1:
+                    buf[a : a + n] = fill * n
+                else:
+                    tiles = fill * (n // k) + fill[: n % k]
+                    buf[a : a + n] = tiles if m > 0 else tiles[::-1]
+                if first1 is not None and first1 < n:
+                    if m > 0:
+                        lo1, hi1 = lo, max(hi, buf.rfind(1, a, a + n) - org)
+                    else:
+                        lo1, hi1 = min(lo, buf.find(1, a, a + n) - org), hi
             head += m * n
             steps += n
-            if steps >= max_steps:
-                break
-            if q < 0:
-                if sym == 0 and w == 0:
-                    # gliding over blank forever: no 1 ahead anywhere
-                    head += m * (max_steps - steps)
-                    steps = max_steps
-                    break
-                grown(head)
+            if k > 1:
+                state = entries[n % k] >> 1
+                if reads is not None:
+                    for e in entries[1:n]:
+                        reads[e] = 1
             continue
+        t = target[j]
         if t == NO_ACTION:
             sync()
             return _outcome(HALTED, cm, tape, state, steps)

@@ -108,6 +108,18 @@ class CompiledMachine:
     transition; ``target`` holds the successor's index, ``-1`` when the
     successor is undefined, external, or the halt marker (the successor
     name is then in ``exit_name``), and ``-2`` when no action exists.
+    ``sweep`` holds, per entry, the cycle of k >= 1 states that entry
+    starts, all reading its symbol and moving one way (k = 1: a
+    self-loop), or None.  Started on a run of that symbol, the cycle
+    crosses it: the i-th cell gets the write of the cycle's (i mod k)-th
+    entry.  The cycle is the plain tuple ``(k, fill, first1, entries)``
+    (the loop unpacks it, which a tuple subclass would slow): ``fill`` is
+    the k writes in cycle order, or None when each entry writes the symbol
+    it reads; ``first1`` is the offset of the first 0->1 write, or None
+    when there is none; ``entries`` lists the k entries, this one first,
+    or is None for a self-loop, so all self-loops share four values.
+    ``cycles`` lists the entries whose cycle has k > 1 states, the ones a
+    watch can interrupt.
     """
 
     names: tuple[str, ...]
@@ -117,6 +129,17 @@ class CompiledMachine:
     target: tuple[int, ...]
     exit_name: tuple[str | None, ...]
     start: int
+    sweep: tuple[tuple | None, ...]
+    cycles: tuple[int, ...]
+
+
+# the self-loop on (symbol, write): (k, fill, first1, entries)
+_SELF_LOOPS = {
+    (0, 0): (1, None, None, None),
+    (0, 1): (1, b"\x01", 0, None),
+    (1, 0): (1, b"\x00", None, None),
+    (1, 1): (1, None, None, None),
+}
 
 
 NO_ACTION = -2
@@ -145,6 +168,7 @@ def compile_machine(machine: Machine) -> CompiledMachine:
             else:
                 target[j] = t
     start = index.get(machine.start, EXIT)
+    sweep, cycles = _sweeps(write, move, target)
     return CompiledMachine(
         names=names,
         index=MappingProxyType(index),
@@ -153,4 +177,55 @@ def compile_machine(machine: Machine) -> CompiledMachine:
         target=tuple(target),
         exit_name=tuple(exit_name),
         start=start,
+        sweep=tuple(sweep),
+        cycles=tuple(cycles),
     )
+
+
+def _sweeps(write, move, target) -> tuple[list, list[int]]:
+    """Each entry's cycle, or None when it starts no cycle of one move,
+    and the entries whose cycle has k > 1 states.
+
+    Entry j = 2s + symbol leads to entry 2t + symbol when s goes to the
+    state t, so the entries of one symbol form a functional graph.  Each
+    entry is walked once, and every cycle found whose entries all move one
+    way gives each of its k entries the cycle as seen from there.
+    """
+    sweep: list[tuple | None] = [None] * len(write)
+    cycles: list[int] = []
+    walk = [-1] * len(write)  # the first entry of the walk that reached each
+    for j0 in range(len(write)):
+        j = j0
+        while walk[j] < 0:
+            walk[j] = j0
+            t = target[j]
+            if t < 0:
+                break
+            j = 2 * t + (j & 1)
+        else:
+            if walk[j] != j0:
+                continue  # the walk met an earlier walk
+            sym = j & 1
+            if target[j] == j >> 1:
+                sweep[j] = _SELF_LOOPS[sym, write[j]]
+                continue
+            cycle = [j]
+            e = 2 * target[j] + sym
+            while e != j:
+                cycle.append(e)
+                e = 2 * target[e] + sym
+            if len(set(map(move.__getitem__, cycle))) > 1:
+                continue
+            k = len(cycle)
+            writes = bytes(map(write.__getitem__, cycle))
+            changes = writes.count(sym) < k
+            for i, e in enumerate(cycle):
+                w = writes[i:] + writes[:i]
+                sweep[e] = (
+                    k,
+                    w if changes else None,
+                    w.find(1) if changes and not sym else None,
+                    tuple(cycle[i:] + cycle[:i]),
+                )
+            cycles += cycle
+    return sweep, cycles

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from unittest import mock
 
@@ -233,7 +234,8 @@ def test_scan_matches_single_step(data):
         assert tape.head == head  # the tape a trace sees is up to date
         traced.append((steps, state, head, tape.support()))
 
-    scanned = go()
+    profile = set()
+    scanned = go(profile=profile)
     assert_same_run(scanned, go(trace=trace))
     checked = go(RunLimits(budget, cap, cycle_check=True))
     if checked.kind != CYCLE:
@@ -244,7 +246,63 @@ def test_scan_matches_single_step(data):
     assert scanned.config.state == ref.state
     assert scanned.config.tape.head == ref.tape.head
     assert scanned.config.tape.content_equal(ref.tape)
+    assert extent(scanned.config.tape) == extent(ref.tape)
+    assert profile == read_profile(m, kind, trail)
     assert traced == [(c.steps, c.state, c.tape.head, c.tape.support()) for c in trail[1:]]
+
+
+def extent(tape):
+    """The cells that have held 1s, the bounds the memory cap is kept on."""
+    return tape._lo1, tape._hi1
+
+
+@st.composite
+def sweepers(draw):
+    """(machine, cycle, symbol): 2-5 states built around a cycle of 2-4
+    of them that all read `symbol` and move one way, with random writes;
+    the other entries are random, missing, or lead to HALT or an exit."""
+    k = draw(st.integers(2, 4))
+    names = [chr(65 + i) for i in range(draw(st.integers(k, 5)))]
+    cycle = draw(st.permutations(names))[:k]
+    sym, move = draw(st.integers(0, 1)), draw(st.sampled_from([-1, 1]))
+    action = st.builds(Action, st.integers(0, 1), st.sampled_from([-1, 1]),
+                       st.sampled_from(names + [HALT, "ext"]))
+    states = {}
+    for name in names:
+        acts = [draw(st.one_of(st.none(), action)) for _ in (0, 1)]
+        if name in cycle:
+            acts[sym] = Action(draw(st.integers(0, 1)), move, cycle[(cycle.index(name) + 1) % k])
+        elif acts == [None, None]:
+            acts[0] = Action(1, 1, HALT)
+        states[name] = tuple(acts)
+    return Machine("sweeper", cycle[0], states), cycle, sym
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sweep_matches_single_step(data):
+    # blocks past LONG_SCAN, caps that cut a crossing short, watches in
+    # the cycle: every field a run returns, against one step at a time
+    m, cycle, sym = data.draw(sweepers())
+    blocks = data.draw(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 200)), max_size=3))
+    tape = Tape.from_blocks(blocks) if blocks else Tape()
+    near = range(-5, sum(blocks) + len(blocks) + 5)
+    # mostly on a cell the cycle reads, so that it crosses a run at once
+    facing = [c for c in near if tape.read(c) == sym] or near
+    tape.head = data.draw(st.one_of(st.sampled_from(facing), st.sampled_from(near)))
+    budget = data.draw(st.integers(0, 1000))
+    cap = data.draw(st.one_of(st.just(1 << 22), st.integers(1, 300), st.integers(1, 30)))
+    watch = data.draw(st.one_of(st.just(()), st.lists(st.sampled_from(cycle), min_size=1, max_size=2)))
+    profile = set()
+    out = run(m, Configuration(m.start, tape.clone()), RunLimits(budget, cap),
+              watch=tuple(watch), profile=profile)
+    kind, trail = stepped_run(m, Configuration(m.start, tape.clone()), budget, watch, cap=cap)
+    ref = trail[-1]
+    assert (out.kind, out.steps, out.config.state) == (kind, ref.steps, ref.state)
+    assert out.config.tape.head == ref.tape.head
+    assert out.config.tape.content_equal(ref.tape)
+    assert extent(out.config.tape) == extent(ref.tape)
+    assert profile == read_profile(m, kind, trail)
 
 
 def cells(tape):
@@ -252,9 +310,21 @@ def cells(tape):
     return lo, tape.snapshot(lo, hi + 1)
 
 
+@st.composite
+def erasers(draw):
+    """Erasing walkers: 1-3 states that write 0 and move one way on every
+    read.  Run over a non-blank tape, one wipes the 1s ahead and repeats
+    translated off the start tape, which only a hash that took the start
+    tape, and every write and move since, alike tells apart."""
+    names = [chr(65 + i) for i in range(draw(st.integers(1, 3)))]
+    move = draw(st.sampled_from([-1, 1]))
+    action = st.builds(Action, st.just(0), st.just(move), st.sampled_from(names))
+    return Machine("eraser", "A", {name: (draw(action), draw(action)) for name in names})
+
+
 def assert_cycle_check_matches_reference(data):
-    m = data.draw(st.one_of(machines(), machines(halts=False)))
-    blocks = data.draw(st.lists(st.integers(1, 6), max_size=3))
+    m = data.draw(st.one_of(machines(), machines(halts=False), erasers()))
+    blocks = data.draw(st.lists(st.integers(1, 6), min_size=1 if m.name == "eraser" else 0, max_size=3))
     tape = Tape.from_blocks(blocks) if blocks else Tape()
     tape.head = data.draw(st.integers(-3, 8))
     start = Configuration(m.start, tape, data.draw(st.sampled_from([0, 0, 0, 1, 40])))
@@ -496,6 +566,61 @@ def test_memory_cap_edges(states, blocks, head, move, steps, support):
     assert out.config.tape.support() == support
 
 
+def ring(writes, move, sym=0):
+    """A cycle of states A, B, ... that read `sym`, the i-th writing
+    writes[i] and moving `move`; nothing else is defined."""
+    names = "ABCD"[: len(writes)]
+    states = {}
+    for i, name in enumerate(names):
+        acts = [None, None]
+        acts[sym] = Action(int(writes[i]), move, names[(i + 1) % len(names)])
+        states[name] = tuple(acts)
+    return Machine("ring", "A", states)
+
+
+@pytest.mark.parametrize("fill", ["10", "01", "110"])
+@pytest.mark.parametrize("move", [1, -1])
+@pytest.mark.parametrize("blocks", [[], [3], [3, 3]])
+@pytest.mark.parametrize("gap", [0, 1])
+def test_sweep_memory_cap_edges(fill, move, blocks, gap):
+    # a cycle filling blank with `fill` tiled under a cap of 5 cells:
+    # from blank, beside 3 cells, and beside 7 (no 0->1 write allowed)
+    m = ring(fill, move)
+    tape = Tape.from_blocks(blocks)
+    width = sum(blocks) + len(blocks) - 1
+    tape.head = width + gap if move > 0 else -1 - gap
+    out = run(m, Configuration("A", tape.clone()), RunLimits(100, max_support_cells=5))
+    kind, trail = stepped_run(m, Configuration("A", tape.clone()), 100, cap=5)
+    ref = trail[-1]
+    assert (out.kind, out.steps, out.config.state) == (kind, ref.steps, ref.state)
+    assert kind == MEMORY_LIMIT
+    assert out.config.tape.head == ref.tape.head
+    assert out.config.tape.content_equal(ref.tape)
+    assert extent(out.config.tape) == extent(ref.tape)
+
+
+def test_watched_state_stops_a_sweep_at_its_first_entry():
+    m = ring("101", 1)
+    for watch, steps in ((("C",), 2), (("A",), 3), (("B", "C"), 1)):
+        out = run(m, limits=RunLimits(100), watch=watch)
+        kind, trail = stepped_run(m, Configuration("A"), 100, watch)
+        assert (out.kind, out.steps, out.config.state) == (WATCH, steps, trail[-1].state)
+        assert out.watched_state == out.config.state
+        assert out.config.tape.content_equal(trail[-1].tape)
+
+
+def test_short_run_marks_only_the_entries_it_read():
+    # four states cross a run of two 1s: A and B read 1, then C reads 0
+    # and halts; C1 and D1 are never read
+    m = ring("1111", 1, sym=1)
+    profile = set()
+    start = Configuration("A", Tape.from_blocks([2]))
+    out = run(m, start.clone(), RunLimits(100), profile=profile)
+    assert (out.kind, out.steps, out.config.state) == (HALTED, 2, "C")
+    assert profile == {("A", 1), ("B", 1), ("C", 0)}
+    assert profile == read_profile(m, *stepped_run(m, start.clone(), 100))
+
+
 def test_budget_clamp_inside_erasing_run():
     eraser = Machine("erase", "A", {"A": (None, Action(0, 1, "A"))})
     tape = Tape.from_blocks([50])
@@ -510,6 +635,18 @@ def test_glide_left_over_blank_consumes_budget():
     out = run(glider, limits=RunLimits(max_steps=10**7))
     assert out.kind == STEP_LIMIT and out.steps == 10**7
     assert out.config.tape.head == -(10**7)
+    assert out.config.tape.support_size() == 0
+
+
+@pytest.mark.parametrize("move", [1, -1])
+def test_three_state_glide_over_blank_in_closed_form(move):
+    # one step at a time this takes minutes; the sweep credits it at once
+    started = time.perf_counter()
+    out = run(ring("000", move), limits=RunLimits(max_steps=10**8))
+    assert time.perf_counter() - started < 5
+    assert out.kind == STEP_LIMIT and out.steps == 10**8
+    assert out.config.tape.head == move * 10**8
+    assert out.config.state == "ABC"[10**8 % 3]
     assert out.config.tape.support_size() == 0
 
 
