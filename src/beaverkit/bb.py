@@ -6,19 +6,21 @@ target in states-plus-halt.  It walks Brady's tree normal form: an entry
 is chosen only when a run first reads it, and the tree branches there
 over every action, so one leaf covers every completion of the entries
 its run never read.  A leaf halts (the halting transition counts as a
-step) or is proven non-halting by one of three sound deciders:
+step) or is proven non-halting by one of two sound deciders:
 
-* no undefined entry and no halting rule is reachable in the graph;
-* a configuration repeats exactly (translation invariant): the engine's
-  cycle check;
-* a translated cycle: the head breaks its positional record twice in the
-  same state and the tape, compared inward as deep as the run excursed
-  between the two records (padded by the drift), matches shifted - so
-  the run replays forever, displaced.
+* no undefined entry and no halting rule is reachable in the state graph;
+* a closed position set (CPS) of k-grams, for k = 1 ... `CPS_MAX`
+  (bbchallenge collaboration, "Determination of the fifth Busy Beaver
+  value", 2025).  Sets L and R hold the k-grams that may stand left and
+  right of the head, both {0^k} at first, and the local configurations
+  (state, left k-gram, symbol, right k-gram) are closed under the
+  transitions from the blank one.  The closure holds every configuration
+  a run can reach, seen k cells each side of the head, so when it reads
+  no undefined or halting entry no completion of the leaf halts.
 
-The last two come from `engine.run` from a blank tape, cycle check on,
-the third decider its `trace` observer.  A verdict depends only on the
-entries the run read, so every completion of the leaf shares it.
+A child neither decider settles runs once from a blank tape, unobserved
+and up to the step cap: the run finds the undefined entry it halts on,
+which opens next, or leaves the child inconclusive.
 
 A value is only reported when zero machines remain unclassified at the
 step cap; otherwise the search refuses rather than guess.
@@ -27,13 +29,11 @@ step cap; otherwise the search refuses rather than guess.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .engine import CYCLE, HALTED, STEP_LIMIT, RunLimits, RunOutcome, fingerprint, run
 from .machine import HALT, Action, Machine, move_name, state_count
 from .tables import serialize_machine
-from .tape import Tape
 from .textfile import Lines, load
 
 try:  # the built-in module; `hashlib` would also map OpenSSL's libcrypto
@@ -275,7 +275,7 @@ def brute_force_bb(n: int, step_cap: int = 200) -> BruteForceResult:
     if step_cap < 1:
         raise ValueError("step cap must be positive")
     opts = [(w, m, t) for w in (0, 1) for m in (-1, 1) for t in [*range(n), -1]]
-    tally = dict.fromkeys(("halt", "cycle", "translated", "no_halt_rule", "inconclusive"), 0)
+    tally = dict.fromkeys(("halt", "closed", "no_halt_rule", "inconclusive"), 0)
     halts = []
     for prog, (kind, steps) in _leaves(n, step_cap, opts):
         tally[kind] += len(opts) ** prog.count(None)
@@ -293,9 +293,10 @@ def _leaves(n: int, cap: int, opts: list):
     """``(program, (kind, steps))`` for every leaf; None marks a free entry.
 
     An entry opened at step s branches over every action of `opts`: a
-    halt is a leaf at s + 1, and any other child is judged by decider 1
-    or by a run from a blank tape.  No child holds a halting rule, so a
-    run halts only on an undefined entry, and that entry opens next.
+    halt is a leaf at s + 1, and any other child is judged by decider 1,
+    then by `_judge`.  No child holds a halting rule, so a run halts only
+    on an undefined entry, and that entry opens next.  A closed leaf's
+    steps are the k of its k-grams.
     """
     stack = [((None,) * (2 * n), 0, 0)]  # (program, open entry, step it is read at)
     while stack:
@@ -307,7 +308,7 @@ def _leaves(n: int, cap: int, opts: list):
             elif not _can_halt(child):
                 yield child, ("no_halt_rule", 0)
             else:
-                verdict, read = _simulate(child, n, cap)
+                verdict, read = _judge(child, n, cap)
                 if verdict[0] == "halt":
                     stack.append((child, next(i for i in read if child[i] is None), verdict[1]))
                 else:
@@ -315,7 +316,7 @@ def _leaves(n: int, cap: int, opts: list):
 
 
 _STATE_NAMES = "ABCDEFGH"
-_VERDICTS = {HALTED: "halt", CYCLE: "cycle"}
+CPS_MAX = 5  # the largest k-gram a closed position set tries
 
 
 def machine_from_program(prog, n: int) -> Machine:
@@ -339,80 +340,62 @@ def _can_halt(prog) -> bool:
     return False
 
 
-def _simulate(prog, n: int, cap: int):
-    """Verdict of the blank-tape run of `prog`, and the entries it read;
-    an undefined entry halts the run without a step, and counts as read.
+def _judge(prog, n: int, cap: int):
+    """Verdict of a program decider 1 leaves open, and the entries it rests on.
 
-    An observer cannot stop a run, so the budget starts at 8 steps (most
-    programs are decided within 3) and doubles up to the cap until the
-    verdict falls inside it; a shorter budget cuts the same run short.
+    CPS tries k = 1 ... `CPS_MAX`; ``("closed", k)`` rests on every entry
+    those closures read.  Otherwise the blank-tape run decides: a halt
+    rests on the entries the run read, an undefined one included, since
+    no closure closes a program that halts; a run that stops short of a
+    halt rests on the closures' entries too.
     """
-    machine = machine_from_program(prog, n)
-    budget = min(cap, 8)
-    while True:
-        read: set = set()
-        watch = _RecordWatch(machine.start)
-        out = run(machine, limits=RunLimits(max_steps=budget, cycle_check=True),
-                  trace=watch, profile=read)
-        # a hit at the step the run stopped on loses: to an exact repeat
-        # found there, to the halt, or to a budget it does not fit in
-        if watch.hit is not None and watch.hit < out.steps:
-            verdict = ("translated", watch.hit)
-            break
-        if out.kind != STEP_LIMIT or budget == cap:
-            verdict = (_VERDICTS.get(out.kind, "inconclusive"), out.steps)
-            break
-        budget = min(cap, 2 * budget)
-    if out.halting_state not in (None, HALT):  # an undefined state or action stopped it
-        read.add((out.halting_state, out.config.tape.read(out.config.tape.head)))
-    return verdict, [2 * _STATE_NAMES.index(s) + sym for s, sym in read]
+    tried: set = set()
+    for k in range(1, CPS_MAX + 1):
+        if _closes(prog, k, tried):
+            return ("closed", k), tried
+    reads: set = set()
+    out = run(machine_from_program(prog, n), limits=RunLimits(max_steps=cap), profile=reads)
+    read = {2 * _STATE_NAMES.index(s) + sym for s, sym in reads}
+    if out.kind != HALTED:
+        return ("inconclusive", out.steps), read | tried
+    if out.halting_state != HALT:  # an undefined state or action stopped it
+        tape = out.config.tape
+        read.add(2 * _STATE_NAMES.index(out.halting_state) + tape.read(tape.head))
+    return ("halt", out.steps), read
 
 
-class _RecordWatch:
-    """Decider 3 as a `trace` observer: notes the first translated cycle.
+def _closes(prog, k: int, read: set) -> bool:
+    """Decider 2: does the closed position set of k-grams read no
+    undefined or halting entry?  `read` gains every entry it reads.
 
-    At each right (left) record of the head, the tape is compared with
-    the snapshot of every earlier record in the same state and direction,
-    shifted by the drift.  `trace` sees configuration s before the
-    engine's cycle check of s, so a hit at s stands only if the run went
-    on past s.
+    A k-gram lists cells outward from the head, the nearest first.  A
+    move pushes the written cell onto the k-gram behind the head, and
+    that k-gram joins its side's set; the k-gram ahead becomes any member
+    of its side's set that continues it.  When a set grows, every
+    configuration found so far is expanded again: it may continue into
+    the new k-gram.
     """
-
-    def __init__(self, start: str):
-        self.records: dict = {}  # (state, direction) -> [(step, head, tape)]
-        # (step, head) of every suffix minimum (maximum) of the head so far,
-        # oldest first: the lowest (highest) head since step t is the first
-        # entry at t or later
-        self.lows: list[tuple[int, int]] = []
-        self.highs: list[tuple[int, int]] = []
-        self.rrec, self.lrec = -1, 1
-        self.hit = None
-        self(0, start, 0, Tape())  # the blank start, which `trace` never sees
-
-    def __call__(self, step, state, head, tape) -> None:
-        if self.hit is not None:
-            return
-        for d, isrec in ((1, head > self.rrec), (-1, head < self.lrec)):
-            if not isrec:
-                continue
-            for t1, h1, snap in self.records.get((state, d), ()):
-                drift = (head - h1) * d
-                if drift <= 0:
-                    continue
-                # as deep inward as the run excursed between the records
-                extremes = self.lows if d > 0 else self.highs
-                inward = (extremes[bisect_left(extremes, (t1,))][1] - h1) * d
-                if all(tape.read(head + j * d) == snap.read(h1 + j * d)
-                       for j in range(inward - drift, 1)):
-                    self.hit = step
-                    return
-            self.records.setdefault((state, d), []).append((step, head, tape.clone()))
-        self.rrec = max(self.rrec, head)
-        self.lrec = min(self.lrec, head)
-        lows, highs = self.lows, self.highs
-        while lows and lows[-1][1] >= head:
-            lows.pop()
-        lows.append((step, head))
-        while highs and highs[-1][1] <= head:
-            highs.pop()
-        highs.append((step, head))
+    blank = (0,) * k
+    grams = ({blank}, {blank})  # L, R
+    start = (0, blank, 0, blank)  # state, left k-gram, symbol, right k-gram
+    seen, todo = {start}, [start]
+    while todo:
+        state, left, sym, right = todo.pop()
+        entry = 2 * state + sym
+        read.add(entry)
+        if prog[entry] is None or prog[entry][2] == -1:
+            return False
+        write, move, target = prog[entry]
+        behind, ahead = (left, right) if move > 0 else (right, left)
+        behind_set, ahead_set = grams if move > 0 else grams[::-1]
+        pushed = (write,) + behind[:-1]
+        if pushed not in behind_set:
+            behind_set.add(pushed)
+            todo.extend(seen)
+        for gram in ahead_set:
+            if gram[:-1] == ahead[1:]:
+                nxt = (target, pushed, ahead[0], gram) if move > 0 else (target, gram, ahead[0], pushed)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    return True

@@ -236,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("n", type=int)
     q = bbsub.add_parser("brute", parents=[common])
     q.add_argument("n", type=int)
-    q.add_argument("--cap", type=int, default=200)
+    q.add_argument("--cap", type=int, default=200,
+                   help="steps a child no decider proves non-halting may run "
+                        "to find its halt (default 200)")
     q = bbsub.add_parser("certify", parents=[common])
     q.add_argument("machine")
     q.add_argument("--steps", type=int, required=True)

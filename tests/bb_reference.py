@@ -2,7 +2,7 @@
 
 `brute_force_bb` walks the tree normal form and judges one leaf for all
 the programs it covers; this module enumerates every n-state program in
-product order and judges each on its own, with the leaf simulation of
+product order and judges each on its own, with the leaf judgement of
 `bb` on the full program, so the tests can hold the tree against it.
 The verdicts of each (n, cap) are computed once and shared by the tests.
 """
@@ -39,10 +39,10 @@ def verdicts(n, cap):
         if not can_halt(prog):
             out.append((prog, ("no_halt_rule", 0)))
             continue
-        # a run's verdict depends only on the entries it read, so a
-        # program that agrees with the last one run on them shares it
+        # a verdict depends only on the entries its judgement read, so a
+        # program that agrees with the last one judged on them shares it
         if ran is None or any(prog[j] != ran[j] for j in read):
             ran = prog
-            verdict, read = bb._simulate(prog, n, cap)
+            verdict, read = bb._judge(prog, n, cap)
         out.append((prog, verdict))
     return tuple(out)

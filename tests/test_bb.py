@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import itertools
 import os
 import subprocess
@@ -63,9 +65,7 @@ def test_brute_force_bb_1():
     result = brute_force_bb(1)
     assert result.value == 1
     assert result.total_machines == 64
-    assert result.tally["halt"] + result.tally["cycle"] + result.tally[
-        "translated"
-    ] + result.tally["no_halt_rule"] == 64
+    assert result.tally["halt"] + result.tally["closed"] + result.tally["no_halt_rule"] == 64
 
 
 def test_brute_force_bb_2():
@@ -78,12 +78,13 @@ def test_brute_force_bb_2():
 
 
 # sha256 of repr([(kind, steps), ...]) over all 20,736 two-state programs in
-# product order, as the deciders computed them on a stand-alone dict-tape
-# simulator before they ran on the engine; steps of non-halting verdicts
-# are the step at which the decider fired
+# product order.  The halting verdicts are those the deciders computed on a
+# stand-alone dict-tape simulator before they ran on the engine; a closed
+# verdict's steps are the k of the k-grams that closed it, an inconclusive
+# one's the cap
 PINNED_VERDICTS = {
-    3: "9b370ab042a0dc87b61c0db17cffbffc20eaca56085782f4092f218c43ebec07",
-    200: "5b4d074f21c4117788d88d998f1fcc9ec543ca35cd19dfe29bbc1f53aa283a3d",
+    3: "b5c6ff0973177889de9b37a59c9f45414b367cd01f2c9b8c44b3fd5d3441f16e",
+    200: "53159c1b59b0e8f97cafa931738c7a575fc48c6160db50be04100e6d9caf1e1d",
 }
 
 
@@ -95,11 +96,12 @@ def test_every_two_state_verdict_is_pinned(cap):
 
 @pytest.mark.parametrize("cap", [3, 200])
 def test_shared_verdicts_match_a_run_of_every_program(cap):
-    # a program that agrees with the last one run on every entry that run
-    # read shares its verdict; a run of its own must give the same one
+    # a program that agrees with the last one judged on every entry that
+    # judgement read shares its verdict; a judgement of its own must give
+    # the same one
     for prog, verdict in bb_reference.verdicts(2, cap):
         run_it = bb_reference.can_halt(prog)
-        assert verdict == (bb._simulate(prog, 2, cap)[0] if run_it else ("no_halt_rule", 0)), prog
+        assert verdict == (bb._judge(prog, 2, cap)[0] if run_it else ("no_halt_rule", 0)), prog
 
 
 def test_brute_force_rejects_low_cap_as_inconclusive():
@@ -124,19 +126,19 @@ def completions(prog, fill):
 
 @pytest.mark.parametrize("n, cap", [(1, 200), (2, 3), (2, 200)])
 def test_every_leaf_gives_the_verdict_of_the_programs_it_covers(n, cap):
-    # the leaves cover each program once, with the verdict its own run
-    # gives; decider 1 judges a full program before any run, so where it
-    # fires, the leaf's run may prove non-halting another way, or, under
-    # a low cap, fail to
+    # the leaves cover each program once, with the verdict its own
+    # judgement gives, or a program reaches a verdict sooner by an entry
+    # its leaf left free: decider 1 where the leaf closes, and, under a
+    # low cap, a closure where the leaf's run is inconclusive
     opts = bb_reference.options(n)
     reference = dict(bb_reference.verdicts(n, cap))
-    other_proof = {"cycle", "translated"} | ({"inconclusive"} if cap < 200 else set())
+    sooner = {("closed", "no_halt_rule")}
+    if cap < 200:
+        sooner |= {("inconclusive", "no_halt_rule"), ("inconclusive", "closed")}
     for leaf, verdict in bb._leaves(n, cap, opts):
         for prog in completions(leaf, opts):
             want = reference.pop(prog)
-            assert verdict == want or (
-                want[0] == "no_halt_rule" and verdict[0] in other_proof
-            ), (prog, leaf, verdict, want)
+            assert verdict == want or (verdict[0], want[0]) in sooner, (prog, leaf, verdict, want)
     assert not reference
 
 
@@ -164,7 +166,7 @@ def load_refsim():
 @pytest.mark.parametrize("n", [1, 2])
 def test_leaves_hold_on_an_independent_simulator(n):
     # bench/refsim.py shares no code with beaverkit.  A halting leaf's
-    # first completion halts at the leaf's step; a non-halting leaf's run
+    # first completion halts at the leaf's step; a non-halting leaf's proof
     # never reads a free entry, so filling those with halts changes nothing
     refsim = load_refsim()
     opts = bb_reference.options(n)
@@ -175,6 +177,46 @@ def test_leaves_hold_on_an_independent_simulator(n):
         else:
             prog = next(completions(leaf, [(1, 1, -1)]))
             assert refsim.run(prog, 10**4)[:2] == (False, 10**4), leaf
+
+
+def test_three_state_tree():
+    # past brute_force_bb's guard: decider 1 and CPS leave at most 52 of
+    # the 106,276 leaves to the cap, and every 100th closed leaf, its free
+    # entries halting, runs 10^4 steps on bench/refsim.py without a halt
+    refsim = load_refsim()
+    kinds = collections.Counter()
+    closed = []
+    for leaf, (kind, _) in bb._leaves(3, 200, bb_reference.options(3)):
+        kinds[kind] += 1
+        if kind == "closed":
+            closed.append(leaf)
+    assert kinds["halt"] == 28340 and kinds["no_halt_rule"] == 63712
+    assert kinds["closed"] + kinds["inconclusive"] == 14224 and kinds["inconclusive"] <= 52
+    for leaf in closed[::100]:
+        prog = next(completions(leaf, [(1, 1, -1)]))
+        assert refsim.run(prog, 10**4)[:2] == (False, 10**4), leaf
+
+
+def test_brute_force_runs_no_observed_run(monkeypatch):
+    # the deciders prove every non-halting leaf, so a run only looks for
+    # the next halt: nothing traces it or checks it for a cycle
+    real = bb.run
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(inspect.signature(real).bind(*args, **kw).arguments)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(bb, "run", counted)
+    runs = []
+    for n in (1, 2):
+        calls.clear()
+        brute_force_bb(n)
+        runs.append(len(calls))
+        for call in calls:
+            assert call.get("trace") is None
+            assert not getattr(call.get("limits"), "cycle_check", False)
+    assert runs[1] <= 36
 
 
 def spinner(n):

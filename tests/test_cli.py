@@ -424,17 +424,19 @@ def test_bad_machine_reference_fails_before_any_scenario_runs(capsys, tmp_path, 
     assert out == ""
 
 
-# machines counted by the verdict of the tree leaf that covers them
-BRUTE_TALLY = "tally: {'halt': 9784, 'cycle': 4992, 'translated': 5784, 'no_halt_rule': 176}"
+# machines counted by the verdict of the tree leaf that covers them.  A
+# closure does not depend on the cap; only runs reach it, and only where
+# CPS did not close: none at n = 1 under cap 2, 528 machines at n = 2 under 3
+BRUTE_TALLY = "tally: {'halt': 9784, 'closed': 10776, 'no_halt_rule': 176}"
+BRUTE_ONE = ("bb(1) = 1\nchampion: 0LH0LA\n"
+             "machines: 64 tally: {'halt': 32, 'closed': 32, 'no_halt_rule': 0}\n")
 BRUTE_OUTPUT = {
-    "1": (0, "bb(1) = 1\nchampion: 0LH0LA\nmachines: 64 tally: {'halt': 32, 'cycle': 16, "
-             "'translated': 16, 'no_halt_rule': 0}\n"),
+    "1": (0, BRUTE_ONE),
     "2": (0, f"bb(2) = 6\nchampion: 0LB0LH1RA1LB\nmachines: 20736 {BRUTE_TALLY}\n"),
     "2 --cap 10": (0, f"bb(2) = 6\nchampion: 0LB0LH1RA1LB\nmachines: 20736 {BRUTE_TALLY}\n"),
-    "2 --cap 3": (1, "inconclusive: 2784 machines neither halted nor were proven non-halting "
+    "2 --cap 3": (1, "inconclusive: 528 machines neither halted nor were proven non-halting "
                      "within 3 steps; raise the cap\n"),
-    "1 --cap 2": (1, "inconclusive: 16 machines neither halted nor were proven non-halting "
-                     "within 2 steps; raise the cap\n"),
+    "1 --cap 2": (0, BRUTE_ONE),
 }
 
 
