@@ -18,10 +18,13 @@ length `BLANK`, so it needs no case of its own.  One move at run level
 is either a scan, a self-loop that consumes the whole run it faces, or a
 single transition.
 
-1. The cycle is run on the concrete lengths until the same state faces
-   the same symbol with the same run shape (the symbols of every run
-   read, in order, on both sides), within `MAX_MOVES` moves.  A cycle
-   that cannot repeat `MIN_REPEATS` times is not worth the rest.
+1. The search (`_Search`) runs the cycle on the concrete lengths until
+   the same state faces the same symbol with the same run shape (the
+   symbols of every run read, in order, on both sides), within
+   `MAX_MOVES` moves.  It gives up when the start recurs twice in a row
+   with one other shape: the machine is then on a cycle that the start
+   is not on.  A cycle that cannot repeat `MIN_REPEATS` times is not
+   worth the rest.
 2. It is run again, move for move, with each run whose length changed,
    or that is longer than c = the cycle's single transitions + 1,
    written as n + min(its length, c) for a fresh n >= 0.  The rule is
@@ -43,6 +46,20 @@ fails; then the entry is not tried again for a number of its triggers
 that doubles with each failure.  The result is the configuration, step
 count, extent and read set the machine reaches one transition at a
 time.
+
+A refusal in step 1 costs a read when it comes again.  The search uses
+the lengths of the runs it read only where a single transition shortens
+a run: the run empties or it does not.  So the run keeps its last
+`KEPT` such refusals per entry (`_Refusal`), each with the bounds
+within which every run read gives the same answers, and a later trigger
+whose runs have the same symbols and fit those bounds is refused by
+reading them, with its repeats counted again on the new lengths.  It is
+refused exactly when the search would refuse it, so the same rules are
+proved and applied.  Refused searches per pass of the benchmark fell
+from 208 to 94 on the shipped suites, 155 to 70 on optimize-sound and
+153 to 75 on optimize-divergent; they fell from 151 to 35 on Brocard's
+way to its n = 10 guard and from 13 to 5 on Fermat's t1 from state 25,
+run to its halt (`tests/test_prover_work.py`).
 """
 
 from __future__ import annotations
@@ -52,7 +69,7 @@ from operator import add, sub
 LONG_SCAN = 64  # the shortest scan that may start a proof
 BLANK = 1 << 62  # the length of the 0-run beyond the 1-extent
 MAX_MOVES = 64  # the most run-level moves a cycle may take
-KEPT = 4  # the proved rules kept per entry, newest first
+KEPT = 4  # the proved rules, and the refused searches, kept per entry, newest first
 MIN_REPEATS = 16  # a cycle that repeats fewer times costs more to prove than it saves
 _FILL = (b"\x00", b"\x01")
 
@@ -67,22 +84,20 @@ def _at(e, x):
 
 
 class _RunLevel:
-    """A run-level simulation of one cycle.
+    """A run-level simulation of one cycle, for its proof.
 
     `stacks` is [left, right], each a list of [symbol, length] with the
     top last; `face` is the side the head reads.  Lengths, the head's
     offset from the start and the step count are linear forms
-    (c, a_1, ..., a_V) in the cycle's variables.  With `load`, a stack
-    that empties takes the next run from the tape; without, an empty
-    stack refuses the cycle.
+    (c, a_1, ..., a_V) in the cycle's variables.  A stack that empties
+    refuses the cycle: the proof covers the runs the search read.
     """
 
-    def __init__(self, cm, watched, state, face, stacks, width, load=None):
-        self.cm, self.watched, self.load = cm, watched, load
+    def __init__(self, cm, watched, state, face, stacks, width):
+        self.cm, self.watched = cm, watched
         self.state, self.face, self.stacks = state, face, stacks
         self.head = self.steps = (0,) * width
         self.one = (1,) + (0,) * (width - 1)
-        self.singles = 0
         self.ones: list = []  # head offsets of the cycle's 0->1 writes
         self.read: set = set()
 
@@ -104,7 +119,6 @@ class _RunLevel:
             stack.pop()
         else:
             count = self.one
-            self.singles += 1
             rest = _shift(e, -1)
             if any(rest[1:]):
                 if rest[0] < 1:
@@ -114,7 +128,7 @@ class _RunLevel:
                 run[1] = rest
             else:
                 stack.pop()
-        if not stack and not (self.load and self.load(f)):
+        if not stack:
             return False
         head = tuple(map(add if m > 0 else sub, self.head, count))
         if w and not s:
@@ -135,35 +149,129 @@ class _RunLevel:
         return self.state == state and self.face == face and self.stacks[face][-1][0] == symbol
 
 
+class _Search:
+    """The concrete pass: the cycle run on the tape's own lengths.
+
+    Runs are read from the tape as the stacks empty (`loaded`, and
+    `index`: each side's indices in it, nearest first); each stack entry
+    is [symbol, length, ids], the top last, where `ids` are the indices
+    in `loaded` of the runs whose cells it holds besides the cells single
+    transitions moved.  `moves` is the length of the cycle: the start
+    (state, face, symbol) recurs with the run shape it started with, the
+    symbols of every run read.  It is 0 when the cycle halts,
+    exits, enters a watched state, runs past the blank, takes more than
+    `MAX_MOVES` moves, or meets the start twice in a row with one other
+    shape: then it repeats a cycle that the start is not on.
+
+    Whether a run that a single transition shortens empties is the only
+    choice the lengths make; `decided` lists the (ids, length) of each
+    such run, and `scanned` the ids of each run a scan crossed.
+    """
+
+    def __init__(self, cm, watched, read, state, face, symbol):
+        loaded: list = []
+        index: list = [[], []]
+        stacks: list = [[], []]
+        start: list = [[], []]  # the symbols of each side's runs read, the top last
+
+        def load(side):
+            run = read(side, len(index[side]))
+            if run is None:
+                return False
+            index[side].append(len(loaded))
+            start[side].insert(0, run[0])
+            stacks[side].append([run[0], run[1], (len(loaded),)])
+            loaded.append((side, run))
+            return True
+
+        load(0)
+        load(1)
+        target, write, move = cm.target, cm.write, cm.move
+        st, f = state, face
+        steps = singles = 0
+        scanned: tuple = ()
+        decided: list = []
+        last = None  # the shape at the last recurrence of the start
+        self.loaded, self.index, self.stacks, self.decided = loaded, index, stacks, decided
+        self.moves = 0
+        for moves in range(1, MAX_MOVES + 1):
+            stack = stacks[f]
+            run = stack[-1]
+            s, n, ids = run
+            j = 2 * st + s
+            t = target[j]
+            if t < 0 or (t != st and watched[t]):
+                break  # halts, exits, or enters a watched state
+            w, m = write[j], move[j]
+            side = (m + 1) >> 1
+            if t == st and side == f:
+                count, moved = n, ids  # a scan crosses the whole run
+                scanned += ids
+                stack.pop()
+            else:
+                count, moved = 1, ()
+                singles += 1
+                if ids:
+                    decided.append((ids, n))
+                if n > 1:
+                    run[1] = n - 1
+                else:
+                    stack.pop()
+            if not stack and not load(f):
+                break  # past the blank
+            top = stacks[1 - side][-1]
+            if top[0] == w:
+                top[1] += count
+                top[2] += moved
+            else:
+                stacks[1 - side].append([w, count, moved])
+            steps += count
+            st, f = t, side
+            if st == state and f == face and stacks[f][-1][0] == symbol:
+                shape = [[r[0] for r in stack] for stack in stacks]
+                if shape == start:
+                    self.moves = moves
+                    break
+                if shape == last:
+                    break
+                last = shape
+        self.steps, self.singles, self.scanned = steps, singles, scanned
+
+
 def _reader(tape, face):
-    """read(side): the next run outward from the head on that side.
+    """read(side, i): run i outward from the head on that side, from 0.
 
     Runs are (symbol, length); the head's cell is the first of side
-    `face`.  Past the blank, read returns None.
+    `face`.  Past the blank, read returns None.  Each run is found in the
+    buffer once, however often it is read.
     """
     buf, org, lo1, hi1 = tape.buf, tape.org, tape._lo1, tape._hi1
     blank = hi1 < lo1
     cursor = [tape.head - face, tape.head + 1 - face]  # the next cell on each side
+    runs: list = [[], []]  # each side's runs read so far
 
-    def read(side):
-        cell = cursor[side]
-        if cell is None:
-            return None
-        if blank or (cell > hi1 if side else cell < lo1):
-            s, n = 0, BLANK
-        elif cell < lo1 or cell > hi1:
-            s, n = 0, (lo1 - cell if side else cell - hi1)
-        else:
-            p = org + cell
-            s = buf[p]
-            if side:
-                q = buf.find(0, p) if s else buf.find(1, p, org + hi1 + 1)
-                n = BLANK if q < 0 and not s else (q if q >= 0 else len(buf)) - p
+    def read(side, i):
+        got = runs[side]
+        while len(got) <= i:
+            cell = cursor[side]
+            if cell is None:
+                return None
+            if blank or (cell > hi1 if side else cell < lo1):
+                s, n = 0, BLANK
+            elif cell < lo1 or cell > hi1:
+                s, n = 0, (lo1 - cell if side else cell - hi1)
             else:
-                q = buf.rfind(0, 0, p + 1) if s else buf.rfind(1, org + lo1, p + 1)
-                n = BLANK if q < 0 and not s else p - q
-        cursor[side] = None if n == BLANK else cell + (n if side else -n)
-        return s, n
+                p = org + cell
+                s = buf[p]
+                if side:
+                    q = buf.find(0, p) if s else buf.find(1, p, org + hi1 + 1)
+                    n = BLANK if q < 0 and not s else (q if q >= 0 else len(buf)) - p
+                else:
+                    q = buf.rfind(0, 0, p + 1) if s else buf.rfind(1, org + lo1, p + 1)
+                    n = BLANK if q < 0 and not s else p - q
+            cursor[side] = None if n == BLANK else cell + (n if side else -n)
+            got.append((s, n))
+        return got[i]
 
     return read
 
@@ -194,6 +302,7 @@ class Prover:
         self.wait = [0] * n  # triggers to skip after a failed proof
         self.fails = [0] * n
         self.rules: list = [[] for _ in range(n)]
+        self.refused: list = [[] for _ in range(n)]
 
     def due(self, j) -> bool:
         """Whether the long scan of entry `j` starting now should look for a rule."""
@@ -213,14 +322,19 @@ class Prover:
 
         `tape` is the run's tape, the head on the scan's first cell; it
         is changed only when a rule is applied.  A rule proved before is
-        used when the tape matches it; otherwise one is proved.
+        used when the tape matches it; otherwise one is proved, unless a
+        search refused before would refuse it again.
         """
+        read = _reader(tape, (self.cm.move[j] + 1) >> 1)
         kept = self.rules[j]
         for rule in kept:
-            runs = rule.match(tape)
+            runs = rule.match(read)
             if runs is not None:
                 return _apply(rule, runs, tape, budget, cap, reads)
-        rule = self._prove(tape, state, j, budget)
+        if any(refusal.holds(read, budget) for refusal in self.refused[j]):
+            rule = None
+        else:
+            rule = self._prove(read, state, j, budget)
         if rule is None:
             self.fails[j] += 1
             self.wait[j] = (1 << self.fails[j]) - 1
@@ -228,54 +342,44 @@ class Prover:
         self.fails[j] = 0
         kept.insert(0, rule)
         del kept[KEPT:]
-        return _apply(rule, rule.match(tape), tape, budget, cap, reads)
+        return _apply(rule, rule.match(read), tape, budget, cap, reads)
 
-    def _prove(self, tape, state, j, budget):
-        cm = self.cm
-        face = (cm.move[j] + 1) >> 1
-        symbol = j & 1
-        read = _reader(tape, face)
-        orig: list = [[], []]  # each side's runs, nearest the head first
-        stacks: list = [[], []]
+    def _prove(self, read, state, j, budget):
+        """The rule of the cycle that starts at the scan of entry `j`, or None.
 
-        def load(side):
-            run = read(side)
-            if run is None:
-                return False
-            orig[side].append(run)
-            stacks[side].append([run[0], (run[1],)])
-            return True
-
-        load(0)
-        load(1)
-        sim = _RunLevel(cm, self.watched, state, face, stacks, 1, load)
-        for moves in range(1, MAX_MOVES + 1):
-            if not sim.move():
-                return None
-            if sim.at(state, face, symbol) and all(
-                len(orig[side]) == len(stacks[side])
-                and all(r[0] == s for r, (s, _) in zip(reversed(stacks[side]), orig[side]))
+        A cycle refused before its proof is remembered, so that `apply`
+        refuses it again by reading the runs it read (`_Refusal`).
+        """
+        face = (self.cm.move[j] + 1) >> 1
+        search = _Search(self.cm, self.watched, read, state, face, j & 1)
+        cycle = None
+        if search.moves:
+            # no single transition empties a run of c cells or more
+            c = search.singles + 1
+            ends = [
+                (k, r[1], r[2])
                 for side in (0, 1)
-            ):
-                break
-        else:
-            return None
-        # no single transition empties a run of c cells or more
-        c = sim.singles + 1
-        repeats = budget // sim.steps[0]
-        for side in (0, 1):
-            for r, (s, n) in zip(reversed(stacks[side]), orig[side]):
-                if r[1][0] < n:
-                    repeats = min(repeats, (n - min(n, c)) // (n - r[1][0]) + 1)
-        if repeats < MIN_REPEATS:
-            return None
+                for r, k in zip(reversed(search.stacks[side]), search.index[side])
+            ]
+            pairs = [(search.loaded[k][1][1], r) for k, r, _ in ends]
+            if _repeats(budget, search.steps, pairs, c) >= MIN_REPEATS:
+                return self._proof(state, face, j & 1, search, c)
+            cycle = (c, search.steps, search.scanned, ends)
+        refused = self.refused[j]
+        refused.insert(0, _Refusal(search, cycle))
+        del refused[KEPT:]
+        return None
+
+    def _proof(self, state, face, symbol, search, c):
+        """The rule of the cycle `search` found, or None when it does not hold for all n."""
+        orig = [[search.loaded[k][1] for k in search.index[side]] for side in (0, 1)]
         # A run becomes n + c when its length changed or exceeds c, so that
         # the rule serves other lengths too; the rest keep their length.
         where = [
             (side, i)
             for side in (0, 1)
-            for i, r in enumerate(reversed(stacks[side]))
-            if r[1][0] != orig[side][i][1] or orig[side][i][1] > c
+            for i, r in enumerate(reversed(search.stacks[side]))
+            if r[1] != orig[side][i][1] or orig[side][i][1] > c
         ]
         width = 1 + len(where)
         unit = {at: v for v, at in enumerate(where, 1)}
@@ -289,10 +393,10 @@ class Prover:
                     form[v] = 1
                 start[side].append((s, tuple(form)))
         proof = _RunLevel(
-            cm, self.watched, state, face,
+            self.cm, self.watched, state, face,
             [[[s, e] for s, e in reversed(side)] for side in start], width,
         )
-        for _ in range(moves):
+        for _ in range(search.moves):
             if not proof.move():
                 return None
         if not proof.at(state, face, symbol) or any(proof.head[1:]):
@@ -307,6 +411,73 @@ class Prover:
                     return None
                 shift[side].append(e[0] - e0[0])
         return _Rule(face, start, shift, where, proof)
+
+
+def _repeats(budget, steps, pairs, c):
+    """How often a cycle of `steps` steps repeats within `budget` while
+    each run, (its length at the start, at the end), keeps c cells."""
+    repeats = budget // steps
+    for n, r in pairs:
+        if r < n:
+            repeats = min(repeats, (n - min(n, c)) // (n - r) + 1)
+    return repeats
+
+
+class _Refusal:
+    """A cycle `_prove` refused before its proof, and the tapes it is refused on.
+
+    The search reads the lengths of its runs only where a single
+    transition shortens a run: the run empties or it does not.  So on a
+    tape whose runs have the same symbols, it makes the same moves as
+    long as each such run gives the same answer.  A run that emptied
+    keeps its length; one that did not may lose the cells it had to
+    spare.  The blank stays the blank.  Each run read is kept as (side,
+    its index on that side, symbol, length, lowest, highest), in the
+    order the search read them.  `cycle` is None when the search found
+    no cycle.  For one that `MIN_REPEATS` refused it is (c, steps,
+    scanned, ends), where each end (k, r, ids) is the run that ended where
+    run k started, its length r and the runs it holds; the repeats are
+    counted again on the new lengths.
+    """
+
+    def __init__(self, search, cycle):
+        self.cycle = cycle
+        n = [run[1] for _, run in search.loaded]
+        lo = [BLANK if x == BLANK else 1 for x in n]
+        hi = [BLANK if x == BLANK else BLANK - 1 for x in n]
+        for ids, e in search.decided:
+            if e == 1:  # it emptied: each run it holds keeps its length
+                for i in ids:
+                    lo[i] = hi[i] = n[i]
+                continue
+            # it kept e - 1 cells: the runs it holds may lose e - 2 in all
+            over = sum(n[i] - lo[i] for i in ids) - (e - 2)
+            for i in ids:
+                if over <= 0:
+                    break
+                up = min(over, n[i] - lo[i])
+                lo[i] += up
+                over -= up
+        depth = [0, 0]
+        self.runs = []
+        for (at, (s, x)), a, b in zip(search.loaded, lo, hi):
+            self.runs.append((at, depth[at], s, x, a, b))
+            depth[at] += 1
+
+    def holds(self, read, budget) -> bool:
+        """Whether `_prove` refuses this cycle on the tape `read` reads."""
+        d = []  # each run's change in length
+        for side, i, s, n, lo, hi in self.runs:
+            run = read(side, i)
+            if run is None or run[0] != s or not lo <= run[1] <= hi:
+                return False
+            d.append(run[1] - n)
+        if self.cycle is None:
+            return True
+        c, steps, scanned, ends = self.cycle
+        delta = d.__getitem__
+        pairs = [(self.runs[k][3] + d[k], r + sum(map(delta, ids))) for k, r, ids in ends]
+        return _repeats(budget, steps + sum(map(delta, scanned)), pairs, c) < MIN_REPEATS
 
 
 class _Rule:
@@ -324,17 +495,16 @@ class _Rule:
         self.read = tuple(proof.read)
         self.shape = [[(s, None if any(e[1:]) else e[0]) for s, e in side] for side in start]
 
-    def match(self, tape):
-        """Each side's runs, nearest first, when the tape has this rule's shape.
+    def match(self, read):
+        """Each side's runs, nearest first, when the tape `read` reads has this rule's shape.
 
         The shape is the symbols and the fixed lengths; a variable's run
         may be shorter than its c, and then the rule does not apply.
         """
-        read = _reader(tape, self.face)
         runs: list = [[], []]
         for side in (0, 1):
-            for s, n in self.shape[side]:
-                run = read(side)
+            for i, (s, n) in enumerate(self.shape[side]):
+                run = read(side, i)
                 if run is None or run[0] != s or n is not None and run[1] != n:
                     return None
                 runs[side].append(run)

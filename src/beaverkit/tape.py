@@ -27,23 +27,33 @@ class Tape:
     @classmethod
     def from_blocks(cls, blocks: list[int], head: int = 0, start_cell: int = 0) -> "Tape":
         """Unary layout: each block is that many 1s, one 0 between blocks."""
+        if any(b < 1 for b in blocks):
+            raise ValueError("unary blocks must be >= 1")
         t = cls(head)
-        cell = start_cell
-        for b in blocks:
-            if b < 1:
-                raise ValueError("unary blocks must be >= 1")
-            for _ in range(b):
-                t.write(cell, 1)
-                cell += 1
-            cell += 1
+        if blocks:
+            last = start_cell + sum(blocks) + len(blocks) - 2  # the last 1
+            t.grow(start_cell)
+            t.grow(last)
+            p = t.org + start_cell
+            for b in blocks:
+                t.buf[p : p + b] = b"\x01" * b
+                p += b + 1
+            t._lo1, t._hi1 = start_cell, last
         return t
 
     @classmethod
     def from_symbols(cls, symbols: list[int], start_cell: int = 0, head: int = 0) -> "Tape":
+        """Cell start_cell + i holds 1 where symbols[i] is true."""
         t = cls(head)
-        for i, s in enumerate(symbols):
-            if s:
-                t.write(start_cell + i, 1)
+        cells = bytes(map(bool, symbols))
+        first = cells.find(1)
+        if first >= 0:
+            last = cells.rfind(1)
+            lo, hi = start_cell + first, start_cell + last
+            t.grow(lo)
+            t.grow(hi)
+            t.buf[t.org + lo : t.org + hi + 1] = cells[first : last + 1]
+            t._lo1, t._hi1 = lo, hi
         return t
 
     def read(self, cell: int) -> int:

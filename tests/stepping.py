@@ -1,4 +1,4 @@
-"""Reference runs built on `step`, one transition at a time.
+"""Reference runs built on one transition at a time.
 
 `run` scans self-loops, keeps its tape in loop variables and stores a
 hash per configuration; this module shares none of that, so the tests can
@@ -19,23 +19,74 @@ class HaltEvent:
     config: Configuration
 
 
+def _action(machine: Machine, config: Configuration):
+    """The action `config` takes, or None when it halts."""
+    if config.state not in machine.states:
+        return None
+    return machine.action(config.state, config.tape.read(config.tape.head))
+
+
+def _take(config: Configuration, act) -> None:
+    """Take `act` in place: write the head's cell, move, enter the target."""
+    config.tape.write(config.tape.head, act.write)
+    config.tape.head += act.move
+    config.state = act.target
+    config.steps += 1
+
+
 def step(machine: Machine, config: Configuration) -> Configuration | HaltEvent:
     """One transition, purely: returns a new Configuration or HaltEvent."""
-    if config.state not in machine.states:
-        return HaltEvent(config)
-    act = machine.action(config.state, config.tape.read(config.tape.head))
+    act = _action(machine, config)
     if act is None:
         return HaltEvent(config)
     nxt = config.clone()
-    nxt.tape.write(nxt.tape.head, act.write)
-    nxt.tape.head += act.move
-    nxt.state = act.target
-    nxt.steps += 1
+    _take(nxt, act)
     return nxt
 
 
+class Trail:
+    """The configurations a run visited, the start first.
+
+    It keeps a copy of the start and the action of each step, so a step
+    records one cell's write and a move, not a copy of the tape.  A
+    configuration is rebuilt from the start when it is read: indexing
+    and iterating give copies that the caller may keep, and `walk` gives
+    one configuration advanced in place.  A slice from the start is a
+    trail of the first `size` configurations; any other slice is a list
+    of copies.
+    """
+
+    def __init__(self, start: Configuration, actions: list, size: int | None = None):
+        self.start, self.actions, self.size = start, actions, size
+
+    def __len__(self) -> int:
+        return len(self.actions) + 1 if self.size is None else self.size
+
+    def walk(self):
+        """Each configuration in turn, as one object taking each action in place."""
+        config = self.start.clone()
+        for k in range(len(self)):
+            if k:
+                _take(config, self.actions[k - 1])
+            yield config
+
+    def __iter__(self):
+        return (config.clone() for config in self.walk())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, stride = i.indices(len(self))
+            if start == 0 and stride == 1:
+                return Trail(self.start, self.actions, max(stop, 0))
+            return list(self)[i]
+        i = range(len(self))[i]  # a negative index counts from the end
+        for k, config in enumerate(self.walk()):
+            if k == i:
+                return config.clone()
+
+
 def stepped_run(machine, config, max_steps, watch=(), need=1, cap=None):
-    """(kind, every configuration visited, the start included).
+    """(kind, the Trail of every configuration visited, the start included).
 
     Stops as `run` stops: on a halt, on the step budget, or on the
     need-th entry into a watched state, where a self-loop is no entry
@@ -45,7 +96,8 @@ def stepped_run(machine, config, max_steps, watch=(), need=1, cap=None):
     that have held 1s (the tape's own high-water bounds) past `cap` is
     not taken, and the run stops with memory_limit.
     """
-    trail = [config]
+    trail = Trail(config.clone(), [])
+    config = config.clone()
     entries = 0
     while True:
         if watch and entries >= need:
@@ -56,12 +108,12 @@ def stepped_run(machine, config, max_steps, watch=(), need=1, cap=None):
             return STEP_LIMIT, trail
         if cap is not None and _over_cap(machine, config, cap):
             return MEMORY_LIMIT, trail
-        nxt = step(machine, config)
-        if isinstance(nxt, HaltEvent):
+        act = _action(machine, config)
+        if act is None:
             return HALTED, trail
-        entries += nxt.state in watch and nxt.state != config.state
-        config = nxt
-        trail.append(config)
+        entries += act.target in watch and act.target != config.state
+        _take(config, act)
+        trail.actions.append(act)
 
 
 def _over_cap(machine, config, cap):
@@ -84,7 +136,7 @@ def checked_run(machine, config, max_steps, watch=(), cap=None):
     """
     kind, trail = stepped_run(machine, config, max_steps, watch, cap=cap)
     seen = {}
-    for i, c in enumerate(trail[:-1] if kind == WATCH else trail):
+    for i, c in enumerate((trail[:-1] if kind == WATCH else trail).walk()):
         if c.steps >= max_steps:
             break
         key = fingerprint(c.state, c.tape)
@@ -103,4 +155,4 @@ def read_profile(machine, kind, trail):
     an exit.
     """
     read = trail if kind in (HALTED, MEMORY_LIMIT) else trail[:-1]
-    return {(c.state, c.tape.read(c.tape.head)) for c in read if c.state in machine.states}
+    return {(c.state, c.tape.read(c.tape.head)) for c in read.walk() if c.state in machine.states}
