@@ -12,29 +12,22 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bb as bbmod
-from .compose import compose, load_manifest
-from .engine import RunLimits, run
-from .harness import MachineResolver, load_scenarios, run_suite, write_summary
-from .machine import Machine, state_count
-from .optimize import apply_merges, profile_reads, propose_merges, verify_merge
-from .tables import (
-    apply_overlay,
-    errors_of,
-    load_overlay,
-    load_table,
-    serialize_machine,
-    validate,
-)
-from .tape import Configuration, Tape
-from .textfile import load
+if TYPE_CHECKING:
+    from .machine import Machine
+
+# Each command imports the modules it uses, so that `bb brute` loads no
+# harness, optimize or compose, and `verify` no bb or optimize.
 
 OK, FINDINGS, USAGE = 0, 1, 2
 
 
 def _load_machine(ref: str, entry: str | None) -> Machine:
     """The machine `ref` names, as a scenario's `machine` line does."""
+    from .harness import MachineResolver
+    from .machine import Machine
+
     m = MachineResolver(".")(ref)
     if entry:
         if entry not in m.states:
@@ -44,6 +37,8 @@ def _load_machine(ref: str, entry: str | None) -> Machine:
 
 
 def cmd_validate(args) -> int:
+    from .tables import apply_overlay, errors_of, load_overlay, load_table, validate
+
     raw = load_table(args.table)
     if args.overlay:
         raw = apply_overlay(raw, load_overlay(args.overlay))
@@ -63,6 +58,9 @@ def _parse_window(spec: str) -> tuple[int, int]:
 
 
 def cmd_run(args) -> int:
+    from .engine import RunLimits, run
+    from .tape import Configuration, Tape
+
     machine = _load_machine(args.machine, args.entry)
     tape = Tape.from_blocks([int(x) for x in args.tape_unary.split(",")]) if args.tape_unary else Tape()
     tape.head = args.head
@@ -96,6 +94,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    from .compose import compose, load_manifest
+    from .machine import state_count
+    from .tables import serialize_machine
+
     composed = compose(load_manifest(args.manifest))
     text = serialize_machine(composed.machine)
     if args.output:
@@ -107,6 +109,10 @@ def cmd_compose(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .harness import load_scenarios
+    from .machine import state_count
+    from .optimize import apply_merges, profile_reads, propose_merges, verify_merge
+
     machine = _load_machine(args.machine, None)
     before = state_count(machine)
     scenarios = None
@@ -135,6 +141,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .harness import MachineResolver, load_scenarios, run_suite, write_summary
+
     resolver = MachineResolver(Path(args.scenarios).parent)
     scenarios = load_scenarios(args.scenarios, resolver)
     reports, summary = run_suite(scenarios, resolver)
@@ -147,6 +155,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bb(args) -> int:
+    from . import bb as bbmod
+    from .engine import RunLimits, run
+    from .textfile import load
+
     if args.bb_cmd == "lookup":
         entry = bbmod.default_registry().lookup(args.n)
         if entry is None:

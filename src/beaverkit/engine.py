@@ -23,6 +23,22 @@ times in closed form with the outcome, steps, tape, 1-extent and read
 profile of the run one transition at a time.  Traced and cycle-checked
 runs never scan, so they never use a rule.
 
+Every other transition runs one per iteration.  `compile_machine` fuses
+each plain entry, one whose target is a state and that starts no sweep,
+into one tuple (write, move, target), and the loop's first branch
+executes it with one index and one unpack: the read flag, the memory
+rule and the step count are inline, and nothing is called.  Only a
+0->1 write outside the 1-extent can widen it, so only that write is
+checked; a run whose start tape's extent already spans more than the
+cap refuses every 0->1 write, inside it too, and takes the general path
+for all of them.  A watched run leaves the entries into watched states to the
+general path, and a traced run all of them; a cycle-checked run, which
+never sweeps, runs the sweep entries as plain too.  A cycle of k > 1
+states facing a run of one cell, where the next cell holds the other
+symbol, takes one transition on the general path, with no search and no
+fill: random small machines meet 7 in 10 of their cycles so, while the
+shipped tables' self-loops mostly cross long runs and skip the test.
+
 Cycle detection keeps no tape per step, and hashes no tape per step.  It
 keeps h, the sum of R^(c - head) mod P over the cells c that hold 1 (P =
 2^61 - 1, R a fixed primitive root): the tape seen from the head, a
@@ -43,12 +59,12 @@ and tapes; the property suite asserts this on random machines against
 the reference `step` in `tests/stepping.py`, one pure transition at a
 time.  The scan sustains well over 10^7 credited steps per second on
 the unary-arithmetic tables this package ships, whose inner loops are
-long scans.  A transition that is not a sweep makes no function call:
-the 1-extent, the buffer's size and the watch test are kept in locals.
-Such transitions run at about 2×10^6 per second (1.6-2.9 M/s, CPython
-3.11 on a 2-core x86 host), timed on the 2-state machine A0:1RB A1:0RB
-B0:1LA B1:0LA, which has no sweep (A moves right, B left) and flips
-the two cells it visits, over 3×10^5 steps, best of 7 runs.
+long scans.  A plain transition makes no function call and executes
+62.5 bytecode instructions on average (counted by `sys.settrace` opcode
+events): about 4-5×10^6 per second (3.9-5.7 M/s, CPython 3.11 on a
+2-core x86 host), timed on the 2-state machine A0:1RB A1:0RB B0:1LA
+B1:0LA, which has no sweep (A moves right, B left) and flips the two
+cells it visits, over 3×10^5 steps, best of 7 runs.
 """
 
 from __future__ import annotations
@@ -169,7 +185,7 @@ def run(
             )
         outcome = RunOutcome(HALTED, config.steps, config, halting_state=config.state)
     else:
-        watched = tuple(name in watch for name in cm.names)
+        watched = tuple(name in watch for name in cm.names) if watch else cm.unwatched
         reads = None if profile is None else [0] * len(cm.write)
         outcome = _run(cm, config, limits, watched, trace, reads)
         if reads is not None:
@@ -215,8 +231,7 @@ def _replayed(cm, past: Configuration, cap: int, steps: int) -> Configuration:
     budget, with the scan on and nothing traced, watched or profiled.  It
     takes over `past`'s tape.
     """
-    unwatched = (False,) * len(cm.names)
-    return _run(cm, past, RunLimits(steps, cap), unwatched, None, None).config
+    return _run(cm, past, RunLimits(steps, cap), cm.unwatched, None, None).config
 
 
 def _outcome(kind, cm, tape, state_idx, steps, exit_name=None, **kw) -> RunOutcome:
@@ -241,15 +256,29 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
     head = tape.head
     lo1, hi1 = tape._lo1, tape._hi1  # over-approximate 1-bounds, in cells
     cycle_check = limits.cycle_check
-    sweep = cm.sweep
-    if cycle_check or trace is not None:
-        sweep = (None,) * len(write)  # observers see every step
-    elif cm.cycles and True in watched:
-        # a sweep through k > 1 states enters each of them
-        sweep = list(sweep)
-        for j in cm.cycles:
-            if any(watched[e >> 1] for e in sweep[j][3]):  # its entries
-                sweep[j] = None
+    sweep, fused = cm.sweep, cm.fused
+    if trace is not None:
+        sweep = fused = (None,) * len(write)  # a trace sees every step
+    elif cycle_check:
+        # the key takes every step, so a sweep's entries run one at a time
+        sweep = (None,) * len(write)
+        fused = [(w, m, t) if t >= 0 else None for w, m, t in zip(write, move, target)]
+    if hi1 - lo1 >= cap:
+        # a start tape's 1-extent already spans more than `cap` cells, so
+        # every 0->1 write is refused, inside it too: the general path's rule
+        fused = (None,) * len(write)
+    if True in watched:
+        # an entry into a watched state stops the run (a self-loop enters
+        # nothing), and a sweep through k > 1 states enters each of them
+        fused = [
+            None if f is not None and f[2] != j >> 1 and watched[f[2]] else f
+            for j, f in enumerate(fused)
+        ]
+        if cm.cycles and sweep is cm.sweep:
+            sweep = list(sweep)
+            for j in cm.cycles:
+                if any(watched[e >> 1] for e in sweep[j][3]):  # its entries
+                    sweep[j] = None
     if cycle_check:
         # h is `_tape_hash` of the configuration at hand: entry j writes,
         # then moves, so executing it makes h into h * shift[j] + bump[j]
@@ -297,15 +326,42 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
                         )
                 later.setdefault(key, []).append(steps)
             h = (h * shift[j] + bump[j]) % _P
+        f = fused[j]
+        if f is not None:
+            # a plain transition into a state: one lookup, no call
+            if reads is not None:
+                reads[j] = 1
+            w, m, state = f
+            if w and not sym and not lo1 <= head <= hi1:
+                # a 0->1 write outside the 1-extent widens it; refuse it
+                # past `cap` cells (the run stays in state j >> 1)
+                if hi1 < lo1:
+                    lo1 = hi1 = head
+                elif (hi1 - head if head < lo1 else head - lo1) >= cap:
+                    sync()
+                    return _outcome(MEMORY_LIMIT, cm, tape, j >> 1, steps)
+                elif head < lo1:
+                    lo1 = head
+                else:
+                    hi1 = head
+            buf[p] = w
+            head += m
+            steps += 1
+            continue
         if reads is not None:
             reads[j] = 1
-        if sweep[j] is not None:
+        sw = sweep[j]
+        m = move[j]
+        if sw is not None and (sw[0] == 1 or not 0 <= p + m < size or buf[p + m] == sym):
             # A cycle of k states (k = 1: a self-loop) that read `sym` and
             # move one way crosses the whole uniform run ahead at once.
-            # Only the search depends on the direction; q < 0 means the run
-            # reaches the buffer's edge, which the next iteration grows.
-            k, fill, first1, entries = sweep[j]
-            m = move[j]
+            # Facing a run of one cell (the next cell holds the other
+            # symbol), a cycle of k > 1 states takes one transition, below,
+            # with no search; a self-loop skips that test, as most of its
+            # runs are long.  Only the search depends on the direction;
+            # q < 0 means the run reaches the buffer's edge, which the next
+            # iteration grows.
+            k, fill, first1, entries = sw
             if m > 0:
                 q = buf.find(1 - sym, p)
                 n = (size if q < 0 else q) - p
@@ -384,7 +440,7 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
                     return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
                 lo1, hi1 = lo, hi
         buf[p] = w
-        head += move[j]
+        head += m
         steps += 1
         if trace is not None:
             sync()

@@ -119,7 +119,11 @@ class CompiledMachine:
     when there is none; ``entries`` lists the k entries, this one first,
     or is None for a self-loop, so all self-loops share four values.
     ``cycles`` lists the entries whose cycle has k > 1 states, the ones a
-    watch can interrupt.
+    watch can interrupt.  ``fused`` holds ``(write, move, target)`` for
+    each entry whose target is a state and that starts no sweep, and None
+    for every other entry: the engine executes such an entry with one
+    lookup.  ``unwatched`` is the watch flag of each state for a run that
+    watches none.
     """
 
     names: tuple[str, ...]
@@ -131,6 +135,8 @@ class CompiledMachine:
     start: int
     sweep: tuple[tuple | None, ...]
     cycles: tuple[int, ...]
+    fused: tuple[tuple[int, int, int] | None, ...]
+    unwatched: tuple[bool, ...]
 
 
 # the self-loop on (symbol, write): (k, fill, first1, entries)
@@ -179,6 +185,11 @@ def compile_machine(machine: Machine) -> CompiledMachine:
         start=start,
         sweep=tuple(sweep),
         cycles=tuple(cycles),
+        fused=tuple(
+            (w, m, t) if t >= 0 and s is None else None
+            for w, m, t, s in zip(write, move, target, sweep)
+        ),
+        unwatched=(False,) * len(names),
     )
 
 

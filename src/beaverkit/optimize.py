@@ -331,13 +331,22 @@ def verify_merge(original: Machine, merged: Machine, scenarios, plan: MergePlan 
 
 
 def _changed_entries(original: Machine, merged: Machine, alias: dict[str, str]) -> set[tuple[str, int]]:
-    """The (state, symbol) entries of `original` whose action the merge changed."""
-    return {
-        (name, sym)
-        for name, actions in original.states.items()
-        for sym, act in enumerate(actions)
-        if _retarget(act, alias) != merged.action(alias.get(name, name), sym)
-    }
+    """The (state, symbol) entries of `original` whose action the merge changed.
+
+    An action is unchanged when the merged state's action writes and
+    moves alike and goes to the alias of its target, or both are missing.
+    """
+    changed = set()
+    for name, actions in original.states.items():
+        pair = merged.states.get(alias.get(name, name), (None, None))
+        for sym, act in enumerate(actions):
+            now = pair[sym]
+            if act is None or now is None:
+                if act is not now:
+                    changed.add((name, sym))
+            elif (act.write, act.move, alias.get(act.target, act.target)) != now:
+                changed.add((name, sym))
+    return changed
 
 
 def _maps_onto_merged(original, merged, scn, alias, changed, out_a, reads) -> bool:

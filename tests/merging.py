@@ -13,8 +13,20 @@ from beaverkit.optimize import (
     ScenarioComparison,
     _changed_entries,
     _locate_divergence,
+    _retarget,
     merge_alias,
 )
+
+
+def retargeted_changes(original, merged, alias):
+    """`_changed_entries` by definition: each action of `original`, its
+    target renamed through the alias, against the merged state's action."""
+    return {
+        (name, sym)
+        for name, actions in original.states.items()
+        for sym, act in enumerate(actions)
+        if _retarget(act, alias) != merged.action(alias.get(name, name), sym)
+    }
 
 
 def compared_merge(original, merged, scenarios, plan=None):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import beaverkit
 from beaverkit.bb import machine_label
 from beaverkit.cli import dispatch
 from beaverkit.data import data_path
@@ -449,3 +453,14 @@ def test_bb_brute_mirror_is_an_unknown_option(capsys):
     code, out, err = run_cli(capsys, "bb", "brute", "2", "--mirror")
     assert code == 2 and out == ""
     assert "unrecognized arguments: --mirror" in err
+
+
+def test_cli_import_loads_no_subcommand_module():
+    # each command imports what it uses: the bare import pays for none of them
+    src = Path(beaverkit.__file__).resolve().parents[1]
+    code = ("import sys, beaverkit.cli; "
+            "print(sorted({'beaverkit.bb', 'beaverkit.optimize', 'beaverkit.harness'} "
+            "& set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "[]"

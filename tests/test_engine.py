@@ -690,3 +690,97 @@ def test_memory_cap_is_high_water_in_both_loops():
     assert fast.kind == slow.kind
     assert fast.steps == slow.steps
     assert fast.config.tape.head == slow.config.tape.head
+
+
+# BB(2)'s champion: every entry but B1 (into HALT) is a plain transition
+# into a state, A moving right on 0 and left on 1, so it widens its
+# 1-extent both ways
+BB2 = Machine("bb2", "A", {"A": (Action(1, 1, "B"), Action(1, -1, "B")),
+                           "B": (Action(1, -1, "A"), Action(1, 1, HALT))})
+
+
+def assert_matches_stepped(m, start, limits, watch=()):
+    """`run` against `stepped_run`: every field, the extent and the profile."""
+    profile = set()
+    out = run(m, start.clone(), limits, watch=watch, profile=profile)
+    kind, trail = stepped_run(m, start.clone(), limits.max_steps, watch,
+                              cap=limits.max_support_cells)
+    ref = trail[-1]
+    assert (out.kind, out.steps, out.config.state) == (kind, ref.steps, ref.state)
+    assert out.config.tape.head == ref.tape.head
+    assert out.config.tape.content_equal(ref.tape)
+    assert extent(out.config.tape) == extent(ref.tape)
+    assert profile == read_profile(m, kind, trail)
+    return out, profile
+
+
+@pytest.mark.parametrize(
+    "cap, steps, state, reads",
+    [
+        (1, 1, "B", {("A", 0), ("B", 0)}),  # B0 widens rightward
+        (2, 3, "B", {("A", 0), ("A", 1), ("B", 0)}),  # B0 widens leftward
+        (3, 4, "A", {("A", 0), ("A", 1), ("B", 0)}),  # A0 widens leftward
+    ],
+)
+def test_plain_write_refused_by_the_cap(cap, steps, state, reads):
+    # the refused write is not executed, the run stays in the state that
+    # read, and the entry it read is in the profile
+    out, profile = assert_matches_stepped(BB2, Configuration("A"), RunLimits(100, cap))
+    assert (out.kind, out.steps, out.config.state) == (MEMORY_LIMIT, steps, state)
+    assert out.config.tape.support_size() == cap
+    assert profile == reads
+
+
+@pytest.mark.parametrize("watch, steps, state", [(("B",), 1, "B"), (("A",), 2, "A"),
+                                                  (("A", "B"), 1, "B")])
+def test_plain_entry_into_a_watched_state_stops(watch, steps, state):
+    out, _ = assert_matches_stepped(BB2, Configuration("A"), RunLimits(100), watch)
+    assert (out.kind, out.steps, out.config.state, out.watched_state) == (WATCH, steps, state, state)
+
+
+@pytest.mark.parametrize(
+    "states, blocks, want",
+    [
+        # A0 and B0 are plain, A1 a self-loop: blank again, one cell to
+        # the right, after three steps
+        ({"A": (Action(1, 1, "B"), Action(0, 1, "A")),
+          "B": (Action(0, -1, "A"), None)}, [], (CYCLE, 3, 0)),
+        # A and B read 1 and 0 alike: a two-state sweep in both symbols
+        ({"A": (Action(0, 1, "B"), Action(0, 1, "B")),
+          "B": (Action(0, 1, "A"), Action(0, 1, "A"))}, [2], (CYCLE, 4, 2)),
+    ],
+)
+def test_cycle_check_steps_sweep_entries_as_plain(states, blocks, want):
+    m = Machine("walker", "A", states)
+    assert any(compile_machine(m).sweep)  # unobserved, some entries would sweep
+    start = Configuration("A", Tape.from_blocks(blocks))
+    out = run(m, start.clone(), RunLimits(50, cycle_check=True))
+    kind, trail, first = checked_run(m, start.clone(), 50)
+    ref = trail[-1]
+    assert (out.kind, out.steps, out.first_visit) == (kind, ref.steps, first) == want
+    assert out.config.state == ref.state
+    assert out.config.tape.head == ref.tape.head
+    assert cells(out.config.tape) == cells(ref.tape)
+
+
+@pytest.mark.parametrize("edge", ["first", "last"])
+@pytest.mark.parametrize("move", [1, -1])
+@pytest.mark.parametrize("width", [1, 2])
+def test_sweep_from_the_buffers_edge_cells(edge, move, width):
+    # A1 and B1 erase and move on, a cycle of two states, over the run of
+    # 1s under the head: `width` cells toward `move`, cut at the buffer's
+    # edge.  With one cell the next cell holds 0, or lies past the
+    # buffer, and the crossing is one transition; then A0 or B0 halts
+    halt = Action(1, move, HALT)
+    m = Machine("eraser", "A", {"A": (halt, Action(0, move, "B")),
+                                "B": (halt, Action(0, move, "A"))})
+    tape = Tape()
+    size = len(tape.buf)
+    head = -tape.org if edge == "first" else size - 1 - tape.org
+    for cell in range(head, head + move * width, move):
+        if 0 <= tape.org + cell < size:  # a write past the edge would grow the buffer
+            tape.write(cell, 1)
+    tape.head = head
+    assert len(tape.buf) == size
+    out, _ = assert_matches_stepped(m, Configuration("A", tape), RunLimits(100))
+    assert out.kind == HALTED

@@ -11,6 +11,7 @@ from beaverkit.machine import HALT, Action, Machine, state_count
 from beaverkit.optimize import (
     MergePair,
     MergePlan,
+    _changed_entries,
     apply_merges,
     merge_alias,
     profile_reads,
@@ -18,7 +19,7 @@ from beaverkit.optimize import (
     verify_merge,
 )
 from beaverkit.tape import Configuration
-from merging import compared_merge
+from merging import compared_merge, retargeted_changes
 from stepping import stepped_run
 
 
@@ -567,5 +568,7 @@ def test_verify_merge_matches_the_two_machine_reference(data):
     merged = apply_merges(m, plan)
     if data.draw(st.booleans()):
         merged = dataclasses.replace(merged, start=data.draw(st.sampled_from(sorted(merged.states))))
+    alias = merge_alias(plan)
+    assert _changed_entries(m, merged, alias) == retargeted_changes(m, merged, alias)
     got = verify_merge(m, merged, scns, plan)
     assert got.comparisons == compared_merge(m, merged, scns, plan).comparisons
