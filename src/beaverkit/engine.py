@@ -12,16 +12,17 @@ search differs (`find` rightward, `rfind` leftward), and the budget
 clamp, the fill, the memory stop and the endless glide over blank of a
 cycle that writes only 0s are shared.  A fill's 0->1 writes obey the
 single-step memory rule: the crossing stops short of the first write the
-rule refuses, and the next iteration refuses it.  A sweep through k > 1
-states enters each of them, so a run with a watched state in the cycle
-steps it one transition at a time.  Cycle detection and tracing observe
-every configuration, so they turn the scan off, and nothing else: the
-stop rules are the same whether or not a run is observed.  A self-loop
-scan across at least `LONG_SCAN` cells may hand the run to a proven
-shuttle rule (`rules.py`), which applies a repeating cycle of scans k
-times in closed form with the outcome, steps, tape, 1-extent and read
-profile of the run one transition at a time.  Traced and cycle-checked
-runs never scan, so they never use a rule.
+rule refuses, and the next iteration refuses it.  Each watch set has a
+table of its own, where an entry into a watched state from another state
+stops the run as an exit does: no cycle runs through it, and a
+self-loop, which enters nothing, still sweeps.  Cycle detection and
+tracing observe every configuration, so they turn the scan off, and
+nothing else: the stop rules are the same whether or not a run is
+observed.  A self-loop scan across at least `LONG_SCAN` cells may hand
+the run to a proven shuttle rule (`rules.py`), which applies a repeating
+cycle of scans k times in closed form with the outcome, steps, tape,
+1-extent and read profile of the run one transition at a time.  Traced
+and cycle-checked runs never scan, so they never use a rule.
 
 Every other transition runs one per iteration.  `compile_machine` fuses
 each plain entry, one whose target is a state and that starts no sweep,
@@ -31,13 +32,14 @@ rule and the step count are inline, and nothing is called.  Only a
 0->1 write outside the 1-extent can widen it, so only that write is
 checked; a run whose start tape's extent already spans more than the
 cap refuses every 0->1 write, inside it too, and takes the general path
-for all of them.  A watched run leaves the entries into watched states to the
-general path, and a traced run all of them; a cycle-checked run, which
-never sweeps, runs the sweep entries as plain too.  A cycle of k > 1
-states facing a run of one cell, where the next cell holds the other
-symbol, takes one transition on the general path, with no search and no
-fill: random small machines meet 7 in 10 of their cycles so, while the
-shipped tables' self-loops mostly cross long runs and skip the test.
+for all of them.  A stop entry (an exit or a watched one) takes the
+general path, and in a traced run every entry does; a cycle-checked run,
+which never sweeps, runs the sweep entries as plain too.  A cycle of
+k > 1 states facing a run of one cell, where the next cell holds the
+other symbol, takes one transition on the general path, with no search
+and no fill: random small machines meet 7 in 10 of their cycles so,
+while the shipped tables' self-loops mostly cross long runs and skip the
+test.
 
 Cycle detection keeps no tape per step, and hashes no tape per step.  It
 keeps h, the sum of R^(c - head) mod P over the cells c that hold 1 (P =
@@ -75,6 +77,7 @@ from .machine import (
     EXIT,
     NO_ACTION,
     RESERVED_NAMES,
+    WATCHED,
     Machine,
     compile_machine,
 )
@@ -171,6 +174,12 @@ def run(
     if cm is None:
         cm = compile_machine(machine)
         object.__setattr__(machine, "compiled", cm)  # a cache, not a field value
+    if watch:
+        key = frozenset(watch)
+        watched = cm.watches.get(key)
+        if watched is None:
+            watched = cm.watches[key] = compile_machine(machine, key)
+        cm = watched
     if config is None:
         config = Configuration(machine.start)
     blank_start = (
@@ -185,9 +194,8 @@ def run(
             )
         outcome = RunOutcome(HALTED, config.steps, config, halting_state=config.state)
     else:
-        watched = tuple(name in watch for name in cm.names) if watch else cm.unwatched
         reads = None if profile is None else [0] * len(cm.write)
-        outcome = _run(cm, config, limits, watched, trace, reads)
+        outcome = _run(cm, config, limits, trace, reads)
         if reads is not None:
             profile.update((cm.names[j >> 1], j & 1) for j, r in enumerate(reads) if r)
     outcome.blank_start = blank_start
@@ -228,10 +236,10 @@ def _replayed(cm, past: Configuration, cap: int, steps: int) -> Configuration:
     """`past`, an earlier configuration of the run, run on to `steps`.
 
     The run went on past `steps` before, so the replay stops there on its
-    budget, with the scan on and nothing traced, watched or profiled.  It
-    takes over `past`'s tape.
+    budget, with the scan on and nothing traced or profiled: it enters no
+    watched state, as the run did not.  It takes over `past`'s tape.
     """
-    return _run(cm, past, RunLimits(steps, cap), cm.unwatched, None, None).config
+    return _run(cm, past, RunLimits(steps, cap), None, None).config
 
 
 def _outcome(kind, cm, tape, state_idx, steps, exit_name=None, **kw) -> RunOutcome:
@@ -241,7 +249,7 @@ def _outcome(kind, cm, tape, state_idx, steps, exit_name=None, **kw) -> RunOutco
     return RunOutcome(kind, steps, cfg, halting_state=halting, **kw)
 
 
-def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
+def _run(cm, config, limits, trace, reads) -> RunOutcome:
     tape = config.tape
     state = cm.index[config.state]
     steps = config.steps
@@ -267,18 +275,6 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
         # a start tape's 1-extent already spans more than `cap` cells, so
         # every 0->1 write is refused, inside it too: the general path's rule
         fused = (None,) * len(write)
-    if True in watched:
-        # an entry into a watched state stops the run (a self-loop enters
-        # nothing), and a sweep through k > 1 states enters each of them
-        fused = [
-            None if f is not None and f[2] != j >> 1 and watched[f[2]] else f
-            for j, f in enumerate(fused)
-        ]
-        if cm.cycles and sweep is cm.sweep:
-            sweep = list(sweep)
-            for j in cm.cycles:
-                if any(watched[e >> 1] for e in sweep[j][3]):  # its entries
-                    sweep[j] = None
     if cycle_check:
         # h is `_tape_hash` of the configuration at hand: entry j writes,
         # then moves, so executing it makes h into h * shift[j] + bump[j]
@@ -370,7 +366,7 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
                 n = p - q
             if n >= LONG_SCAN and k == 1:
                 if prover is None:
-                    prover = Prover(cm, watched)
+                    prover = Prover(cm)
                 if prover.due(j):
                     sync()
                     done = prover.apply(tape, state, j, max_steps - steps, cap, reads)
@@ -444,13 +440,13 @@ def _run(cm, config, limits, watched, trace, reads) -> RunOutcome:
         steps += 1
         if trace is not None:
             sync()
-            trace(steps, exit_names[j] if t == EXIT else names[t], head, tape)
+            trace(steps, exit_names[j] if t < 0 else names[t], head, tape)
         if t == EXIT:
             sync()
             return _outcome(HALTED, cm, tape, state, steps, exit_name=exit_names[j])
-        if t != state and watched[t]:  # a self-loop enters nothing
+        if t == WATCHED:
             sync()
-            return _outcome(WATCH, cm, tape, t, steps, watched_state=names[t])
+            return _outcome(WATCH, cm, tape, state, steps, exit_names[j], watched_state=exit_names[j])
         state = t
     sync()
     return _outcome(STEP_LIMIT, cm, tape, state, steps)

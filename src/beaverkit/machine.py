@@ -105,9 +105,11 @@ class CompiledMachine:
     """Flat-array form of a Machine for the execution engine.
 
     Entry ``2*state_index + symbol`` of each array describes that
-    transition; ``target`` holds the successor's index, ``-1`` when the
-    successor is undefined, external, or the halt marker (the successor
-    name is then in ``exit_name``), and ``-2`` when no action exists.
+    transition; ``target`` holds the successor's index, or a stop: ``-1``
+    when the successor is undefined, external, or the halt marker, ``-3``
+    when it is a watched state the entry enters from another state (a
+    self-loop enters nothing), and ``-2`` when no action exists.  The
+    successor's name of a ``-1`` or ``-3`` entry is in ``exit_name``.
     ``sweep`` holds, per entry, the cycle of k >= 1 states that entry
     starts, all reading its symbol and moving one way (k = 1: a
     self-loop), or None.  Started on a run of that symbol, the cycle
@@ -117,13 +119,13 @@ class CompiledMachine:
     the k writes in cycle order, or None when each entry writes the symbol
     it reads; ``first1`` is the offset of the first 0->1 write, or None
     when there is none; ``entries`` lists the k entries, this one first,
-    or is None for a self-loop, so all self-loops share four values.
-    ``cycles`` lists the entries whose cycle has k > 1 states, the ones a
-    watch can interrupt.  ``fused`` holds ``(write, move, target)`` for
-    each entry whose target is a state and that starts no sweep, and None
-    for every other entry: the engine executes such an entry with one
-    lookup.  ``unwatched`` is the watch flag of each state for a run that
-    watches none.
+    or is None for a self-loop, so all self-loops share four values.  No
+    cycle runs through a stop, so none through a watched state.
+    ``fused`` holds ``(write, move, target)`` for each entry whose target
+    is a state and that starts no sweep, and None for every other entry:
+    the engine executes such an entry with one lookup.  ``watches`` maps
+    each watch set (a frozenset of names) a run of this table asked for
+    to that set's table, compiled at its first run.
     """
 
     names: tuple[str, ...]
@@ -134,9 +136,8 @@ class CompiledMachine:
     exit_name: tuple[str | None, ...]
     start: int
     sweep: tuple[tuple | None, ...]
-    cycles: tuple[int, ...]
     fused: tuple[tuple[int, int, int] | None, ...]
-    unwatched: tuple[bool, ...]
+    watches: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 # the self-loop on (symbol, write): (k, fill, first1, entries)
@@ -150,9 +151,12 @@ _SELF_LOOPS = {
 
 NO_ACTION = -2
 EXIT = -1
+WATCHED = -3
 
 
-def compile_machine(machine: Machine) -> CompiledMachine:
+def compile_machine(machine: Machine, watch: frozenset[str] = frozenset()) -> CompiledMachine:
+    """The engine's table of `machine`, where an entry into a state of
+    `watch` from another state stops the run as an exit does."""
     names = tuple(machine.states)
     index = {n: i for i, n in enumerate(names)}
     n2 = 2 * len(names)
@@ -169,12 +173,14 @@ def compile_machine(machine: Machine) -> CompiledMachine:
             move[j] = act.move
             t = index.get(act.target)
             if t is None:
-                target[j] = EXIT
+                t = EXIT
+            elif act.target in watch and act.target != name:
+                t = WATCHED
+            target[j] = t
+            if t < 0:
                 exit_name[j] = act.target
-            else:
-                target[j] = t
     start = index.get(machine.start, EXIT)
-    sweep, cycles = _sweeps(write, move, target)
+    sweep = _sweeps(write, move, target)
     return CompiledMachine(
         names=names,
         index=MappingProxyType(index),
@@ -184,18 +190,15 @@ def compile_machine(machine: Machine) -> CompiledMachine:
         exit_name=tuple(exit_name),
         start=start,
         sweep=tuple(sweep),
-        cycles=tuple(cycles),
         fused=tuple(
             (w, m, t) if t >= 0 and s is None else None
             for w, m, t, s in zip(write, move, target, sweep)
         ),
-        unwatched=(False,) * len(names),
     )
 
 
-def _sweeps(write, move, target) -> tuple[list, list[int]]:
-    """Each entry's cycle, or None when it starts no cycle of one move,
-    and the entries whose cycle has k > 1 states.
+def _sweeps(write, move, target) -> list:
+    """Each entry's cycle, or None when it starts no cycle of one move.
 
     Entry j = 2s + symbol leads to entry 2t + symbol when s goes to the
     state t, so the entries of one symbol form a functional graph.  Each
@@ -203,7 +206,6 @@ def _sweeps(write, move, target) -> tuple[list, list[int]]:
     way gives each of its k entries the cycle as seen from there.
     """
     sweep: list[tuple | None] = [None] * len(write)
-    cycles: list[int] = []
     walk = [-1] * len(write)  # the first entry of the walk that reached each
     for j0 in range(len(write)):
         j = j0
@@ -238,5 +240,4 @@ def _sweeps(write, move, target) -> tuple[list, list[int]]:
                     w.find(1) if changes and not sym else None,
                     tuple(cycle[i:] + cycle[:i]),
                 )
-            cycles += cycle
-    return sweep, cycles
+    return sweep

@@ -40,12 +40,12 @@ run falls below its c, the steps fit the budget, and the 1-extent
 widened by every 0->1 write of the k applications spans at most the
 memory cap; that extent becomes the tape's `_lo1/_hi1`.  The run keeps
 its last `KEPT` rules per entry and applies one again wherever the tape
-has its shape: the same symbols and fixed lengths.  A cycle that halts,
-exits or enters a watched state is refused, and so is one whose proof
-fails; then the entry is not tried again for a number of its triggers
-that doubles with each failure.  The result is the configuration, step
-count, extent and read set the machine reaches one transition at a
-time.
+has its shape: the same symbols and fixed lengths.  A cycle that meets
+a stop entry of the table (a halt, an exit, or an entry into a watched
+state) is refused, and so is one whose proof fails; then the entry is
+not tried again for a number of its triggers that doubles with each
+failure.  The result is the configuration, step count, extent and read
+set the machine reaches one transition at a time.
 
 A refusal in step 1 costs a read when it comes again.  The search uses
 the lengths of the runs it read only where a single transition shortens
@@ -93,8 +93,8 @@ class _RunLevel:
     refuses the cycle: the proof covers the runs the search read.
     """
 
-    def __init__(self, cm, watched, state, face, stacks, width):
-        self.cm, self.watched = cm, watched
+    def __init__(self, cm, state, face, stacks, width):
+        self.cm = cm
         self.state, self.face, self.stacks = state, face, stacks
         self.head = self.steps = (0,) * width
         self.one = (1,) + (0,) * (width - 1)
@@ -109,8 +109,8 @@ class _RunLevel:
         s, e = run
         j = 2 * state + s
         t = cm.target[j]
-        if t < 0 or (t != state and self.watched[t]):
-            return False  # halts, exits, or enters a watched state
+        if t < 0:
+            return False  # a stop: it halts, exits, or enters a watched state
         self.read.add(j)
         w, m = cm.write[j], cm.move[j]
         side = (m + 1) >> 1
@@ -158,17 +158,17 @@ class _Search:
     in `loaded` of the runs whose cells it holds besides the cells single
     transitions moved.  `moves` is the length of the cycle: the start
     (state, face, symbol) recurs with the run shape it started with, the
-    symbols of every run read.  It is 0 when the cycle halts,
-    exits, enters a watched state, runs past the blank, takes more than
-    `MAX_MOVES` moves, or meets the start twice in a row with one other
-    shape: then it repeats a cycle that the start is not on.
+    symbols of every run read.  It is 0 when the cycle meets a stop
+    entry, runs past the blank, takes more than `MAX_MOVES` moves, or
+    meets the start twice in a row with one other shape: then it repeats
+    a cycle that the start is not on.
 
     Whether a run that a single transition shortens empties is the only
     choice the lengths make; `decided` lists the (ids, length) of each
     such run, and `scanned` the ids of each run a scan crossed.
     """
 
-    def __init__(self, cm, watched, read, state, face, symbol):
+    def __init__(self, cm, read, state, face, symbol):
         loaded: list = []
         index: list = [[], []]
         stacks: list = [[], []]
@@ -200,8 +200,8 @@ class _Search:
             s, n, ids = run
             j = 2 * st + s
             t = target[j]
-            if t < 0 or (t != st and watched[t]):
-                break  # halts, exits, or enters a watched state
+            if t < 0:
+                break  # a stop: it halts, exits, or enters a watched state
             w, m = write[j], move[j]
             side = (m + 1) >> 1
             if t == st and side == f:
@@ -293,8 +293,8 @@ def _largest(hi, ok):
 class Prover:
     """The rule trigger, prover and proved rules of one run."""
 
-    def __init__(self, cm, watched):
-        self.cm, self.watched = cm, watched
+    def __init__(self, cm):
+        self.cm = cm
         n = len(cm.write)
         self.scans = 0
         self.last = [0] * n  # the long scan at which each entry last scanned
@@ -351,7 +351,7 @@ class Prover:
         refuses it again by reading the runs it read (`_Refusal`).
         """
         face = (self.cm.move[j] + 1) >> 1
-        search = _Search(self.cm, self.watched, read, state, face, j & 1)
+        search = _Search(self.cm, read, state, face, j & 1)
         cycle = None
         if search.moves:
             # no single transition empties a run of c cells or more
@@ -393,8 +393,7 @@ class Prover:
                     form[v] = 1
                 start[side].append((s, tuple(form)))
         proof = _RunLevel(
-            self.cm, self.watched, state, face,
-            [[[s, e] for s, e in reversed(side)] for side in start], width,
+            self.cm, state, face, [[[s, e] for s, e in reversed(side)] for side in start], width
         )
         for _ in range(search.moves):
             if not proof.move():

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beaverkit import engine
+from beaverkit import engine, harness
 from beaverkit.engine import (
     CYCLE,
     HALTED,
@@ -471,14 +471,31 @@ def test_cycle_check_leaves_long_runs_unchanged(fermat_composed, brocard_ref):
         assert plain.config.tape.support_size() > 300
 
 
-def test_a_machine_compiles_once(monkeypatch):
+def test_a_machine_compiles_once(monkeypatch, data_dir, resolver):
     calls = []
-    monkeypatch.setattr(engine, "compile_machine", lambda m: calls.append(m) or compile_machine(m))
+    monkeypatch.setattr(engine, "compile_machine",
+                        lambda m, *watch: calls.append(m) or compile_machine(m, *watch))
     m, twin = one_state(target="A"), one_state(target="A")
     for limits in (RunLimits(max_steps=5), RunLimits(max_steps=9, cycle_check=True)):
         assert run(m, limits=limits).steps == limits.max_steps
     assert calls == [m]
     assert m == twin and repr(m) == repr(twin)
+    # one watch set compiles one more table, however its names are given;
+    # unwatched runs compile nothing new
+    for watch in (("A", "B"), ("B", "A"), ["A", "B"], ["B", "A", "B"]):
+        assert run(m, limits=RunLimits(max_steps=5), watch=watch).steps == 5
+        assert run(m, limits=RunLimits(max_steps=5)).steps == 5
+    assert calls == [m, m]
+    assert m == twin and repr(m) == repr(twin)
+    # a second run of one Brocard scenario, which watches its Kf states
+    scn = next(s for s in harness.load_scenarios(data_dir / "scenarios" / "brocard.scn")
+               if s.name == "square_check_oracle_35")
+    machine = resolver(scn.machine_ref)
+    assert harness.watch_states(scn, machine)
+    first = harness.execute_scenario(scn, machine)
+    calls.clear()
+    again = harness.execute_scenario(scn, machine)
+    assert calls == [] and (again.kind, again.steps) == (first.kind, first.steps) == (WATCH, 945)
 
 
 @settings(max_examples=80, deadline=None)
@@ -648,6 +665,21 @@ def test_three_state_glide_over_blank_in_closed_form(move):
     assert out.config.tape.head == move * 10**8
     assert out.config.state == "ABC"[10**8 % 3]
     assert out.config.tape.support_size() == 0
+
+
+def test_a_watched_run_keeps_the_sweeps_that_enter_no_watched_state():
+    # the glide above with an unreachable D watched, and a variant whose A
+    # loops on itself with A watched: a self-loop enters nothing
+    glide = ring("000", 1)
+    unreachable = Machine("glide", "A", {**glide.states, "D": (Action(0, 1, "A"), None)})
+    looping = Machine("glide", "A", {**glide.states, "A": (Action(0, 1, "A"), None)})
+    for m, watch, state in ((unreachable, ("D",), "ABC"[10**8 % 3]), (looping, ("A",), "A")):
+        started = time.perf_counter()
+        out = run(m, limits=RunLimits(max_steps=10**8), watch=watch)
+        assert time.perf_counter() - started < 5
+        assert (out.kind, out.steps, out.config.state) == (STEP_LIMIT, 10**8, state)
+        assert out.config.tape.head == 10**8
+        assert out.config.tape.support_size() == 0
 
 
 def test_erasure_empties_support():

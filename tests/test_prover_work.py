@@ -57,7 +57,7 @@ class Work:
             for refusal in prover.refused[j]:
                 if holds(refusal, read, budget):
                     work.remembered += 1
-                    fresh = rules.Prover(prover.cm, prover.watched)
+                    fresh = rules.Prover(prover.cm)
                     assert prove(fresh, read, state, j, budget) is None
             return real_apply(prover, tape, state, j, budget, cap, reads)
 
@@ -137,11 +137,11 @@ def tape_of(first, lengths, boundary, face, tail=0):
 def searched(cm, tape, state, j, budget):
     """The refusal `_prove` remembers from `tape`, None when it went on to
     the proof, and the moves its search made."""
-    face, watched = (cm.move[j] + 1) >> 1, (False,) * len(cm.names)
+    face = (cm.move[j] + 1) >> 1
     read = rules._reader(tape, face)
-    search = rules._Search(cm, watched, read, state, face, j & 1)
+    search = rules._Search(cm, read, state, face, j & 1)
     decided = [(ids, n == 1) for ids, n in search.decided]
-    prover = rules.Prover(cm, watched)
+    prover = rules.Prover(cm)
     prover._prove(read, state, j, budget)
     return (prover.refused[j] or [None])[0], (search.moves, search.singles, len(search.loaded), decided)
 
@@ -173,7 +173,7 @@ def test_a_remembered_refusal_holds_only_where_the_search_repeats(data):
     again = tape_of(first, near, boundary, face, data.draw(st.sampled_from([0, 0, 0, 1, 3])))
     # budgets about where the cycle's steps on the new lengths would fit
     # MIN_REPEATS times, too
-    steps = rules._Search(cm, (False,) * len(names), rules._reader(again, face), state, face, j & 1).steps
+    steps = rules._Search(cm, rules._reader(again, face), state, face, j & 1).steps
     budget = data.draw(budgets | st.integers(steps * (rules.MIN_REPEATS - 1), steps * (rules.MIN_REPEATS + 1)))
     if refusal.holds(rules._reader(again, face), budget):
         refused, after = searched(cm, again, state, j, budget)
@@ -186,7 +186,7 @@ def test_a_remembered_refusal_counts_the_steps_on_the_new_lengths():
     # the same budget often enough, and the remembered refusal lets it
     # be proved
     cm = compile_machine(TRANSFER)
-    state, watched = cm.index["S"], (False,) * len(cm.names)
+    state = cm.index["S"]
     j = 2 * state + 1
     face = (cm.move[j] + 1) >> 1
 
@@ -196,8 +196,8 @@ def test_a_remembered_refusal_counts_the_steps_on_the_new_lengths():
             config = traced(TRANSFER, config, RunLimits(max_steps=10**5), watch=("S",)).config
         return rules._reader(config.tape, face)
 
-    budget = (rules.MIN_REPEATS - 1) * rules._Search(cm, watched, read(70), state, face, 1).steps
-    prover = rules.Prover(cm, watched)
+    budget = (rules.MIN_REPEATS - 1) * rules._Search(cm, read(70), state, face, 1).steps
+    prover = rules.Prover(cm)
     assert prover._prove(read(70), state, j, budget) is None
     assert prover.refused[j][0].holds(read(70), budget)
     assert not prover.refused[j][0].holds(read(50), budget)

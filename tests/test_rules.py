@@ -137,11 +137,11 @@ def test_a_cycle_through_a_watched_state_is_refused():
     config = transfer(100)()
     for _ in range(3):
         config = traced(TRANSFER, config, RunLimits(max_steps=1000), watch=("S",)).config
-    cm = compile_machine(TRANSFER)
-    state = cm.index["S"]
-    for watched, credited in (("G", False), ("", True)):
+    for watch, credited in (({"G"}, False), (set(), True)):
+        cm = compile_machine(TRANSFER, watch)
+        state = cm.index["S"]
         tape = config.tape.clone()
-        prover = rules.Prover(cm, tuple(name == watched for name in cm.names))
+        prover = rules.Prover(cm)
         steps = prover.apply(tape, state, 2 * state + 1, 10**6, 1 << 22, None)
         assert bool(steps) == credited
         assert tape.content_equal(config.tape) != credited
