@@ -123,9 +123,11 @@ class CompiledMachine:
     cycle runs through a stop, so none through a watched state.
     ``fused`` holds ``(write, move, target)`` for each entry whose target
     is a state and that starts no sweep, and None for every other entry:
-    the engine executes such an entry with one lookup.  ``watches`` maps
-    each watch set (a frozenset of names) a run of this table asked for
-    to that set's table, compiled at its first run.
+    the engine executes such an entry with one lookup.  ``watches``, in
+    an unwatched table, maps each watch set (a frozenset of names) a run
+    asked for to that set's table, compiled at its first run; a watched
+    table has None there, and shares ``names``, ``index``, ``write`` and
+    ``move`` with the unwatched table.
     """
 
     names: tuple[str, ...]
@@ -134,10 +136,9 @@ class CompiledMachine:
     move: tuple[int, ...]
     target: tuple[int, ...]
     exit_name: tuple[str | None, ...]
-    start: int
     sweep: tuple[tuple | None, ...]
     fused: tuple[tuple[int, int, int] | None, ...]
-    watches: dict = field(default_factory=dict, repr=False, compare=False)
+    watches: dict | None = field(default=None, repr=False, compare=False)
 
 
 # the self-loop on (symbol, write): (k, fill, first1, entries)
@@ -156,44 +157,49 @@ WATCHED = -3
 
 def compile_machine(machine: Machine, watch: frozenset[str] = frozenset()) -> CompiledMachine:
     """The engine's table of `machine`, where an entry into a state of
-    `watch` from another state stops the run as an exit does."""
-    names = tuple(machine.states)
-    index = {n: i for i, n in enumerate(names)}
-    n2 = 2 * len(names)
-    write = [0] * n2
-    move = [RIGHT] * n2
-    target = [NO_ACTION] * n2
-    exit_name: list[str | None] = [None] * n2
-    for name, (on_zero, on_one) in machine.states.items():
-        for sym, act in ((ZERO, on_zero), (ONE, on_one)):
-            if act is None:
-                continue
-            j = 2 * index[name] + sym
-            write[j] = act.write
-            move[j] = act.move
-            t = index.get(act.target)
-            if t is None:
-                t = EXIT
-            elif act.target in watch and act.target != name:
-                t = WATCHED
-            target[j] = t
-            if t < 0:
-                exit_name[j] = act.target
-    start = index.get(machine.start, EXIT)
+    `watch` from another state stops the run as an exit does; built on
+    `machine.compiled`, when there is one."""
+    base = machine.compiled
+    if base is None or not watch:
+        names = tuple(machine.states)
+        index = MappingProxyType({n: i for i, n in enumerate(names)})
+        n2 = 2 * len(names)
+        write = [0] * n2
+        move = [RIGHT] * n2
+        target = [NO_ACTION] * n2
+        exit_name: list[str | None] = [None] * n2
+        for name, (on_zero, on_one) in machine.states.items():
+            for sym, act in ((ZERO, on_zero), (ONE, on_one)):
+                if act is None:
+                    continue
+                j = 2 * index[name] + sym
+                write[j] = act.write
+                move[j] = act.move
+                target[j] = index.get(act.target, EXIT)
+                if target[j] == EXIT:
+                    exit_name[j] = act.target
+    else:
+        names, index, write, move = base.names, base.index, base.write, base.move
+        target, exit_name = list(base.target), list(base.exit_name)
+    if watch:
+        for j, t in enumerate(target):
+            if t >= 0 and t != j >> 1 and names[t] in watch:
+                target[j] = WATCHED
+                exit_name[j] = names[t]
     sweep = _sweeps(write, move, target)
     return CompiledMachine(
         names=names,
-        index=MappingProxyType(index),
-        write=tuple(write),
+        index=index,
+        write=tuple(write),  # the base table's own tuples, when shared
         move=tuple(move),
         target=tuple(target),
         exit_name=tuple(exit_name),
-        start=start,
         sweep=tuple(sweep),
         fused=tuple(
             (w, m, t) if t >= 0 and s is None else None
             for w, m, t, s in zip(write, move, target, sweep)
         ),
+        watches=None if watch else {},
     )
 
 

@@ -151,15 +151,16 @@ def propose_merges(machine: Machine, profile: ReadProfile | None = None) -> Merg
             strict_one.append(name)
 
     pairs: list[MergePair] = []
+    taken = _names(machine)
     zq, oq, fq = strict_zero[:], strict_one[:], flex[:]
     while zq and oq:
-        pairs.append(_pair(machine, zq.pop(0), oq.pop(0), profile))
+        pairs.append(_pair(machine, zq.pop(0), oq.pop(0), taken))
     while zq and fq:
-        pairs.append(_pair(machine, zq.pop(0), fq.pop(0), profile))
+        pairs.append(_pair(machine, zq.pop(0), fq.pop(0), taken))
     while oq and fq:
-        pairs.append(_pair(machine, fq.pop(0), oq.pop(0), profile))
+        pairs.append(_pair(machine, fq.pop(0), oq.pop(0), taken))
     while len(fq) >= 2:
-        pairs.append(_pair(machine, fq.pop(0), fq.pop(0), profile))
+        pairs.append(_pair(machine, fq.pop(0), fq.pop(0), taken))
     return MergePlan(pairs=pairs, residual_zero=zq + fq, residual_one=oq, profile=profile)
 
 
@@ -175,13 +176,25 @@ def _capable(on_zero, on_one, obs, zero_side: bool) -> bool:
     return (1 if zero_side else 0) not in obs
 
 
-def _pair(machine: Machine, zero_state: str, one_state: str, profile) -> MergePair:
+def _names(machine: Machine) -> set[str]:
+    """Every name `machine` gives meaning to: its states, targets and the halt markers."""
+    return set(machine.states) | machine.external_targets() | RESERVED_NAMES
+
+
+def _pair(machine: Machine, zero_state: str, one_state: str, taken: set[str]) -> MergePair:
+    """The pair, named `zero_state+one_state` with a suffix when `taken` holds that name."""
     dropped = []
     if machine.action(zero_state, 1) is not None:
         dropped.append(f"{zero_state} read-1")
     if machine.action(one_state, 0) is not None:
         dropped.append(f"{one_state} read-0")
-    return MergePair(zero_state, one_state, f"{zero_state}+{one_state}", tuple(dropped))
+    name = base = f"{zero_state}+{one_state}"
+    i = 1
+    while name in taken:
+        i += 1
+        name = f"{base}_{i}"
+    taken.add(name)
+    return MergePair(zero_state, one_state, name, tuple(dropped))
 
 
 def apply_merges(machine: Machine, plan: MergePlan) -> Machine:
@@ -189,10 +202,13 @@ def apply_merges(machine: Machine, plan: MergePlan) -> Machine:
     zero_of = {}
     one_of = {}
     alias = merge_alias(plan)
+    taken = _names(machine)
     for p in plan.pairs:
         for s in (p.zero_state, p.one_state):
             if s not in machine.states:
                 raise ValueError(f"merge pair names unknown state {s!r}")
+        if p.merged_name in zero_of or p.merged_name in taken - {p.zero_state, p.one_state}:
+            raise ValueError(f"merged name {p.merged_name!r} is taken by another pair, state or target")
         if machine.action(p.zero_state, 0) is None:
             raise ValueError(f"{p.zero_state} has no read-0 action; cannot take the zero side")
         if machine.action(p.one_state, 1) is None:

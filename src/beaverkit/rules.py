@@ -16,22 +16,24 @@ the top cell of the stack it faces.  A run is read from the buffer only
 when the head reaches it; the blank beyond the 1-extent is one 0-run of
 length `BLANK`, so it needs no case of its own.  One move at run level
 is either a scan, a self-loop that consumes the whole run it faces, or a
-single transition.
+single transition.  One simulation (`_Search`) makes these moves, and it
+runs twice:
 
-1. The search (`_Search`) runs the cycle on the concrete lengths until
-   the same state faces the same symbol with the same run shape (the
-   symbols of every run read, in order, on both sides), within
-   `MAX_MOVES` moves.  It gives up when the start recurs twice in a row
-   with one other shape: the machine is then on a cycle that the start
-   is not on.  A cycle that cannot repeat `MIN_REPEATS` times is not
-   worth the rest.
-2. It is run again, move for move, with each run whose length changed,
-   or that is longer than c = the cycle's single transitions + 1,
-   written as n + min(its length, c) for a fresh n >= 0.  The rule is
-   accepted only if every decision holds for all n: each entry read,
-   each scan's end, each run that empties or does not; and if the cycle
-   ends in the start shape with every length, and the head, shifted by
-   a constant.
+1. The search runs the cycle on the concrete lengths until the same
+   state faces the same symbol with the same run shape (the symbols of
+   every run read, in order, on both sides), within `MAX_MOVES` moves.
+   It gives up when the start recurs twice in a row with one other
+   shape: the machine is then on a cycle that the start is not on.  A
+   cycle that cannot repeat `MIN_REPEATS` times is not worth the rest.
+2. The proof runs it again on linear forms, with each run whose length
+   changed, or that is longer than c = the cycle's single transitions +
+   1, written as n + min(its length, c) for a fresh n >= 0.  A decision
+   that depends on n refuses the rule: a single transition that leaves
+   a run empty for some n only.  Every other decision then holds for all
+   n: each entry read, each scan's end, each run that empties or does
+   not.  The rule is accepted if the pass ends in the start shape after
+   the search's moves, with every length, and the head, shifted by a
+   constant.
 
 An accepted rule is applied k times: steps and the 1-writes' positions
 are linear in the application's index, so they are summed or bounded in
@@ -74,101 +76,64 @@ MIN_REPEATS = 16  # a cycle that repeats fewer times costs more to prove than it
 _FILL = (b"\x00", b"\x01")
 
 
-def _shift(e, c):
-    return (e[0] + c,) + e[1:]
-
-
 def _at(e, x):
     """The value of the linear form `e` at the variables `x`."""
     return e[0] + sum(map(lambda a, v: a * v, e[1:], x))
 
 
-class _RunLevel:
-    """A run-level simulation of one cycle, for its proof.
+class _Undecided(Exception):
+    """A decision of the cycle that depends on n: the proof refuses it."""
 
-    `stacks` is [left, right], each a list of [symbol, length] with the
-    top last; `face` is the side the head reads.  Lengths, the head's
-    offset from the start and the step count are linear forms
-    (c, a_1, ..., a_V) in the cycle's variables.  A stack that empties
-    refuses the cycle: the proof covers the runs the search read.
-    """
 
-    def __init__(self, cm, state, face, stacks, width):
-        self.cm = cm
-        self.state, self.face, self.stacks = state, face, stacks
-        self.head = self.steps = (0,) * width
-        self.one = (1,) + (0,) * (width - 1)
-        self.ones: list = []  # head offsets of the cycle's 0->1 writes
-        self.read: set = set()
+class _Form(tuple):
+    """A linear form (c, a_1, ..., a_V) in the cycle's variables n >= 0, whose
+    `+` and `-` act per coefficient.  A length's a_i are never negative: it
+    starts as a fixed length or n + c, gains whole runs and loses cells."""
 
-    def move(self) -> bool:
-        """One scan or one transition; False when the cycle is refused."""
-        cm, f, state = self.cm, self.face, self.state
-        stack = self.stacks[f]
-        run = stack[-1]
-        s, e = run
-        j = 2 * state + s
-        t = cm.target[j]
-        if t < 0:
-            return False  # a stop: it halts, exits, or enters a watched state
-        self.read.add(j)
-        w, m = cm.write[j], cm.move[j]
-        side = (m + 1) >> 1
-        if t == state and side == f:
-            count = e  # a scan consumes the whole run
-            stack.pop()
-        else:
-            count = self.one
-            rest = _shift(e, -1)
-            if any(rest[1:]):
-                if rest[0] < 1:
-                    return False  # the run empties for some n only
-                run[1] = rest
-            elif rest[0]:
-                run[1] = rest
-            else:
-                stack.pop()
-        if not stack:
-            return False
-        head = tuple(map(add if m > 0 else sub, self.head, count))
-        if w and not s:
-            self.ones.append(self.head)
-            if count is not self.one:
-                self.ones.append(_shift(head, -m))
-        behind = self.stacks[1 - side]
-        if behind[-1][0] == w:
-            behind[-1][1] = tuple(map(add, behind[-1][1], count))
-        else:
-            behind.append([w, count])
-        self.head = head
-        self.steps = tuple(map(add, self.steps, count))
-        self.state, self.face = t, side
-        return True
+    __slots__ = ()
 
-    def at(self, state, face, symbol) -> bool:
-        return self.state == state and self.face == face and self.stacks[face][-1][0] == symbol
+    def __add__(self, other):
+        return _Form(map(add, self, other))
+
+    def __sub__(self, other):
+        return _Form(map(sub, self, other))
+
+    def __gt__(self, other):
+        """Whether this length exceeds the fixed `other` for every n."""
+        if any(self[1:]):
+            if self[0] <= other[0]:
+                raise _Undecided  # the run empties for some n only
+            return True
+        return self[0] > other[0]
 
 
 class _Search:
-    """The concrete pass: the cycle run on the tape's own lengths.
+    """One cycle run at run level, on the tape's lengths or on linear forms.
 
-    Runs are read from the tape as the stacks empty (`loaded`, and
-    `index`: each side's indices in it, nearest first); each stack entry
-    is [symbol, length, ids], the top last, where `ids` are the indices
-    in `loaded` of the runs whose cells it holds besides the cells single
-    transitions moved.  `moves` is the length of the cycle: the start
-    (state, face, symbol) recurs with the run shape it started with, the
-    symbols of every run read.  It is 0 when the cycle meets a stop
-    entry, runs past the blank, takes more than `MAX_MOVES` moves, or
-    meets the start twice in a row with one other shape: then it repeats
-    a cycle that the start is not on.
+    The search runs it on the int lengths `read` reads from the tape; the
+    proof runs it again on forms, with `read` reading its start forms and
+    `one` the form of 1.  Runs are read as the stacks empty (`loaded`,
+    and `index`: each side's indices in it, nearest first); each stack
+    entry is [symbol, length, ids], the top last, where `ids` are the
+    indices in `loaded` of the runs whose cells it holds besides the
+    cells single transitions moved.  `moves` is the length of the cycle:
+    the start (state, face, symbol) recurs with the run shape it started
+    with, the symbols of every run read.  It is 0 when the cycle meets a
+    stop entry, runs out of runs (past the blank, or past the start
+    forms), takes more than `MAX_MOVES` moves, or meets the start twice
+    in a row with one other shape: then it repeats a cycle that the
+    start is not on.
 
     Whether a run that a single transition shortens empties is the only
     choice the lengths make; `decided` lists the (ids, length) of each
-    such run, and `scanned` the ids of each run a scan crossed.
+    such run, and `scanned` the ids of each run a scan crossed.  On
+    forms, a choice that depends on n raises `_Undecided`, and the pass
+    keeps what the proof needs: `entries`, the entries read; `head`, the
+    head's offset from the start; and `ones`, the offsets of the 0->1
+    writes, both ends of each scan's.
     """
 
-    def __init__(self, cm, read, state, face, symbol):
+    def __init__(self, cm, read, state, face, symbol, one=1):
         loaded: list = []
         index: list = [[], []]
         stacks: list = [[], []]
@@ -187,12 +152,17 @@ class _Search:
         load(0)
         load(1)
         target, write, move = cm.target, cm.write, cm.move
+        proof = one != 1
         st, f = state, face
-        steps = singles = 0
+        singles = 0
+        steps = head = one - one
+        entries: set = set()
+        ones: list = []
         scanned: tuple = ()
         decided: list = []
         last = None  # the shape at the last recurrence of the start
         self.loaded, self.index, self.stacks, self.decided = loaded, index, stacks, decided
+        self.entries, self.ones = entries, ones
         self.moves = 0
         for moves in range(1, MAX_MOVES + 1):
             stack = stacks[f]
@@ -209,16 +179,16 @@ class _Search:
                 scanned += ids
                 stack.pop()
             else:
-                count, moved = 1, ()
+                count, moved = one, ()
                 singles += 1
                 if ids:
                     decided.append((ids, n))
-                if n > 1:
-                    run[1] = n - 1
+                if n > one:
+                    run[1] = n - one
                 else:
                     stack.pop()
             if not stack and not load(f):
-                break  # past the blank
+                break  # out of runs
             top = stacks[1 - side][-1]
             if top[0] == w:
                 top[1] += count
@@ -226,6 +196,14 @@ class _Search:
             else:
                 stacks[1 - side].append([w, count, moved])
             steps += count
+            if proof:
+                entries.add(j)
+                after = head + count if m > 0 else head - count
+                if w and not s:
+                    ones.append(head)
+                    if count is not one:
+                        ones.append(after - one if m > 0 else after + one)
+                head = after
             st, f = t, side
             if st == state and f == face and stacks[f][-1][0] == symbol:
                 shape = [[r[0] for r in stack] for stack in stacks]
@@ -235,7 +213,7 @@ class _Search:
                 if shape == last:
                     break
                 last = shape
-        self.steps, self.singles, self.scanned = steps, singles, scanned
+        self.steps, self.singles, self.scanned, self.head = steps, singles, scanned, head
 
 
 def _reader(tape, face):
@@ -381,32 +359,30 @@ class Prover:
             for i, r in enumerate(reversed(search.stacks[side]))
             if r[1] != orig[side][i][1] or orig[side][i][1] > c
         ]
-        width = 1 + len(where)
         unit = {at: v for v, at in enumerate(where, 1)}
         start: list = [[], []]
         for side in (0, 1):
             for i, (s, n) in enumerate(orig[side]):
-                form = [0] * width
+                form = [n] + [0] * len(where)
                 v = unit.get((side, i))
-                form[0] = n if v is None else min(n, c)
                 if v is not None:
-                    form[v] = 1
-                start[side].append((s, tuple(form)))
-        proof = _RunLevel(
-            self.cm, state, face, [[[s, e] for s, e in reversed(side)] for side in start], width
-        )
-        for _ in range(search.moves):
-            if not proof.move():
-                return None
-        if not proof.at(state, face, symbol) or any(proof.head[1:]):
+                    form[0], form[v] = min(n, c), 1
+                start[side].append((s, _Form(form)))
+
+        def read(side, i):
+            return start[side][i] if i < len(start[side]) else None
+
+        try:
+            proof = _Search(self.cm, read, state, face, symbol, _Form([1] + [0] * len(where)))
+        except _Undecided:
+            return None
+        # it ends in the start shape, so every run keeps its symbol
+        if proof.moves != search.moves or any(proof.head[1:]):
             return None
         shift: list = [[], []]  # each run's constant change
         for side in (0, 1):
-            end = proof.stacks[side][::-1]
-            if len(end) != len(start[side]):
-                return None
-            for (s, e), (s0, e0) in zip(end, start[side]):
-                if s != s0 or e[1:] != e0[1:]:
+            for (_, e, _), (_, e0) in zip(reversed(proof.stacks[side]), start[side]):
+                if e[1:] != e0[1:]:
                     return None
                 shift[side].append(e[0] - e0[0])
         return _Rule(face, start, shift, where, proof)
@@ -491,7 +467,7 @@ class _Rule:
         self.delta = [shift[side][i] for side, i in where]
         self.low = [start[side][i][1][0] for side, i in where]
         self.steps, self.move, self.ones = proof.steps, proof.head[0], proof.ones
-        self.read = tuple(proof.read)
+        self.read = tuple(proof.entries)
         self.shape = [[(s, None if any(e[1:]) else e[0]) for s, e in side] for side in start]
 
     def match(self, read):

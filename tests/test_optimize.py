@@ -138,6 +138,44 @@ def test_apply_rejects_double_membership():
         apply_merges(m, plan)
 
 
+def one_sided(zero, one, other):
+    """S, the states of `zero` (read-0 only) and `one` (read-1 only) in
+    table order, and the two-sided states of `other`."""
+    states = {"S": (Action(0, 1, zero[0]), Action(0, 1, one[0]))}
+    for name in zero:
+        states[name] = (Action(1, 1, "S"), None)
+    for name in one:
+        states[name] = (None, Action(0, -1, "S"))
+    for name in other:
+        states[name] = (Action(1, -1, "S"), Action(1, 1, "S"))
+    return Machine("m", "S", states)
+
+
+def test_a_merge_is_not_named_after_a_state():
+    m = one_sided(["A"], ["B"], ["A+B"])
+    plan = propose_merges(m)
+    assert [p.merged_name for p in plan.pairs] == ["A+B_2"]
+    merged = apply_merges(m, plan)
+    assert state_count(merged) == state_count(m) - 1 == 3
+    assert merged.states["A+B_2"] == (m.states["A"][0], m.states["B"][1])
+    assert merged.states["A+B"] == m.states["A+B"]
+    for taken in ("A+B", "S", HALT):
+        with pytest.raises(ValueError, match="is taken"):
+            apply_merges(m, MergePlan(pairs=[MergePair("A", "B", taken)]))
+
+
+def test_two_merges_get_two_names():
+    # (A, B+C) and (A+B, C) would both be A+B+C
+    m = one_sided(["A", "A+B"], ["B+C", "C"], [])
+    plan = propose_merges(m)
+    assert [p.merged_name for p in plan.pairs] == ["A+B+C", "A+B+C_2"]
+    merged = apply_merges(m, plan)
+    assert state_count(merged) == state_count(m) - 2 == 3
+    shared = [MergePair("A", "B+C", "X"), MergePair("A+B", "C", "X")]
+    with pytest.raises(ValueError, match="is taken"):
+        apply_merges(m, MergePlan(pairs=shared))
+
+
 def test_apply_rejects_two_sided_without_drop_record():
     m = Machine(
         "m",

@@ -131,12 +131,18 @@ def test_cap_at_the_extent_after_the_rule(under):
     assert on == off and on[0] == MEMORY_LIMIT
 
 
-def test_a_cycle_through_a_watched_state_is_refused():
-    # a run stops at its first entry into a watched state, so the prover
-    # is asked directly, at the start of the fourth round
+def fourth_round():
+    """TRANSFER at the start of its fourth round."""
     config = transfer(100)()
     for _ in range(3):
         config = traced(TRANSFER, config, RunLimits(max_steps=1000), watch=("S",)).config
+    return config
+
+
+def test_a_cycle_through_a_watched_state_is_refused():
+    # a run stops at its first entry into a watched state, so the prover
+    # is asked directly, at the start of the fourth round
+    config = fourth_round()
     for watch, credited in (({"G"}, False), (set(), True)):
         cm = compile_machine(TRANSFER, watch)
         state = cm.index["S"]
@@ -145,6 +151,65 @@ def test_a_cycle_through_a_watched_state_is_refused():
         steps = prover.apply(tape, state, 2 * state + 1, 10**6, 1 << 22, None)
         assert bool(steps) == credited
         assert tape.content_equal(config.tape) != credited
+
+
+def searched(machine, config):
+    """(prover, state, face, symbol, search) of the cycle that starts at
+    `config`, where the head reads a cell it moves off to the right."""
+    cm = compile_machine(machine)
+    state, symbol = cm.index[config.state], config.tape.read(config.tape.head)
+    search = rules._Search(cm, rules._reader(config.tape, 1), state, 1, symbol)
+    assert search.moves and cm.move[2 * state + symbol] == 1
+    return rules.Prover(cm), state, 1, symbol, search
+
+
+def test_a_proof_refuses_a_run_that_empties_for_some_n_only():
+    # M erases one cell of block A per round.  With c = 1, A is n + 1
+    # cells, which M empties at n = 0 only: the rule would not hold
+    prover, *at, search = searched(TRANSFER, fourth_round())
+    assert search.singles + 1 > 2
+    assert prover._proof(*at, search, search.singles + 1) is not None
+    assert prover._proof(*at, search, 2) is not None
+    assert prover._proof(*at, search, 1) is None
+
+
+def test_a_proof_refuses_a_cycle_that_does_not_close_in_the_searched_moves():
+    # the pass stops where the start shape recurs, one move short
+    prover, *at, search = searched(TRANSFER, fourth_round())
+    search.moves += 1
+    assert prover._proof(*at, search, search.singles + 1) is None
+
+
+def test_a_proof_refuses_runs_that_trade_their_variable_parts():
+    # 1^a 0 1^b becomes 1^(a+b) 0 1 in one cycle: A and B scan right and
+    # fill the gap, B writes a 1 past the end, C erases the 1 before it
+    # and D scans back.  The start shape recurs and the head's offset is
+    # fixed, but a and b now share one run
+    merger = Machine("merger", "A", {
+        "A": (Action(1, 1, "B"), Action(1, 1, "A")),
+        "B": (Action(1, -1, "C"), Action(1, 1, "B")),
+        "C": (None, Action(0, -1, "D")),
+        "D": (Action(0, 1, "A"), Action(1, -1, "D")),
+    })
+    prover, *at, search = searched(merger, Configuration("A", Tape.from_blocks([100, 5])))
+    assert prover._proof(*at, search, search.singles + 1) is None
+
+
+def test_a_rule_reads_the_blank_between_the_head_and_the_1_extent():
+    # A writes 1s leftward and B erases them rightward; the rule is tried
+    # with the head two cells right of the 1-extent, so the first run it
+    # reads on the left is the two 0s between them, not the blank
+    gap = Machine("gap", "A", {
+        "A": (Action(1, -1, "A"), Action(0, 1, "B")),
+        "B": (Action(0, 1, "A"), Action(0, 1, "B")),
+    })
+
+    def start():
+        return Configuration("A", Tape.from_blocks([126], head=202))
+
+    with Spy() as spy:
+        on, off = both(gap, start, RunLimits(max_steps=10**5))
+    assert on == off and len(spy.credited) == 1
 
 
 def unary(n):
