@@ -1,45 +1,62 @@
 """Execution engine: budgeted runs, cycle detection, tracing, fingerprints.
 
-One run loop serves every run.  It recognizes sweeps: a cycle of k >= 1
-states (k = 1 is a self-loop) that all read the symbol under the head
-and move the same way.  `compile_machine` finds each entry's cycle once,
-so the loop only looks it up.  A sweep crosses the whole uniform run of
-that symbol ahead in one memchr pass and one fill of the cycle's writes,
-tiled, crediting the exact number of steps and ending in the state the
-crossing's length reaches in the cycle; everything else executes one
-transition per iteration.  One scan serves both directions: only the
-search differs (`find` rightward, `rfind` leftward), and the budget
-clamp, the fill, the memory stop and the endless glide over blank of a
-cycle that writes only 0s are shared.  A fill's 0->1 writes obey the
-single-step memory rule: the crossing stops short of the first write the
-rule refuses, and the next iteration refuses it.  Each watch set has a
-table of its own, where an entry into a watched state from another state
-stops the run as an exit does: no cycle runs through it, and a
-self-loop, which enters nothing, still sweeps.  Cycle detection and
-tracing observe every configuration, so they turn the scan off, and
-nothing else: the stop rules are the same whether or not a run is
-observed.  A self-loop scan across at least `LONG_SCAN` cells may hand
-the run to a proven shuttle rule (`rules.py`), which applies a repeating
-cycle of scans k times in closed form with the outcome, steps, tape,
-1-extent and read profile of the run one transition at a time.  Traced
-and cycle-checked runs never scan, so they never use a rule.
+One run loop serves every run.  It recognizes crossings: a self-loop,
+or a sweep, a cycle of k > 1 states, whose entries all read the symbol
+under the head and move the same way.  `compile_machine` finds each
+entry's self-loop or cycle once, so the loop only looks it up.  A
+crossing covers the whole uniform run of that symbol ahead in one memchr
+pass and one fill of the writes (tiled, for a sweep), crediting the
+exact number of steps, and a sweep ends in the state the crossing's
+length reaches in its cycle; everything else executes one transition
+per iteration.  Only the search differs between the two directions
+(`find` rightward, `rfind` leftward).  A crossing that writes only 0s
+over blank with no 1 ahead anywhere glides to the end of the budget.  A
+fill's 0->1 writes obey the single-step memory rule: the crossing stops
+short of the first write the rule refuses, and the next iteration
+refuses it.  Each watch set has a table of its own, where an entry into
+a watched state from another state stops the run as an exit does: no
+cycle runs through it, and a self-loop, which enters nothing, still
+crosses.  Cycle detection and tracing observe every configuration, so
+they turn the crossings off, and nothing else: the stop rules are the
+same whether or not a run is observed.  A self-loop crossing of at least
+`LONG_SCAN` cells may hand the run to a proven shuttle rule
+(`rules.py`), which applies a repeating cycle of scans k times in closed
+form with the outcome, steps, tape, 1-extent and read profile of the
+run one transition at a time.  Traced and cycle-checked runs never
+cross, so they never use a rule.
 
-Every other transition runs one per iteration.  `compile_machine` fuses
-each plain entry, one whose target is a state and that starts no sweep,
-into one tuple (write, move, target), and the loop's first branch
-executes it with one index and one unpack: the read flag, the memory
-rule and the step count are inline, and nothing is called.  Only a
-0->1 write outside the 1-extent can widen it, so only that write is
-checked; a run whose start tape's extent already spans more than the
-cap refuses every 0->1 write, inside it too, and takes the general path
-for all of them.  A stop entry (an exit or a watched one) takes the
-general path, and in a traced run every entry does; a cycle-checked run,
-which never sweeps, runs the sweep entries as plain too.  A cycle of
-k > 1 states facing a run of one cell, where the next cell holds the
-other symbol, takes one transition on the general path, with no search
-and no fill: random small machines meet 7 in 10 of their cycles so,
-while the shipped tables' self-loops mostly cross long runs and skip the
-test.
+The loop holds the state as its first transition entry, 2 × its index,
+so the entry read is that plus the symbol, and it holds the head and the
+1-extent as indices into the tape's buffer, which `_sync` puts back on
+the tape in cells where the run stops, grows the buffer or calls out.
+It checks the buffer's edge once per step horizon, not once per step.
+Every credited step moves the head one cell at most: a transition one
+cell, a crossing of n cells n steps, and a rule at least as many steps
+as its displacement.  So a head d cells from the nearer edge stays in
+the buffer while the steps stay below `horizon` = (steps now) + 1 + d.
+An outer loop grows the buffer once the head has left it and sets that
+horizon, capped by the budget, and the inner loop runs to it with no
+bounds test.  A rule may grow the buffer, so after one the loop reloads
+the tape and sets a new horizon.
+
+Each iteration takes the first branch that fits its entry.
+`compile_machine` fuses each plain entry, one whose target is a state
+and that starts no crossing, into one tuple (write, move, 2 × target),
+and the first branch executes it with one index and one unpack: the
+read flag, the memory rule and the step count are inline, and nothing
+is called.  Only a 0->1 write outside the 1-extent can widen it, so only
+that write is checked; a run whose start tape's extent already spans
+more than the cap refuses every 0->1 write, inside it too, and takes
+the general path for all of them.  A self-loop takes the second branch,
+through its own table `loop` of (move, fill): one search, the
+`LONG_SCAN` trigger, one budget clamp, at most one fill and, for a fill
+of 1s, the memory rule inline.  A sweep takes the third.  A stop entry
+(an exit or a watched one) takes the general path, and in a traced run
+every entry does; a cycle-checked run, which never crosses, runs the
+self-loop and sweep entries as plain too.  A sweep facing a run of one
+cell, where the next cell holds the other symbol, takes one transition
+on the general path, with no search and no fill: random small machines
+meet 7 in 10 of their cycles so.
 
 Cycle detection keeps no tape per step, and hashes no tape per step.  It
 keeps h, the sum of R^(c - head) mod P over the cells c that hold 1 (P =
@@ -62,11 +79,14 @@ the reference `step` in `tests/stepping.py`, one pure transition at a
 time.  The scan sustains well over 10^7 credited steps per second on
 the unary-arithmetic tables this package ships, whose inner loops are
 long scans.  A plain transition makes no function call and executes
-62.5 bytecode instructions on average (counted by `sys.settrace` opcode
-events): about 4-5×10^6 per second (3.9-5.7 M/s, CPython 3.11 on a
-2-core x86 host), timed on the 2-state machine A0:1RB A1:0RB B0:1LA
-B1:0LA, which has no sweep (A moves right, B left) and flips the two
-cells it visits, over 3×10^5 steps, best of 7 runs.
+47.5 bytecode instructions on average, 62.5 before the step horizon
+(counted by `sys.settrace` opcode events): about 4-7×10^6 per second
+(4.1-6.7 M/s against 3.3-5.8 M/s before, alternating, in one spell of
+a 2-core x86 host, CPython 3.11), timed on the 2-state machine A0:1RB
+A1:0RB B0:1LA B1:0LA, which has no crossing (A moves right, B left) and
+flips the two cells it visits, over 3×10^5 steps, best of 7 runs.  A
+self-loop crossing of a short run, which hands nothing to the prover,
+executes about 81 instructions, its search's call included, 111 before.
 """
 
 from __future__ import annotations
@@ -174,8 +194,10 @@ def run(
     if cm is None:
         cm = compile_machine(machine)
         object.__setattr__(machine, "compiled", cm)  # a cache, not a field value
-    if watch:
-        key = frozenset(watch)
+    # a watch set's table stops on entries into its states; one that names
+    # no state stops on nothing, and the unwatched table serves it
+    key = frozenset(watch).intersection(cm.index)
+    if key:
         watched = cm.watches.get(key)
         if watched is None:
             watched = cm.watches[key] = compile_machine(machine, key)
@@ -242,35 +264,45 @@ def _replayed(cm, past: Configuration, cap: int, steps: int) -> Configuration:
     return _run(cm, past, RunLimits(steps, cap), None, None).config
 
 
-def _outcome(kind, cm, tape, state_idx, steps, exit_name=None, **kw) -> RunOutcome:
-    state = exit_name if exit_name is not None else cm.names[state_idx]
+def _outcome(kind, cm, tape, entry, steps, exit_name=None, **kw) -> RunOutcome:
+    """The outcome of a run that stopped in the state of transition entry `entry`."""
+    state = exit_name if exit_name is not None else cm.names[entry >> 1]
     cfg = Configuration(state, tape, steps)
     halting = state if kind == HALTED else None
     return RunOutcome(kind, steps, cfg, halting_state=halting, **kw)
 
 
+def _sync(tape, org, p, lo1, hi1) -> None:
+    """Put the loop's head and 1-extent, held as buffer indices, on `tape` in cells."""
+    tape.head, tape._lo1, tape._hi1 = p - org, lo1 - org, hi1 - org
+
+
+def _loaded(tape) -> tuple:
+    """(buf, its size, org, head, lo1, hi1) of `tape`, the last three as buffer indices."""
+    buf, org = tape.buf, tape.org
+    return buf, len(buf), org, org + tape.head, org + tape._lo1, org + tape._hi1
+
+
 def _run(cm, config, limits, trace, reads) -> RunOutcome:
     tape = config.tape
-    state = cm.index[config.state]
+    state = 2 * cm.index[config.state]  # the state's first entry: entry j = state + symbol
     steps = config.steps
     max_steps = limits.max_steps
     cap = limits.max_support_cells
     write, move, target, exit_names = cm.write, cm.move, cm.target, cm.exit_name
     names = cm.names
 
-    buf = tape.buf
-    size = len(buf)
-    org = tape.org
-    head = tape.head
-    lo1, hi1 = tape._lo1, tape._hi1  # over-approximate 1-bounds, in cells
+    # p, lo1 and hi1 are the head and the over-approximate 1-bounds as
+    # indices into buf; `_sync` puts them on the tape in cells
+    buf, size, org, p, lo1, hi1 = _loaded(tape)
     cycle_check = limits.cycle_check
-    sweep, fused = cm.sweep, cm.fused
+    fused, loop, sweep = cm.fused, cm.loop, cm.sweep
     if trace is not None:
-        sweep = fused = (None,) * len(write)  # a trace sees every step
+        fused = loop = sweep = (None,) * len(write)  # a trace sees every step
     elif cycle_check:
-        # the key takes every step, so a sweep's entries run one at a time
-        sweep = (None,) * len(write)
-        fused = [(w, m, t) if t >= 0 else None for w, m, t in zip(write, move, target)]
+        # the key takes every step, so a crossing's entries run one at a time
+        loop = sweep = (None,) * len(write)
+        fused = [(w, m, 2 * t) if t >= 0 else None for w, m, t in zip(write, move, target)]
     if hi1 - lo1 >= cap:
         # a start tape's 1-extent already spans more than `cap` cells, so
         # every 0->1 write is refused, inside it too: the general path's rule
@@ -289,164 +321,201 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
         start = config.clone()
     prover = None  # made at the first long scan
 
-    def sync():
-        tape.buf, tape.org, tape.head = buf, org, head
-        tape._lo1, tape._hi1 = lo1, hi1
-
-    def grown(cell):
-        nonlocal buf, size, org
-        sync()
-        tape.grow(cell)
-        buf, org = tape.buf, tape.org
-        size = len(buf)
-
     while steps < max_steps:
-        p = org + head
         if not 0 <= p < size:
-            grown(head)
-            p = org + head
-        sym = buf[p]
-        j = 2 * state + sym
-        if cycle_check:
-            key = _support_hash(h) * n_entries + j
-            first = seen.setdefault(key, steps)
-            if first != steps:
-                sync()
-                full = fingerprint(state, tape)
-                past = start.clone()
-                for prev in (first, *later.get(key, ())):  # in step order
-                    past = _replayed(cm, past, cap, prev)
-                    if fingerprint(cm.index[past.state], past.tape) == full:
-                        return _outcome(
-                            CYCLE, cm, tape, state, steps, first_visit=prev, period=steps - prev
-                        )
-                later.setdefault(key, []).append(steps)
-            h = (h * shift[j] + bump[j]) % _P
-        f = fused[j]
-        if f is not None:
-            # a plain transition into a state: one lookup, no call
+            _sync(tape, org, p, lo1, hi1)
+            tape.grow(p - org)
+            buf, size, org, p, lo1, hi1 = _loaded(tape)
+        # Each credited step moves the head one cell at most: a transition,
+        # a crossing of n cells in n steps, a rule whose steps are at least
+        # its displacement.  So the head stays in the buffer until the
+        # steps reach `horizon`, and the loop below never checks it.
+        horizon = steps + 1 + (p if p < size - p else size - 1 - p)
+        if horizon > max_steps:
+            horizon = max_steps
+        while steps < horizon:
+            sym = buf[p]
+            j = state + sym
+            if cycle_check:
+                key = _support_hash(h) * n_entries + j
+                first = seen.setdefault(key, steps)
+                if first != steps:
+                    _sync(tape, org, p, lo1, hi1)
+                    full = fingerprint(state >> 1, tape)
+                    past = start.clone()
+                    for prev in (first, *later.get(key, ())):  # in step order
+                        past = _replayed(cm, past, cap, prev)
+                        if fingerprint(cm.index[past.state], past.tape) == full:
+                            return _outcome(
+                                CYCLE, cm, tape, state, steps, first_visit=prev, period=steps - prev
+                            )
+                    later.setdefault(key, []).append(steps)
+                h = (h * shift[j] + bump[j]) % _P
+            f = fused[j]
+            if f is not None:
+                # a plain transition into a state: one lookup, no call
+                if reads is not None:
+                    reads[j] = 1
+                w, m, state = f
+                if w and not sym and not lo1 <= p <= hi1:
+                    # a 0->1 write outside the 1-extent widens it; refuse it
+                    # past `cap` cells (the run stays in entry j's state)
+                    if hi1 < lo1:
+                        lo1 = hi1 = p
+                    elif (hi1 - p if p < lo1 else p - lo1) >= cap:
+                        _sync(tape, org, p, lo1, hi1)
+                        return _outcome(MEMORY_LIMIT, cm, tape, j, steps)
+                    elif p < lo1:
+                        lo1 = p
+                    else:
+                        hi1 = p
+                buf[p] = w
+                p += m
+                steps += 1
+                continue
             if reads is not None:
                 reads[j] = 1
-            w, m, state = f
-            if w and not sym and not lo1 <= head <= hi1:
-                # a 0->1 write outside the 1-extent widens it; refuse it
-                # past `cap` cells (the run stays in state j >> 1)
-                if hi1 < lo1:
-                    lo1 = hi1 = head
-                elif (hi1 - head if head < lo1 else head - lo1) >= cap:
-                    sync()
-                    return _outcome(MEMORY_LIMIT, cm, tape, j >> 1, steps)
-                elif head < lo1:
-                    lo1 = head
+            f = loop[j]
+            if f is not None:
+                # A self-loop crosses the whole run of `sym` ahead at once;
+                # q < 0 means the run reaches the buffer's edge, which the
+                # outer loop grows.
+                m, fill = f
+                if m > 0:
+                    q = buf.find(1 - sym, p)
+                    n = (size if q < 0 else q) - p
                 else:
-                    hi1 = head
-            buf[p] = w
-            head += m
-            steps += 1
-            continue
-        if reads is not None:
-            reads[j] = 1
-        sw = sweep[j]
-        m = move[j]
-        if sw is not None and (sw[0] == 1 or not 0 <= p + m < size or buf[p + m] == sym):
-            # A cycle of k states (k = 1: a self-loop) that read `sym` and
-            # move one way crosses the whole uniform run ahead at once.
-            # Facing a run of one cell (the next cell holds the other
-            # symbol), a cycle of k > 1 states takes one transition, below,
-            # with no search; a self-loop skips that test, as most of its
-            # runs are long.  Only the search depends on the direction;
-            # q < 0 means the run reaches the buffer's edge, which the next
-            # iteration grows.
-            k, fill, first1, entries = sw
-            if m > 0:
-                q = buf.find(1 - sym, p)
-                n = (size if q < 0 else q) - p
-            else:
-                q = buf.rfind(1 - sym, 0, p + 1)
-                n = p - q
-            if n >= LONG_SCAN and k == 1:
-                if prover is None:
-                    prover = Prover(cm)
-                if prover.due(j):
-                    sync()
-                    done = prover.apply(tape, state, j, max_steps - steps, cap, reads)
-                    if done:
-                        steps += done
-                        buf, org, head = tape.buf, tape.org, tape.head
-                        lo1, hi1 = tape._lo1, tape._hi1
-                        size = len(buf)
-                        continue
-            if q < 0 and not sym and fill is None:
-                n = max_steps - steps  # gliding over blank forever: no 1 ahead anywhere
-            elif n > max_steps - steps:
-                n = max_steps - steps
-            if fill is not None:
-                if first1 is not None and first1 < n:
-                    # the single-step rule on the 0->1 writes: the crossing
-                    # stops short of the first one that would widen the
-                    # 1-extent past `cap` cells, and the next iteration
-                    # refuses it
-                    c = head + m * first1
-                    lo, hi = (c, c) if hi1 < lo1 else (min(lo1, c), max(hi1, c))
-                    if hi - lo >= cap:
-                        n = first1
+                    q = buf.rfind(1 - sym, 0, p + 1)
+                    n = p - q
+                if n >= LONG_SCAN:
+                    if prover is None:
+                        prover = Prover(cm)
+                    if prover.due(j):
+                        _sync(tape, org, p, lo1, hi1)
+                        done = prover.apply(tape, state >> 1, j, max_steps - steps, cap, reads)
+                        if done:
+                            steps += done
+                            buf, size, org, p, lo1, hi1 = _loaded(tape)
+                            break  # the rule may have grown the buffer: a new horizon
+                if q < 0 and not sym and fill is None:
+                    n = max_steps - steps  # gliding over blank forever: no 1 ahead anywhere
+                elif n > max_steps - steps:
+                    n = max_steps - steps
+                if fill is not None:
+                    if not sym:
+                        # the single-step rule on 0->1 writes: the crossing
+                        # stops short of the first one that would widen the
+                        # 1-extent past `cap` cells, and the next iteration
+                        # refuses it
+                        if hi1 < lo1:
+                            lo1 = hi1 = p
+                        if m > 0:
+                            lo = p if p < lo1 else lo1
+                            if (p if p > hi1 else hi1) - lo >= cap:
+                                _sync(tape, org, p, lo1, hi1)
+                                return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
+                            if n > lo + cap - p:
+                                n = lo + cap - p
+                            lo1 = lo
+                            if p + n - 1 > hi1:
+                                hi1 = p + n - 1
+                        else:
+                            hi = p if p > hi1 else hi1
+                            if hi - (p if p < lo1 else lo1) >= cap:
+                                _sync(tape, org, p, lo1, hi1)
+                                return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
+                            if n > p - hi + cap:
+                                n = p - hi + cap
+                            hi1 = hi
+                            if p - n + 1 < lo1:
+                                lo1 = p - n + 1
+                    if m > 0:
+                        buf[p : p + n] = fill * n
                     else:
-                        # the cells from offset `lim` on lie past `cap` cells
-                        lim = lo + cap - head if m > 0 else head - hi + cap
-                        if lim < n:
-                            r = lim % k
-                            n = min(n, lim - r + (fill * 2).index(1, r))
-                    if not n:  # the write at the head is the one refused
-                        sync()
-                        return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
-                a = p if m > 0 else p - n + 1
-                if k == 1:
-                    buf[a : a + n] = fill * n
+                        buf[p - n + 1 : p + 1] = fill * n
+                p += m * n
+                steps += n
+                continue
+            sw = sweep[j]
+            m = move[j]
+            if sw is not None and (not 0 <= p + m < size or buf[p + m] == sym):
+                # A cycle of k > 1 states that read `sym` and move one way
+                # crosses the whole uniform run ahead at once.  Facing a run
+                # of one cell (the next cell holds the other symbol), it
+                # takes one transition, below, with no search.
+                k, fill, first1, entries = sw
+                if m > 0:
+                    q = buf.find(1 - sym, p)
+                    n = (size if q < 0 else q) - p
                 else:
+                    q = buf.rfind(1 - sym, 0, p + 1)
+                    n = p - q
+                if q < 0 and not sym and fill is None:
+                    n = max_steps - steps  # gliding over blank forever: no 1 ahead anywhere
+                elif n > max_steps - steps:
+                    n = max_steps - steps
+                if fill is not None:
+                    if first1 is not None and first1 < n:
+                        # the single-step rule on the 0->1 writes, as above
+                        c = p + m * first1
+                        lo, hi = (c, c) if hi1 < lo1 else (min(lo1, c), max(hi1, c))
+                        if hi - lo >= cap:
+                            n = first1
+                        else:
+                            # the cells from offset `lim` on lie past `cap` cells
+                            lim = lo + cap - p if m > 0 else p - hi + cap
+                            if lim < n:
+                                r = lim % k
+                                n = min(n, lim - r + (fill * 2).index(1, r))
+                        if not n:  # the write at the head is the one refused
+                            _sync(tape, org, p, lo1, hi1)
+                            return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
+                    a = p if m > 0 else p - n + 1
                     tiles = fill * (n // k) + fill[: n % k]
                     buf[a : a + n] = tiles if m > 0 else tiles[::-1]
-                if first1 is not None and first1 < n:
-                    if m > 0:
-                        lo1, hi1 = lo, max(hi, buf.rfind(1, a, a + n) - org)
-                    else:
-                        lo1, hi1 = min(lo, buf.find(1, a, a + n) - org), hi
-            head += m * n
-            steps += n
-            if k > 1:
-                state = entries[n % k] >> 1
+                    if first1 is not None and first1 < n:
+                        if m > 0:
+                            lo1, hi1 = lo, max(hi, buf.rfind(1, a, a + n))
+                        else:
+                            lo1, hi1 = min(lo, buf.find(1, a, a + n)), hi
+                p += m * n
+                steps += n
+                state = entries[n % k] - sym
                 if reads is not None:
                     for e in entries[1:n]:
                         reads[e] = 1
-            continue
-        t = target[j]
-        if t == NO_ACTION:
-            sync()
-            return _outcome(HALTED, cm, tape, state, steps)
-        w = write[j]
-        if w and not sym:
-            # a 0->1 write widens the 1-extent; refuse it past `cap` cells,
-            # also inside an extent (from the start tape) already wider
-            if hi1 < lo1:
-                lo1 = hi1 = head
-            else:
-                lo = head if head < lo1 else lo1
-                hi = head if head > hi1 else hi1
-                if hi - lo >= cap:
-                    sync()
-                    return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
-                lo1, hi1 = lo, hi
-        buf[p] = w
-        head += m
-        steps += 1
-        if trace is not None:
-            sync()
-            trace(steps, exit_names[j] if t < 0 else names[t], head, tape)
-        if t == EXIT:
-            sync()
-            return _outcome(HALTED, cm, tape, state, steps, exit_name=exit_names[j])
-        if t == WATCHED:
-            sync()
-            return _outcome(WATCH, cm, tape, state, steps, exit_names[j], watched_state=exit_names[j])
-        state = t
-    sync()
+                continue
+            t = target[j]
+            if t == NO_ACTION:
+                _sync(tape, org, p, lo1, hi1)
+                return _outcome(HALTED, cm, tape, state, steps)
+            w = write[j]
+            if w and not sym:
+                # a 0->1 write widens the 1-extent; refuse it past `cap` cells,
+                # also inside an extent (from the start tape) already wider
+                if hi1 < lo1:
+                    lo1 = hi1 = p
+                else:
+                    lo = p if p < lo1 else lo1
+                    hi = p if p > hi1 else hi1
+                    if hi - lo >= cap:
+                        _sync(tape, org, p, lo1, hi1)
+                        return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
+                    lo1, hi1 = lo, hi
+            buf[p] = w
+            p += m
+            steps += 1
+            if trace is not None:
+                _sync(tape, org, p, lo1, hi1)
+                trace(steps, exit_names[j] if t < 0 else names[t], p - org, tape)
+            if t == EXIT:
+                _sync(tape, org, p, lo1, hi1)
+                return _outcome(HALTED, cm, tape, state, steps, exit_name=exit_names[j])
+            if t == WATCHED:
+                _sync(tape, org, p, lo1, hi1)
+                return _outcome(
+                    WATCH, cm, tape, state, steps, exit_names[j], watched_state=exit_names[j]
+                )
+            state = 2 * t
+    _sync(tape, org, p, lo1, hi1)
     return _outcome(STEP_LIMIT, cm, tape, state, steps)

@@ -110,24 +110,29 @@ class CompiledMachine:
     when it is a watched state the entry enters from another state (a
     self-loop enters nothing), and ``-2`` when no action exists.  The
     successor's name of a ``-1`` or ``-3`` entry is in ``exit_name``.
-    ``sweep`` holds, per entry, the cycle of k >= 1 states that entry
-    starts, all reading its symbol and moving one way (k = 1: a
-    self-loop), or None.  Started on a run of that symbol, the cycle
-    crosses it: the i-th cell gets the write of the cycle's (i mod k)-th
-    entry.  The cycle is the plain tuple ``(k, fill, first1, entries)``
-    (the loop unpacks it, which a tuple subclass would slow): ``fill`` is
-    the k writes in cycle order, or None when each entry writes the symbol
-    it reads; ``first1`` is the offset of the first 0->1 write, or None
-    when there is none; ``entries`` lists the k entries, this one first,
-    or is None for a self-loop, so all self-loops share four values.  No
-    cycle runs through a stop, so none through a watched state.
-    ``fused`` holds ``(write, move, target)`` for each entry whose target
-    is a state and that starts no sweep, and None for every other entry:
-    the engine executes such an entry with one lookup.  ``watches``, in
-    an unwatched table, maps each watch set (a frozenset of names) a run
-    asked for to that set's table, compiled at its first run; a watched
-    table has None there, and shares ``names``, ``index``, ``write`` and
-    ``move`` with the unwatched table.
+    ``loop`` holds ``(move, fill)`` for each self-loop entry and None for
+    every other: started on a run of its symbol, the self-loop crosses
+    it, writing ``fill`` (``b"\x00"`` or ``b"\x01"``) over each cell, or
+    nothing when fill is None, the entry writing the symbol it reads.
+    ``sweep`` holds, per entry, the cycle of k > 1 states that entry
+    starts, all reading its symbol and moving one way, or None.  Started
+    on a run of that symbol, the cycle crosses it: the i-th cell gets the
+    write of the cycle's (i mod k)-th entry.  The cycle is the plain
+    tuple ``(k, fill, first1, entries)`` (the loop unpacks it, which a
+    tuple subclass would slow): ``fill`` is the k writes in cycle order,
+    or None when each entry writes the symbol it reads; ``first1`` is the
+    offset of the first 0->1 write, or None when there is none;
+    ``entries`` lists the k entries, this one first.  No cycle runs
+    through a stop, so none through a watched state.  ``fused`` holds
+    ``(write, move, 2 * target)`` for each entry whose target is a state
+    and that starts no self-loop and no sweep, and None for every other
+    entry: the engine executes such an entry with one lookup, and holds
+    the state as its first entry, 2 * index, so the next entry is that
+    plus the symbol read.  ``watches``, in an unwatched table, maps each
+    watch set (a frozenset of state names) a run asked for to that set's
+    table, compiled at its first run; a watched table has None there, and
+    shares ``names``, ``index``, ``write`` and ``move`` with the unwatched
+    table.
     """
 
     names: tuple[str, ...]
@@ -136,19 +141,14 @@ class CompiledMachine:
     move: tuple[int, ...]
     target: tuple[int, ...]
     exit_name: tuple[str | None, ...]
+    loop: tuple[tuple[int, bytes | None] | None, ...]
     sweep: tuple[tuple | None, ...]
     fused: tuple[tuple[int, int, int] | None, ...]
     watches: dict | None = field(default=None, repr=False, compare=False)
 
 
-# the self-loop on (symbol, write): (k, fill, first1, entries)
-_SELF_LOOPS = {
-    (0, 0): (1, None, None, None),
-    (0, 1): (1, b"\x01", 0, None),
-    (1, 0): (1, b"\x00", None, None),
-    (1, 1): (1, None, None, None),
-}
-
+# a self-loop's fill, by (symbol, write): None when it writes what it reads
+_FILLS = {(0, 0): None, (0, 1): b"\x01", (1, 0): b"\x00", (1, 1): None}
 
 NO_ACTION = -2
 EXIT = -1
@@ -186,6 +186,10 @@ def compile_machine(machine: Machine, watch: frozenset[str] = frozenset()) -> Co
             if t >= 0 and t != j >> 1 and names[t] in watch:
                 target[j] = WATCHED
                 exit_name[j] = names[t]
+    loop = tuple(
+        (m, _FILLS[j & 1, w]) if t == j >> 1 else None
+        for j, (w, m, t) in enumerate(zip(write, move, target))
+    )
     sweep = _sweeps(write, move, target)
     return CompiledMachine(
         names=names,
@@ -194,17 +198,19 @@ def compile_machine(machine: Machine, watch: frozenset[str] = frozenset()) -> Co
         move=tuple(move),
         target=tuple(target),
         exit_name=tuple(exit_name),
+        loop=loop,
         sweep=tuple(sweep),
         fused=tuple(
-            (w, m, t) if t >= 0 and s is None else None
-            for w, m, t, s in zip(write, move, target, sweep)
+            (w, m, 2 * t) if t >= 0 and s is None and lp is None else None
+            for w, m, t, s, lp in zip(write, move, target, sweep, loop)
         ),
         watches=None if watch else {},
     )
 
 
 def _sweeps(write, move, target) -> list:
-    """Each entry's cycle, or None when it starts no cycle of one move.
+    """Each entry's cycle of k > 1 states, or None when it starts no such
+    cycle of one move (a self-loop is `loop`'s).
 
     Entry j = 2s + symbol leads to entry 2t + symbol when s goes to the
     state t, so the entries of one symbol form a functional graph.  Each
@@ -224,10 +230,9 @@ def _sweeps(write, move, target) -> list:
         else:
             if walk[j] != j0:
                 continue  # the walk met an earlier walk
-            sym = j & 1
             if target[j] == j >> 1:
-                sweep[j] = _SELF_LOOPS[sym, write[j]]
-                continue
+                continue  # a self-loop
+            sym = j & 1
             cycle = [j]
             e = 2 * target[j] + sym
             while e != j:

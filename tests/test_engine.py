@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beaverkit import engine, harness
+from beaverkit import engine, harness, rules
 from beaverkit.engine import (
     CYCLE,
     HALTED,
@@ -16,7 +16,7 @@ from beaverkit.engine import (
     fingerprint,
     run,
 )
-from beaverkit.machine import HALT, Action, Machine, compile_machine
+from beaverkit.machine import HALT, NEXT_MACHINE, Action, Machine, compile_machine
 from beaverkit.tape import Configuration, Tape
 from stepping import HaltEvent, checked_run, read_profile, step, stepped_run
 
@@ -487,6 +487,16 @@ def test_a_machine_compiles_once(monkeypatch, data_dir, resolver):
         assert run(m, limits=RunLimits(max_steps=5)).steps == 5
     assert calls == [m, m]
     assert m == twin and repr(m) == repr(twin)
+    # a watch set that names no state (NM is an exit marker) stops on
+    # nothing, so the unwatched table serves it: nothing more compiles
+    exits = one_state(target=NEXT_MACHINE)
+    calls.clear()
+    plain = run(exits, limits=RunLimits(max_steps=5))
+    for watch in ((NEXT_MACHINE,), (NEXT_MACHINE, HALT, "Z")):
+        out = run(exits, limits=RunLimits(max_steps=5), watch=watch)
+        assert_same_run(out, plain)
+        assert (out.halting_state, out.watched_state) == (plain.halting_state, None) == (NEXT_MACHINE, None)
+    assert calls == [exits]
     # a second run of one Brocard scenario, which watches its Kf states
     scn = next(s for s in harness.load_scenarios(data_dir / "scenarios" / "brocard.scn")
                if s.name == "square_check_oracle_35")
@@ -784,7 +794,8 @@ def test_plain_entry_into_a_watched_state_stops(watch, steps, state):
 )
 def test_cycle_check_steps_sweep_entries_as_plain(states, blocks, want):
     m = Machine("walker", "A", states)
-    assert any(compile_machine(m).sweep)  # unobserved, some entries would sweep
+    cm = compile_machine(m)
+    assert any(cm.sweep) or any(cm.loop)  # unobserved, some entries would sweep
     start = Configuration("A", Tape.from_blocks(blocks))
     out = run(m, start.clone(), RunLimits(50, cycle_check=True))
     kind, trail, first = checked_run(m, start.clone(), 50)
@@ -816,3 +827,58 @@ def test_sweep_from_the_buffers_edge_cells(edge, move, width):
     assert len(tape.buf) == size
     out, _ = assert_matches_stepped(m, Configuration("A", tape), RunLimits(100))
     assert out.kind == HALTED
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_runs_across_the_buffers_edges_match_single_step(data):
+    # The loop checks the buffer's edge once per step horizon, not per
+    # step: the head starts within a few cells of one edge of a blank
+    # tape's buffer (or just past it), among a few written cells, and
+    # every field of the run must match one step at a time
+    m = data.draw(st.one_of(machines(), sweepers().map(lambda drawn: drawn[0])))
+    tape = Tape()
+    size = len(tape.buf)
+    edge = data.draw(st.sampled_from([-tape.org, size - 1 - tape.org]))
+    inward = 1 if edge < 0 else -1
+    for i, sym in enumerate(data.draw(st.lists(st.integers(0, 1), max_size=8))):
+        if sym:
+            tape.write(edge + inward * i, 1)
+    tape.head = edge + inward * data.draw(st.integers(-2, 5))
+    assert len(tape.buf) == size
+    limits = RunLimits(data.draw(st.integers(0, 300)),
+                       data.draw(st.one_of(st.just(1 << 22), st.integers(1, 12))))
+    assert_matches_stepped(m, Configuration(m.start, tape), limits)
+
+
+@pytest.mark.parametrize(
+    "cap, kind, steps, state, head, support",
+    [
+        (1 << 22, STEP_LIMIT, 10**7, "A", 608, (-2236, 2235)),
+        (4200, MEMORY_LIMIT, 8_822_100, "A", 2100, (-2100, 2099)),
+    ],
+)
+def test_a_rule_that_grows_the_buffer_mid_run(monkeypatch, cap, kind, steps, state, head, support):
+    # A1 and B1 cross a block of 1s that A0 and B0 widen by a cell at
+    # each end: one proven rule widens it past the 4096-cell buffer, and
+    # the run goes on in the grown buffer to its budget or to the cap
+    grown = []
+    apply = rules._apply
+
+    def spy(rule, runs, tape, *args):
+        size = len(tape.buf)
+        done = apply(rule, runs, tape, *args)
+        grown.append(len(tape.buf) > size)
+        return done
+
+    monkeypatch.setattr(rules, "_apply", spy)
+    m = Machine("widener", "A", {"A": (Action(1, -1, "B"), Action(1, 1, "A")),
+                                 "B": (Action(1, 1, "A"), Action(1, -1, "B"))})
+    profile = set()
+    out = run(m, limits=RunLimits(10**7, cap), profile=profile)
+    assert grown == [True]
+    tape = out.config.tape
+    assert (out.kind, out.steps, out.config.state, tape.head) == (kind, steps, state, head)
+    assert tape.support() == extent(tape) == support
+    assert tape.blocks() == [support[1] - support[0] + 1]
+    assert profile == {("A", 0), ("A", 1), ("B", 0), ("B", 1)}
