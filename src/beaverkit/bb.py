@@ -85,7 +85,10 @@ def parse_registry(text: str) -> Registry:
                 raise RegistryError("expected 'bb <n> <value> <source>'")
             if parts[3] not in (PAPER, COMPUTED, CONFIGURED):
                 raise RegistryError(f"unknown source {parts[3]!r}")
-            reg.add(BBEntry(int(parts[1]), int(parts[2]), parts[3]))
+            n = int(parts[1])
+            if n in reg.entries:
+                raise RegistryError(f"bb({n}) is listed twice")
+            reg.add(BBEntry(n, int(parts[2]), parts[3]))
     return reg
 
 

@@ -39,24 +39,26 @@ horizon, capped by the budget, and the inner loop runs to it with no
 bounds test.  A rule may grow the buffer, so after one the loop reloads
 the tape and sets a new horizon.
 
-Each iteration takes the first branch that fits its entry.
-`compile_machine` fuses each plain entry, one whose target is a state
-and that starts no crossing, into one tuple (write, move, 2 × target),
-and the first branch executes it with one index and one unpack: the
-read flag, the memory rule and the step count are inline, and nothing
-is called.  Only a 0->1 write outside the 1-extent can widen it, so only
-that write is checked; a run whose start tape's extent already spans
-more than the cap refuses every 0->1 write, inside it too, and takes
-the general path for all of them.  A self-loop takes the second branch,
-through its own table `loop` of (move, fill): one search, the
-`LONG_SCAN` trigger, one budget clamp, at most one fill and, for a fill
-of 1s, the memory rule inline.  A sweep takes the third.  A stop entry
-(an exit or a watched one) takes the general path, and in a traced run
-every entry does; a cycle-checked run, which never crosses, runs the
-self-loop and sweep entries as plain too.  A sweep facing a run of one
-cell, where the next cell holds the other symbol, takes one transition
-on the general path, with no search and no fill: random small machines
-meet 7 in 10 of their cycles so.
+Each iteration takes the first branch that fits its entry.  Each entry
+has one record (write, move, target), whose target is the successor's
+first entry or a stop code, so the loop moves to the next state with no
+arithmetic.  `fused` holds the record of each plain entry, one whose
+target is a state and that starts no crossing, and the first branch
+executes it with one index and one unpack: the read flag, the memory
+rule and the step count are inline, and nothing is called.  Only a 0->1
+write outside the 1-extent can widen it, so only that write is checked;
+a run whose start tape's extent already spans more than the cap refuses
+every 0->1 write, inside it too, and takes the general path for all of
+them.  A self-loop takes the second branch, through its own table `loop`
+of (move, fill): one search, the `LONG_SCAN` trigger, one budget clamp,
+at most one fill and, for a fill of 1s, the memory rule inline.  A sweep
+takes the third.  A stop entry (an exit or a watched one) takes the
+general path, which unpacks the same record, and in a traced run every
+entry does; a cycle-checked run, which never crosses, runs the self-loop
+and sweep entries as plain too.  A sweep facing a run of one cell, where
+the next cell holds the other symbol, takes one transition on the
+general path, with no search and no fill: random small machines meet 7
+in 10 of their cycles so.
 
 Cycle detection keeps no tape per step, and hashes no tape per step.  It
 keeps h, the sum of R^(c - head) mod P over the cells c that hold 1 (P =
@@ -216,7 +218,7 @@ def run(
             )
         outcome = RunOutcome(HALTED, config.steps, config, halting_state=config.state)
     else:
-        reads = None if profile is None else [0] * len(cm.write)
+        reads = None if profile is None else [0] * len(cm.entry)
         outcome = _run(cm, config, limits, trace, reads)
         if reads is not None:
             profile.update((cm.names[j >> 1], j & 1) for j, r in enumerate(reads) if r)
@@ -289,8 +291,7 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
     steps = config.steps
     max_steps = limits.max_steps
     cap = limits.max_support_cells
-    write, move, target, exit_names = cm.write, cm.move, cm.target, cm.exit_name
-    names = cm.names
+    entry, exit_names, names = cm.entry, cm.exit_name, cm.names
 
     # p, lo1 and hi1 are the head and the over-approximate 1-bounds as
     # indices into buf; `_sync` puts them on the tape in cells
@@ -298,22 +299,22 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
     cycle_check = limits.cycle_check
     fused, loop, sweep = cm.fused, cm.loop, cm.sweep
     if trace is not None:
-        fused = loop = sweep = (None,) * len(write)  # a trace sees every step
+        fused = loop = sweep = (None,) * len(entry)  # a trace sees every step
     elif cycle_check:
         # the key takes every step, so a crossing's entries run one at a time
-        loop = sweep = (None,) * len(write)
-        fused = [(w, m, 2 * t) if t >= 0 else None for w, m, t in zip(write, move, target)]
+        loop = sweep = (None,) * len(entry)
+        fused = [f if f[2] >= 0 else None for f in entry]
     if hi1 - lo1 >= cap:
         # a start tape's 1-extent already spans more than `cap` cells, so
         # every 0->1 write is refused, inside it too: the general path's rule
-        fused = (None,) * len(write)
+        fused = (None,) * len(entry)
     if cycle_check:
         # h is `_tape_hash` of the configuration at hand: entry j writes,
         # then moves, so executing it makes h into h * shift[j] + bump[j]
         h = _tape_hash(tape)
-        shift = [_SHIFT[m] for m in move]
-        bump = [(w - (j & 1)) * shift[j] % _P for j, w in enumerate(write)]
-        n_entries = len(write)
+        shift = [_SHIFT[m] for _, m, _ in entry]
+        bump = [(w - (j & 1)) * shift[j] % _P for j, (w, _, _) in enumerate(entry)]
+        n_entries = len(entry)
         # _support_hash(h) * n_entries + j -> the first step with that key,
         # and the later steps of keys that matched an unequal configuration
         seen: dict = {}
@@ -392,7 +393,7 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
                         prover = Prover(cm)
                     if prover.due(j):
                         _sync(tape, org, p, lo1, hi1)
-                        done = prover.apply(tape, state >> 1, j, max_steps - steps, cap, reads)
+                        done = prover.apply(tape, j, max_steps - steps, cap, reads)
                         if done:
                             steps += done
                             buf, size, org, p, lo1, hi1 = _loaded(tape)
@@ -436,8 +437,8 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
                 p += m * n
                 steps += n
                 continue
+            w, m, t = entry[j]
             sw = sweep[j]
-            m = move[j]
             if sw is not None and (not 0 <= p + m < size or buf[p + m] == sym):
                 # A cycle of k > 1 states that read `sym` and move one way
                 # crosses the whole uniform run ahead at once.  Facing a run
@@ -485,11 +486,9 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
                     for e in entries[1:n]:
                         reads[e] = 1
                 continue
-            t = target[j]
             if t == NO_ACTION:
                 _sync(tape, org, p, lo1, hi1)
                 return _outcome(HALTED, cm, tape, state, steps)
-            w = write[j]
             if w and not sym:
                 # a 0->1 write widens the 1-extent; refuse it past `cap` cells,
                 # also inside an extent (from the start tape) already wider
@@ -507,7 +506,7 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
             steps += 1
             if trace is not None:
                 _sync(tape, org, p, lo1, hi1)
-                trace(steps, exit_names[j] if t < 0 else names[t], p - org, tape)
+                trace(steps, exit_names[j] if t < 0 else names[t >> 1], p - org, tape)
             if t == EXIT:
                 _sync(tape, org, p, lo1, hi1)
                 return _outcome(HALTED, cm, tape, state, steps, exit_name=exit_names[j])
@@ -516,6 +515,6 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
                 return _outcome(
                     WATCH, cm, tape, state, steps, exit_names[j], watched_state=exit_names[j]
                 )
-            state = 2 * t
+            state = t
     _sync(tape, org, p, lo1, hi1)
     return _outcome(STEP_LIMIT, cm, tape, state, steps)

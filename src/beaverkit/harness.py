@@ -287,6 +287,9 @@ def run_suite(scenarios, resolver, jobs: int = 1):
 def parse_scenarios(text: str, resolve=None) -> list[Scenario]:
     """Scenarios in file order; a malformed line raises ValueError("line N: ...").
 
+    A name used twice is refused at its second `scenario` line: reports,
+    profiles and merge checks look scenarios up by name.
+
     A text that holds no scenario raises ValueError("holds no scenario"):
     a suite of none verifies nothing.  With `resolve` (a `MachineResolver`)
     every machine is built here, so a bad reference is reported at its
@@ -294,10 +297,14 @@ def parse_scenarios(text: str, resolve=None) -> list[Scenario]:
     """
     out: list[Scenario] = []
     given: list[dict] = []  # per scenario: directive -> line it was last given on
+    names: set[str] = set()
     with Lines(text) as lines:
         for lineno, line in lines:
             parts = line.split()
             if parts[0] == "scenario":
+                if parts[1] in names:
+                    raise ValueError(f"scenario {parts[1]!r} is named twice")
+                names.add(parts[1])
                 out.append(Scenario(name=parts[1], machine_ref=""))
                 given.append({"scenario": lineno})
             elif not out:

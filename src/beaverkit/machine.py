@@ -104,42 +104,41 @@ def state_count(machine: Machine) -> int:
 class CompiledMachine:
     """Flat-array form of a Machine for the execution engine.
 
-    Entry ``2*state_index + symbol`` of each array describes that
-    transition; ``target`` holds the successor's index, or a stop: ``-1``
-    when the successor is undefined, external, or the halt marker, ``-3``
-    when it is a watched state the entry enters from another state (a
-    self-loop enters nothing), and ``-2`` when no action exists.  The
-    successor's name of a ``-1`` or ``-3`` entry is in ``exit_name``.
-    ``loop`` holds ``(move, fill)`` for each self-loop entry and None for
-    every other: started on a run of its symbol, the self-loop crosses
-    it, writing ``fill`` (``b"\x00"`` or ``b"\x01"``) over each cell, or
-    nothing when fill is None, the entry writing the symbol it reads.
-    ``sweep`` holds, per entry, the cycle of k > 1 states that entry
-    starts, all reading its symbol and moving one way, or None.  Started
-    on a run of that symbol, the cycle crosses it: the i-th cell gets the
-    write of the cycle's (i mod k)-th entry.  The cycle is the plain
-    tuple ``(k, fill, first1, entries)`` (the loop unpacks it, which a
-    tuple subclass would slow): ``fill`` is the k writes in cycle order,
-    or None when each entry writes the symbol it reads; ``first1`` is the
-    offset of the first 0->1 write, or None when there is none;
-    ``entries`` lists the k entries, this one first.  No cycle runs
-    through a stop, so none through a watched state.  ``fused`` holds
-    ``(write, move, 2 * target)`` for each entry whose target is a state
-    and that starts no self-loop and no sweep, and None for every other
-    entry: the engine executes such an entry with one lookup, and holds
-    the state as its first entry, 2 * index, so the next entry is that
-    plus the symbol read.  ``watches``, in an unwatched table, maps each
-    watch set (a frozenset of state names) a run asked for to that set's
-    table, compiled at its first run; a watched table has None there, and
-    shares ``names``, ``index``, ``write`` and ``move`` with the unwatched
-    table.
+    Entry ``2*state_index + symbol`` describes that transition, and a
+    state is named by its first entry, so the entry it reads is that
+    plus the symbol.  ``entry`` holds each entry's record ``(write, move,
+    target)``: target is the successor's first entry, or a stop: `EXIT`
+    when the successor is undefined, external, or the halt marker,
+    `WATCHED` when it is a watched state the entry enters from another
+    state (a self-loop enters nothing), and `NO_ACTION`, with write 0
+    and move right, when no action exists.  The successor's name of an
+    `EXIT` or `WATCHED` entry is in ``exit_name``.  ``loop`` holds
+    ``(move, fill)`` for each self-loop entry and None for every other:
+    started on a run of its symbol, the self-loop crosses it, writing
+    ``fill`` (the one byte 0 or 1) over each cell, or nothing when fill
+    is None, the entry writing the symbol it reads.  ``sweep`` holds, per
+    entry, the cycle of k > 1 states that entry starts, all reading its
+    symbol and moving one way, or None.  Started on a run of that symbol,
+    the cycle crosses it: the i-th cell gets the write of the cycle's
+    (i mod k)-th entry.  The cycle is the plain tuple ``(k, fill, first1,
+    entries)`` (the loop unpacks it, which a tuple subclass would slow):
+    ``fill`` is the k writes in cycle order, or None when each entry
+    writes the symbol it reads; ``first1`` is the offset of the first
+    0->1 write, or None when there is none; ``entries`` lists the k
+    entries, this one first.  No cycle runs through a stop, so none
+    through a watched state.  ``fused`` holds the record itself of each
+    entry whose target is a state and that starts no self-loop and no
+    sweep, and None for every other entry: the engine executes such an
+    entry with one lookup and one unpack.  ``watches``, in an unwatched
+    table, maps each watch set (a frozenset of state names) a run asked
+    for to that set's table, compiled at its first run; a watched table
+    has None there, and shares ``names``, ``index`` and the records of
+    the entries it does not stop with the unwatched table.
     """
 
     names: tuple[str, ...]
     index: Mapping[str, int]
-    write: tuple[int, ...]
-    move: tuple[int, ...]
-    target: tuple[int, ...]
+    entry: tuple[tuple[int, int, int], ...]
     exit_name: tuple[str | None, ...]
     loop: tuple[tuple[int, bytes | None] | None, ...]
     sweep: tuple[tuple | None, ...]
@@ -163,85 +162,79 @@ def compile_machine(machine: Machine, watch: frozenset[str] = frozenset()) -> Co
     if base is None or not watch:
         names = tuple(machine.states)
         index = MappingProxyType({n: i for i, n in enumerate(names)})
-        n2 = 2 * len(names)
-        write = [0] * n2
-        move = [RIGHT] * n2
-        target = [NO_ACTION] * n2
-        exit_name: list[str | None] = [None] * n2
+        entry = [(0, RIGHT, NO_ACTION)] * (2 * len(names))
+        exit_name: list[str | None] = [None] * len(entry)
         for name, (on_zero, on_one) in machine.states.items():
             for sym, act in ((ZERO, on_zero), (ONE, on_one)):
                 if act is None:
                     continue
                 j = 2 * index[name] + sym
-                write[j] = act.write
-                move[j] = act.move
-                target[j] = index.get(act.target, EXIT)
-                if target[j] == EXIT:
+                t = index.get(act.target)
+                if t is None:
                     exit_name[j] = act.target
+                entry[j] = (act.write, act.move, EXIT if t is None else 2 * t)
     else:
-        names, index, write, move = base.names, base.index, base.write, base.move
-        target, exit_name = list(base.target), list(base.exit_name)
+        names, index = base.names, base.index
+        entry, exit_name = list(base.entry), list(base.exit_name)
     if watch:
-        for j, t in enumerate(target):
-            if t >= 0 and t != j >> 1 and names[t] in watch:
-                target[j] = WATCHED
-                exit_name[j] = names[t]
+        for j, (w, m, t) in enumerate(entry):
+            if t >= 0 and t != j & ~1 and names[t >> 1] in watch:
+                entry[j] = (w, m, WATCHED)
+                exit_name[j] = names[t >> 1]
     loop = tuple(
-        (m, _FILLS[j & 1, w]) if t == j >> 1 else None
-        for j, (w, m, t) in enumerate(zip(write, move, target))
+        (m, _FILLS[j & 1, w]) if t == j & ~1 else None for j, (w, m, t) in enumerate(entry)
     )
-    sweep = _sweeps(write, move, target)
+    sweep = _sweeps(entry)
     return CompiledMachine(
         names=names,
         index=index,
-        write=tuple(write),  # the base table's own tuples, when shared
-        move=tuple(move),
-        target=tuple(target),
+        entry=tuple(entry),  # the base table's own records, where not stopped
         exit_name=tuple(exit_name),
         loop=loop,
         sweep=tuple(sweep),
         fused=tuple(
-            (w, m, 2 * t) if t >= 0 and s is None and lp is None else None
-            for w, m, t, s, lp in zip(write, move, target, sweep, loop)
+            e if e[2] >= 0 and s is None and lp is None else None
+            for e, s, lp in zip(entry, sweep, loop)
         ),
         watches=None if watch else {},
     )
 
 
-def _sweeps(write, move, target) -> list:
+def _sweeps(entry) -> list:
     """Each entry's cycle of k > 1 states, or None when it starts no such
     cycle of one move (a self-loop is `loop`'s).
 
-    Entry j = 2s + symbol leads to entry 2t + symbol when s goes to the
-    state t, so the entries of one symbol form a functional graph.  Each
-    entry is walked once, and every cycle found whose entries all move one
-    way gives each of its k entries the cycle as seen from there.
+    Entry j leads to entry t + symbol when its target is t, the first
+    entry of a state, so the entries of one symbol form a functional
+    graph.  Each entry is walked once, and every cycle found whose
+    entries all move one way gives each of its k entries the cycle as
+    seen from there.
     """
-    sweep: list[tuple | None] = [None] * len(write)
-    walk = [-1] * len(write)  # the first entry of the walk that reached each
-    for j0 in range(len(write)):
+    sweep: list[tuple | None] = [None] * len(entry)
+    walk = [-1] * len(entry)  # the first entry of the walk that reached each
+    for j0 in range(len(entry)):
         j = j0
         while walk[j] < 0:
             walk[j] = j0
-            t = target[j]
+            t = entry[j][2]
             if t < 0:
                 break
-            j = 2 * t + (j & 1)
+            j = t + (j & 1)
         else:
             if walk[j] != j0:
                 continue  # the walk met an earlier walk
-            if target[j] == j >> 1:
+            if entry[j][2] == j & ~1:
                 continue  # a self-loop
             sym = j & 1
             cycle = [j]
-            e = 2 * target[j] + sym
+            e = entry[j][2] + sym
             while e != j:
                 cycle.append(e)
-                e = 2 * target[e] + sym
-            if len(set(map(move.__getitem__, cycle))) > 1:
+                e = entry[e][2] + sym
+            if len({entry[e][1] for e in cycle}) > 1:
                 continue
             k = len(cycle)
-            writes = bytes(map(write.__getitem__, cycle))
+            writes = bytes(entry[e][0] for e in cycle)
             changes = writes.count(sym) < k
             for i, e in enumerate(cycle):
                 w = writes[i:] + writes[:i]

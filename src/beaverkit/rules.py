@@ -110,19 +110,22 @@ class _Form(tuple):
 class _Search:
     """One cycle run at run level, on the tape's lengths or on linear forms.
 
-    The search runs it on the int lengths `read` reads from the tape; the
-    proof runs it again on forms, with `read` reading its start forms and
-    `one` the form of 1.  Runs are read as the stacks empty (`loaded`,
-    and `index`: each side's indices in it, nearest first); each stack
-    entry is [symbol, length, ids], the top last, where `ids` are the
-    indices in `loaded` of the runs whose cells it holds besides the
-    cells single transitions moved.  `moves` is the length of the cycle:
-    the start (state, face, symbol) recurs with the run shape it started
-    with, the symbols of every run read.  It is 0 when the cycle meets a
-    stop entry, runs out of runs (past the blank, or past the start
-    forms), takes more than `MAX_MOVES` moves, or meets the start twice
-    in a row with one other shape: then it repeats a cycle that the
-    start is not on.
+    The cycle starts at entry `j`: its state, held as its first entry
+    (`j & ~1`) as in the compiled table, faces the side that entry j
+    moves to and reads j's symbol there, and each record's target is the
+    next state.  The search runs it on the int lengths `read` reads from
+    the tape; the proof runs it again on forms, with `read` reading its
+    start forms and `one` the form of 1.  Runs are read as the stacks
+    empty (`loaded`, and `index`: each side's indices in it, nearest
+    first); each stack entry is [symbol, length, ids], the top last,
+    where `ids` are the indices in `loaded` of the runs whose cells it
+    holds besides the cells single transitions moved.  `moves` is the
+    length of the cycle: the start (state, face, symbol) recurs with the
+    run shape it started with, the symbols of every run read.  It is 0
+    when the cycle meets a stop entry, runs out of runs (past the blank,
+    or past the start forms), takes more than `MAX_MOVES` moves, or
+    meets the start twice in a row with one other shape: then it repeats
+    a cycle that the start is not on.
 
     Whether a run that a single transition shortens empties is the only
     choice the lengths make; `decided` lists the (ids, length) of each
@@ -133,7 +136,7 @@ class _Search:
     writes, both ends of each scan's.
     """
 
-    def __init__(self, cm, read, state, face, symbol, one=1):
+    def __init__(self, cm, read, j, one=1):
         loaded: list = []
         index: list = [[], []]
         stacks: list = [[], []]
@@ -151,8 +154,9 @@ class _Search:
 
         load(0)
         load(1)
-        target, write, move = cm.target, cm.write, cm.move
+        entry = cm.entry
         proof = one != 1
+        state, symbol, face = j & ~1, j & 1, (entry[j][1] + 1) >> 1
         st, f = state, face
         singles = 0
         steps = head = one - one
@@ -168,11 +172,10 @@ class _Search:
             stack = stacks[f]
             run = stack[-1]
             s, n, ids = run
-            j = 2 * st + s
-            t = target[j]
+            j = st + s
+            w, m, t = entry[j]
             if t < 0:
                 break  # a stop: it halts, exits, or enters a watched state
-            w, m = write[j], move[j]
             side = (m + 1) >> 1
             if t == st and side == f:
                 count, moved = n, ids  # a scan crosses the whole run
@@ -273,7 +276,7 @@ class Prover:
 
     def __init__(self, cm):
         self.cm = cm
-        n = len(cm.write)
+        n = len(cm.entry)
         self.scans = 0
         self.last = [0] * n  # the long scan at which each entry last scanned
         self.gap = [0] * n  # the long scans between its last two
@@ -295,7 +298,7 @@ class Prover:
             return False
         return True
 
-    def apply(self, tape, state, j, budget, cap, reads) -> int:
+    def apply(self, tape, j, budget, cap, reads) -> int:
         """Apply a rule for the scan of entry `j`; the steps it took, or 0.
 
         `tape` is the run's tape, the head on the scan's first cell; it
@@ -303,7 +306,7 @@ class Prover:
         used when the tape matches it; otherwise one is proved, unless a
         search refused before would refuse it again.
         """
-        read = _reader(tape, (self.cm.move[j] + 1) >> 1)
+        read = _reader(tape, (self.cm.entry[j][1] + 1) >> 1)
         kept = self.rules[j]
         for rule in kept:
             runs = rule.match(read)
@@ -312,7 +315,7 @@ class Prover:
         if any(refusal.holds(read, budget) for refusal in self.refused[j]):
             rule = None
         else:
-            rule = self._prove(read, state, j, budget)
+            rule = self._prove(read, j, budget)
         if rule is None:
             self.fails[j] += 1
             self.wait[j] = (1 << self.fails[j]) - 1
@@ -322,14 +325,13 @@ class Prover:
         del kept[KEPT:]
         return _apply(rule, rule.match(read), tape, budget, cap, reads)
 
-    def _prove(self, read, state, j, budget):
+    def _prove(self, read, j, budget):
         """The rule of the cycle that starts at the scan of entry `j`, or None.
 
         A cycle refused before its proof is remembered, so that `apply`
         refuses it again by reading the runs it read (`_Refusal`).
         """
-        face = (self.cm.move[j] + 1) >> 1
-        search = _Search(self.cm, read, state, face, j & 1)
+        search = _Search(self.cm, read, j)
         cycle = None
         if search.moves:
             # no single transition empties a run of c cells or more
@@ -341,14 +343,14 @@ class Prover:
             ]
             pairs = [(search.loaded[k][1][1], r) for k, r, _ in ends]
             if _repeats(budget, search.steps, pairs, c) >= MIN_REPEATS:
-                return self._proof(state, face, j & 1, search, c)
+                return self._proof(j, search, c)
             cycle = (c, search.steps, search.scanned, ends)
         refused = self.refused[j]
         refused.insert(0, _Refusal(search, cycle))
         del refused[KEPT:]
         return None
 
-    def _proof(self, state, face, symbol, search, c):
+    def _proof(self, j, search, c):
         """The rule of the cycle `search` found, or None when it does not hold for all n."""
         orig = [[search.loaded[k][1] for k in search.index[side]] for side in (0, 1)]
         # A run becomes n + c when its length changed or exceeds c, so that
@@ -373,7 +375,7 @@ class Prover:
             return start[side][i] if i < len(start[side]) else None
 
         try:
-            proof = _Search(self.cm, read, state, face, symbol, _Form([1] + [0] * len(where)))
+            proof = _Search(self.cm, read, j, _Form([1] + [0] * len(where)))
         except _Undecided:
             return None
         # it ends in the start shape, so every run keeps its symbol
@@ -385,7 +387,7 @@ class Prover:
                 if e[1:] != e0[1:]:
                     return None
                 shift[side].append(e[0] - e0[0])
-        return _Rule(face, start, shift, where, proof)
+        return _Rule((self.cm.entry[j][1] + 1) >> 1, start, shift, where, proof)
 
 
 def _repeats(budget, steps, pairs, c):

@@ -61,6 +61,13 @@ def test_registry_rejects_unknown_source():
         parse_registry("bb 1 1 folklore")
 
 
+def test_registry_refuses_an_n_listed_twice():
+    # a second line would replace the first bound, and certificates would
+    # be judged against whichever came last
+    with pytest.raises(RegistryError, match=r"^line 3: bb\(2\) is listed twice$"):
+        parse_registry("bb 1 1 computed\nbb 2 6 computed\nbb 2 5 computed\n")
+
+
 def test_brute_force_bb_1():
     result = brute_force_bb(1)
     assert result.value == 1
@@ -107,6 +114,11 @@ def test_shared_verdicts_match_a_run_of_every_program(cap):
 def test_brute_force_rejects_low_cap_as_inconclusive():
     with pytest.raises(Inconclusive):
         brute_force_bb(2, step_cap=3)
+
+
+def test_brute_force_rejects_a_cap_below_one():
+    with pytest.raises(ValueError, match="step cap must be positive"):
+        brute_force_bb(2, step_cap=0)
 
 
 def test_brute_force_rejects_big_n():

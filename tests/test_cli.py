@@ -10,6 +10,8 @@ import beaverkit
 from beaverkit.bb import machine_label
 from beaverkit.cli import dispatch
 from beaverkit.data import data_path
+from beaverkit.harness import load_scenarios
+from beaverkit.optimize import profile_reads, propose_merges
 from beaverkit.tables import build_machine, parse_table
 
 
@@ -197,6 +199,14 @@ def test_bb_replay_names_the_refused_check(capsys, tmp_path, table, machine, ste
     assert out.startswith(f"refused: the {kind} certificate does not hold for {name}: {reason}")
 
 
+def test_run_reports_the_cycle_it_finds(capsys, tmp_path):
+    table = tmp_path / "mover.tbl"
+    table.write_text(MOVER)
+    code, out, _ = run_cli(capsys, "run", str(table), "--steps", "50", "--cycle-check")
+    assert code == 0
+    assert {"outcome: cycle", "cycle: first visit 0, period 2"} <= set(out.splitlines())
+
+
 def test_bb_replay_runs_from_the_entry_state(capsys, tmp_path):
     # from A the machine halts at once; from B it glides right forever
     table = tmp_path / "glide.tbl"
@@ -324,6 +334,17 @@ def test_optimize_without_scenarios_says_so(capsys):
     assert "states before: 45" in out
 
 
+def test_optimize_with_scenarios_verifies_and_writes_the_plan(capsys, tmp_path, brocard_ref):
+    scn, plan_file = data_path("scenarios", "brocard.scn"), tmp_path / "brocard.plan"
+    code, out, _ = run_cli(capsys, "optimize", str(data_path("brocard.manifest")),
+                           "--scenarios", str(scn), "-o", str(plan_file))
+    assert code == 0
+    assert "equivalent on all 16 scenarios, step for step" in out.splitlines()
+    machine, scenarios = brocard_ref.machine, load_scenarios(scn)
+    plan = propose_merges(machine, profile_reads(machine, scenarios))
+    assert plan_file.read_text() == plan.serialize()
+
+
 @pytest.mark.parametrize("command", [
     ["verify"],
     ["optimize", str(data_path("fermat.manifest")), "--scenarios"],
@@ -334,6 +355,15 @@ def test_an_empty_scenario_file_is_refused(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, *command, str(scn))
     assert code == 2 and out == ""
     assert err == f"error: {scn}: holds no scenario\n"
+
+
+def test_a_scenario_name_used_twice_exits_2(capsys, tmp_path):
+    scn, table = tmp_path / "twice.scn", data_path("fermat_t2.tbl")
+    scn.write_text(f"scenario s\nmachine {table}\nexpect nothalt\n\n"
+                   f"scenario s\nmachine {table}\nexpect nothalt\n")
+    code, out, err = run_cli(capsys, "verify", str(scn))
+    assert code == 2 and out == ""
+    assert err == f"error: {scn}:5: scenario 's' is named twice\n"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from beaverkit.engine import WATCH, RunLimits
@@ -9,6 +11,7 @@ from beaverkit.harness import (
     SnapshotExpect,
     TransferExpect,
     execute_scenario,
+    load_scenarios,
     parse_scenarios,
     run_scenario,
     run_suite,
@@ -57,6 +60,20 @@ def test_parse_transfer_with_occurrence():
 def test_parse_rejects_unknown_directive():
     with pytest.raises(ValueError, match="unknown directive"):
         parse_scenarios("scenario t\nbogus x")
+
+
+def test_parse_rejects_a_scenario_name_used_twice():
+    # results, profiles and merge checks are keyed by name
+    text = "scenario a\nmachine x.tbl\n\nscenario b\nmachine y.tbl\n\nscenario a\nmachine z.tbl\n"
+    with pytest.raises(ValueError, match=r"^line 7: scenario 'a' is named twice$"):
+        parse_scenarios(text)
+
+
+def test_load_names_the_file_of_a_scenario_name_used_twice(tmp_path):
+    path = tmp_path / "twice.scn"
+    path.write_text("scenario a\nmachine x.tbl\nscenario a\nmachine x.tbl\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: scenario 'a' is named twice$"):
+        load_scenarios(path)
 
 
 def test_scenario_head_rules_build_tapes():

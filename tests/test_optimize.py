@@ -11,6 +11,8 @@ from beaverkit.machine import HALT, Action, Machine, state_count
 from beaverkit.optimize import (
     MergePair,
     MergePlan,
+    MergeVerdict,
+    ScenarioComparison,
     _changed_entries,
     apply_merges,
     merge_alias,
@@ -265,6 +267,17 @@ def test_adversarial_merge_reports_divergence():
     bad = [c for c in verdict.comparisons if not c.equivalent]
     assert bad and bad[0].first_divergence is not None
     assert bad[0].first_divergence >= 1
+
+
+def test_a_divergent_verdict_lists_each_divergent_scenario():
+    same = ScenarioComparison("same", True, HALTED, HALTED, 5, 5)
+    late = ScenarioComparison("late", False, HALTED, HALTED, 9, 7, 7, "steps differ: 9 vs 7")
+    start = ScenarioComparison("start", False, HALTED, "none", 3, 0, 0, "starts differ: A vs B")
+    assert str(MergeVerdict(False, [same, late, start])) == (
+        "divergent on 2 of 3 scenarios:\n"
+        "  late: steps differ: 9 vs 7 (first divergence step 7)\n"
+        "  start: starts differ: A vs B (first divergence step 0)"
+    )
 
 
 def test_fermat_plan_verifies_on_full_suite(data_dir, fermat_composed):

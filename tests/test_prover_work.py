@@ -39,8 +39,8 @@ class Work:
         prove, apply, holds = rules.Prover._prove, rules._apply, rules._Refusal.holds
         work = self
 
-        def spy_prove(prover, read, state, j, budget):
-            rule = prove(prover, read, state, j, budget)
+        def spy_prove(prover, read, j, budget):
+            rule = prove(prover, read, j, budget)
             if rule is None:
                 work.refused += 1
             else:
@@ -52,14 +52,14 @@ class Work:
             work.applied += steps > 0
             return steps
 
-        def checked_apply(prover, tape, state, j, budget, cap, reads):
-            read = rules._reader(tape, (prover.cm.move[j] + 1) >> 1)
+        def checked_apply(prover, tape, j, budget, cap, reads):
+            read = rules._reader(tape, (prover.cm.entry[j][1] + 1) >> 1)
             for refusal in prover.refused[j]:
                 if holds(refusal, read, budget):
                     work.remembered += 1
                     fresh = rules.Prover(prover.cm)
-                    assert prove(fresh, read, state, j, budget) is None
-            return real_apply(prover, tape, state, j, budget, cap, reads)
+                    assert prove(fresh, read, j, budget) is None
+            return real_apply(prover, tape, j, budget, cap, reads)
 
         real_apply = rules.Prover.apply
         self.patches = [
@@ -134,15 +134,15 @@ def tape_of(first, lengths, boundary, face, tail=0):
     return tape
 
 
-def searched(cm, tape, state, j, budget):
+def searched(cm, tape, j, budget):
     """The refusal `_prove` remembers from `tape`, None when it went on to
     the proof, and the moves its search made."""
-    face = (cm.move[j] + 1) >> 1
+    face = (cm.entry[j][1] + 1) >> 1
     read = rules._reader(tape, face)
-    search = rules._Search(cm, read, state, face, j & 1)
+    search = rules._Search(cm, read, j)
     decided = [(ids, n == 1) for ids, n in search.decided]
     prover = rules.Prover(cm)
-    prover._prove(read, state, j, budget)
+    prover._prove(read, j, budget)
     return (prover.refused[j] or [None])[0], (search.moves, search.singles, len(search.loaded), decided)
 
 
@@ -160,12 +160,12 @@ def test_a_remembered_refusal_holds_only_where_the_search_repeats(data):
     # the head reads the last cell of the run before `boundary` when its
     # entry moves left, and the first cell of run `boundary` when it moves right
     entry = [2 * state + (first + boundary - 1 + face) % 2 for face in (0, 1)]
-    faces = [face for face in (0, 1) if cm.move[entry[face]] == 2 * face - 1]
+    faces = [face for face in (0, 1) if cm.entry[entry[face]][1] == 2 * face - 1]
     if not faces:
         return
     face, j = faces[0], entry[faces[0]]
     budgets = st.one_of(st.just(10**6), st.integers(16, 1600))
-    refusal, before = searched(cm, tape_of(first, lengths, boundary, face), state, j, data.draw(budgets))
+    refusal, before = searched(cm, tape_of(first, lengths, boundary, face), j, data.draw(budgets))
     if refusal is None:
         return
     # lengths near the first, so that a run that emptied, or nearly, may not
@@ -173,10 +173,10 @@ def test_a_remembered_refusal_holds_only_where_the_search_repeats(data):
     again = tape_of(first, near, boundary, face, data.draw(st.sampled_from([0, 0, 0, 1, 3])))
     # budgets about where the cycle's steps on the new lengths would fit
     # MIN_REPEATS times, too
-    steps = rules._Search(cm, rules._reader(again, face), state, face, j & 1).steps
+    steps = rules._Search(cm, rules._reader(again, face), j).steps
     budget = data.draw(budgets | st.integers(steps * (rules.MIN_REPEATS - 1), steps * (rules.MIN_REPEATS + 1)))
     if refusal.holds(rules._reader(again, face), budget):
-        refused, after = searched(cm, again, state, j, budget)
+        refused, after = searched(cm, again, j, budget)
         assert refused is not None and after == before
 
 
@@ -188,7 +188,7 @@ def test_a_remembered_refusal_counts_the_steps_on_the_new_lengths():
     cm = compile_machine(TRANSFER)
     state = cm.index["S"]
     j = 2 * state + 1
-    face = (cm.move[j] + 1) >> 1
+    face = (cm.entry[j][1] + 1) >> 1
 
     def read(b):
         config = transfer(100, b)()
@@ -196,9 +196,9 @@ def test_a_remembered_refusal_counts_the_steps_on_the_new_lengths():
             config = traced(TRANSFER, config, RunLimits(max_steps=10**5), watch=("S",)).config
         return rules._reader(config.tape, face)
 
-    budget = (rules.MIN_REPEATS - 1) * rules._Search(cm, read(70), state, face, 1).steps
+    budget = (rules.MIN_REPEATS - 1) * rules._Search(cm, read(70), j).steps
     prover = rules.Prover(cm)
-    assert prover._prove(read(70), state, j, budget) is None
+    assert prover._prove(read(70), j, budget) is None
     assert prover.refused[j][0].holds(read(70), budget)
     assert not prover.refused[j][0].holds(read(50), budget)
-    assert prover._prove(read(50), state, j, budget) is not None
+    assert prover._prove(read(50), j, budget) is not None

@@ -148,19 +148,19 @@ def test_a_cycle_through_a_watched_state_is_refused():
         state = cm.index["S"]
         tape = config.tape.clone()
         prover = rules.Prover(cm)
-        steps = prover.apply(tape, state, 2 * state + 1, 10**6, 1 << 22, None)
+        steps = prover.apply(tape, 2 * state + 1, 10**6, 1 << 22, None)
         assert bool(steps) == credited
         assert tape.content_equal(config.tape) != credited
 
 
 def searched(machine, config):
-    """(prover, state, face, symbol, search) of the cycle that starts at
-    `config`, where the head reads a cell it moves off to the right."""
+    """(prover, entry, search) of the cycle that starts at `config`,
+    where the head reads a cell it moves off to the right."""
     cm = compile_machine(machine)
-    state, symbol = cm.index[config.state], config.tape.read(config.tape.head)
-    search = rules._Search(cm, rules._reader(config.tape, 1), state, 1, symbol)
-    assert search.moves and cm.move[2 * state + symbol] == 1
-    return rules.Prover(cm), state, 1, symbol, search
+    j = 2 * cm.index[config.state] + config.tape.read(config.tape.head)
+    search = rules._Search(cm, rules._reader(config.tape, 1), j)
+    assert search.moves and cm.entry[j][1] == 1
+    return rules.Prover(cm), j, search
 
 
 def test_a_proof_refuses_a_run_that_empties_for_some_n_only():
