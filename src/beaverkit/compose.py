@@ -11,6 +11,9 @@ Manifest file grammar, one directive per line::
     section <label> <tableFile> [overlayFile] start=<state>
     wire <label>.NM -> <label>.<state> | HALT
     entry <label>.<state>
+
+A label is declared by one `section` and wired by one `wire`, and there
+is one `entry`; a second one is refused at its line.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ def parse_manifest(text: str, base_dir: Path | str = ".") -> SectionManifest:
                 if len(rest) not in (3, 4) or not rest[-1].startswith("start="):
                     raise ManifestError("section <label> <tableFile> [overlayFile] start=<state>")
                 label, table_file = rest[0], rest[1]
+                if any(sec.label == label for sec in sections):
+                    raise ManifestError(f"section {label!r} is declared twice")
                 overlay_file = rest[2] if len(rest) == 4 else None
                 start = rest[-1].split("=", 1)[1]
                 table = load_table(base / table_file)
@@ -79,6 +84,8 @@ def parse_manifest(text: str, base_dir: Path | str = ".") -> SectionManifest:
                 if not src.endswith(f".{NEXT_MACHINE}"):
                     raise ManifestError(f"wire source must be <label>.{NEXT_MACHINE}")
                 label = src[: -len(NEXT_MACHINE) - 1]
+                if label in wiring:
+                    raise ManifestError(f"{src} is wired twice")
                 if dst == HALT:
                     wiring[label] = HALT
                 else:
@@ -89,6 +96,8 @@ def parse_manifest(text: str, base_dir: Path | str = ".") -> SectionManifest:
             elif parts[0] == "entry":
                 if len(parts) != 2:
                     raise ManifestError("entry <label>.<state>")
+                if entry is not None:
+                    raise ManifestError("entry is declared twice")
                 elabel, _, estate = parts[1].partition(".")
                 if not estate:
                     raise ManifestError("entry must be <label>.<state>")

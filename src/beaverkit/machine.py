@@ -133,7 +133,14 @@ class CompiledMachine:
     table, maps each watch set (a frozenset of state names) a run asked
     for to that set's table, compiled at its first run; a watched table
     has None there, and shares ``names``, ``index`` and the records of
-    the entries it does not stop with the unwatched table.
+    the entries it does not stop with the unwatched table.  ``proofs`` is
+    what the shuttle-rule prover (`rules.Prover`) established on this
+    table, for every run on it: ``(rules, refused, fails)``, dicts keyed
+    by entry of its last rules and refused searches (a few each, newest
+    first) and of its failures since its last proof (a count that stops
+    at `rules._FAILS`, so that every run retries every entry).  It is
+    None until the table's first scan long enough to try a rule, and a
+    watched table keeps its own.
     """
 
     names: tuple[str, ...]
@@ -144,6 +151,7 @@ class CompiledMachine:
     sweep: tuple[tuple | None, ...]
     fused: tuple[tuple[int, int, int] | None, ...]
     watches: dict | None = field(default=None, repr=False, compare=False)
+    proofs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 # a self-loop's fill, by (symbol, write): None when it writes what it reads

@@ -300,7 +300,9 @@ def verify_merge(original: Machine, merged: Machine, scenarios, plan: MergePlan 
     original's kind and steps on both sides, and the merged machine does
     not run.  Otherwise it runs, unless the scenario's entry, through the
     alias, is no state of it (divergent at step 0), and on divergence
-    _locate_divergence finds the first differing step.
+    _locate_divergence finds the first differing step.  The probe it
+    runs is built at the first divergence, and the later ones share it,
+    with its compiled table and the rules proved on it.
     """
     from .harness import entry_state, execute_scenario
 
@@ -308,6 +310,7 @@ def verify_merge(original: Machine, merged: Machine, scenarios, plan: MergePlan 
     profile = plan.profile if plan else None
     changed = _changed_entries(original, merged, alias)
     comparisons = []
+    probe = None
     for scn in scenarios:
         kept = profile.lookup(original, scn) if profile else None
         if kept is None:
@@ -339,8 +342,10 @@ def verify_merge(original: Machine, merged: Machine, scenarios, plan: MergePlan 
             scn.name, same, out_a.kind, out_b.kind, out_a.steps, out_b.steps
         )
         if not same:
+            if probe is None:
+                probe = _probe(original, changed)
             comp.first_divergence, comp.detail = _locate_divergence(
-                original, merged, scn, alias, out_a, out_b, changed
+                original, merged, scn, alias, out_a, out_b, probe
             )
         comparisons.append(comp)
     return MergeVerdict(all(c.equivalent for c in comparisons), comparisons)
@@ -397,22 +402,10 @@ def _maps_onto_merged(original, merged, scn, alias, changed, out_a, reads) -> bo
     return True
 
 
-def _locate_divergence(original, merged, scn, alias, out_a, out_b, changed):
-    """First step at which the two runs part; returns (step, detail).
-
-    Runs that start in different states part at step 0.  Otherwise a
-    merge changes a known set of (state, symbol) transitions, `changed`,
-    so both runs agree step for step until the original reads one of
-    them, or until one run stops where the other does not.  One run of
-    a probe, the original with each changed transition redirected to an
-    exit marker naming it (writing 0, which no memory cap refuses), finds
-    the first such read within the horizon.
-    """
-    from .harness import entry_state
-
-    start_a, start_b = entry_state(scn, original), entry_state(scn, merged, alias)
-    if alias.get(start_a, start_a) != start_b:
-        return 0, f"starts differ: {start_a} vs {start_b}"
+def _probe(original, changed):
+    """(probe, marks): the original with each changed transition
+    redirected to an exit marker naming it (writing 0, which no memory
+    cap refuses), and the set of those markers."""
     marks = {(name, sym): f"{name} read-{sym}" for name, sym in changed}
     probe = {
         name: tuple(
@@ -421,11 +414,30 @@ def _locate_divergence(original, merged, scn, alias, out_a, out_b, changed):
         )
         for name, actions in original.states.items()
     }
+    return Machine(original.name, original.start, probe), frozenset(marks.values())
+
+
+def _locate_divergence(original, merged, scn, alias, out_a, out_b, probe):
+    """First step at which the two runs part; returns (step, detail).
+
+    Runs that start in different states part at step 0.  Otherwise a
+    merge changes a known set of (state, symbol) transitions, `changed`,
+    so both runs agree step for step until the original reads one of
+    them, or until one run stops where the other does not.  One run of
+    the `_probe` of the changed transitions finds the first such read
+    within the horizon.
+    """
+    from .harness import entry_state
+
+    start_a, start_b = entry_state(scn, original), entry_state(scn, merged, alias)
+    if alias.get(start_a, start_a) != start_b:
+        return 0, f"starts differ: {start_a} vs {start_b}"
+    machine, marks = probe
     horizon = min(out_a.steps, out_b.steps)
     limits = RunLimits(max_steps=horizon + 1, max_support_cells=scn.limits.max_support_cells)
     config = Configuration(start_a, scn.build_tape())
-    out = run(Machine(original.name, original.start, probe), config, limits)
-    read = out.halting_state if out.halting_state in marks.values() else None
+    out = run(machine, config, limits)
+    read = out.halting_state if out.halting_state in marks else None
     if read and out.steps <= horizon:
         return out.steps, f"original reads {read}, changed by the merge"
     # a watch, budget or memory stop at the horizon that the other run lacks

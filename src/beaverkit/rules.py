@@ -40,28 +40,35 @@ are linear in the application's index, so they are summed or bounded in
 closed form.  k is the largest count under three bounds: no variable
 run falls below its c, the steps fit the budget, and the 1-extent
 widened by every 0->1 write of the k applications spans at most the
-memory cap; that extent becomes the tape's `_lo1/_hi1`.  The run keeps
-its last `KEPT` rules per entry and applies one again wherever the tape
-has its shape: the same symbols and fixed lengths.  A cycle that meets
-a stop entry of the table (a halt, an exit, or an entry into a watched
-state) is refused, and so is one whose proof fails; then the entry is
-not tried again for a number of its triggers that doubles with each
-failure.  The result is the configuration, step count, extent and read
-set the machine reaches one transition at a time.
+memory cap; that extent becomes the tape's `_lo1/_hi1`.  A rule reads
+the compiled table alone, so the table keeps its last `KEPT` rules per
+entry, for every run on it, and one is applied again at any long scan of
+its entry where the tape has its shape: the same symbols and fixed
+lengths.  A cycle that meets a stop entry of the table (a halt, an exit,
+or an entry into a watched state) is refused, and so is one whose proof
+fails; then the entry is not searched again for a number of its
+triggers that doubles with each failure since its last proof.  The
+table counts an entry's failures up to `_FAILS`, a wait of
+`MIN_REPEATS` - 1 triggers, and a run counts on from there: every run
+retries every entry within `MIN_REPEATS` triggers, then at doubling
+intervals.  The result is the configuration, step count, extent and
+read set the machine reaches one transition at a time.
 
 A refusal in step 1 costs a read when it comes again.  The search uses
 the lengths of the runs it read only where a single transition shortens
-a run: the run empties or it does not.  So the run keeps its last
+a run: the run empties or it does not.  So the table keeps its last
 `KEPT` such refusals per entry (`_Refusal`), each with the bounds
 within which every run read gives the same answers, and a later trigger
 whose runs have the same symbols and fit those bounds is refused by
-reading them, with its repeats counted again on the new lengths.  It is
-refused exactly when the search would refuse it, so the same rules are
-proved and applied.  Refused searches per pass of the benchmark fell
-from 208 to 94 on the shipped suites, 155 to 70 on optimize-sound and
-153 to 75 on optimize-divergent; they fell from 151 to 35 on Brocard's
-way to its n = 10 guard and from 13 to 5 on Fermat's t1 from state 25,
-run to its halt (`tests/test_prover_work.py`).
+reading them, with its repeats counted again on the new lengths and
+the budget of the run at hand.  It is refused exactly when the search
+would refuse it, so the same rules are proved and applied.  Kept per
+run, refusals made refused searches fall from 208 to 94 on the shipped
+suites, from 151 to 35 on Brocard's way to its n = 10 guard and from 13
+to 5 on Fermat's t1 from state 25, run to its halt.  Kept on the table,
+searches, proved or refused, fall from 104 to 51 on a first pass of the
+suites and to 8 on a second, from 44 to 24 on the guard and from 7 to 4
+on t1, and no fewer rules are applied (`tests/test_prover_work.py`).
 """
 
 from __future__ import annotations
@@ -73,6 +80,9 @@ BLANK = 1 << 62  # the length of the 0-run beyond the 1-extent
 MAX_MOVES = 64  # the most run-level moves a cycle may take
 KEPT = 4  # the proved rules, and the refused searches, kept per entry, newest first
 MIN_REPEATS = 16  # a cycle that repeats fewer times costs more to prove than it saves
+# the failures a table counts per entry at most: a run's first search of
+# an entry waits at most MIN_REPEATS - 1 triggers
+_FAILS = MIN_REPEATS.bit_length() - 1
 _FILL = (b"\x00", b"\x01")
 
 
@@ -272,55 +282,85 @@ def _largest(hi, ok):
 
 
 class Prover:
-    """The rule trigger, prover and proved rules of one run."""
+    """The rule trigger of one run, and the rules and refusals of its table.
+
+    What a proof establishes is a fact about the compiled table, so the
+    table keeps it (`CompiledMachine.proofs`, made at its first long
+    scan): per entry, its last `KEPT` rules and `KEPT` refusals, and its
+    failures since its last proof, at most `_FAILS`.  The prover keeps
+    only the run's schedule: the long scans so far, each entry's last
+    one and the gap between its last two, and its failures and the
+    triggers it still waits, which start from the table's count.
+    """
 
     def __init__(self, cm):
         self.cm = cm
+        if cm.proofs is None:
+            object.__setattr__(cm, "proofs", ({}, {}, {}))
+        self.rules, self.refused, self.failed = cm.proofs
         n = len(cm.entry)
         self.scans = 0
         self.last = [0] * n  # the long scan at which each entry last scanned
         self.gap = [0] * n  # the long scans between its last two
-        self.wait = [0] * n  # triggers to skip after a failed proof
+        # failed searches since the entry's last proof, and the triggers to
+        # skip before the next: 2^fails - 1.  A run counts on from the
+        # table's count, which stops at `_FAILS`
         self.fails = [0] * n
-        self.rules: list = [[] for _ in range(n)]
-        self.refused: list = [[] for _ in range(n)]
+        self.wait = [0] * n
+        for j, f in self.failed.items():
+            self.fails[j] = f
+            self.wait[j] = (1 << f) - 1
+        self.search = True  # whether `apply` may search: `due` decides it
 
     def due(self, j) -> bool:
-        """Whether the long scan of entry `j` starting now should look for a rule."""
-        self.scans += 1
-        gap = self.scans - self.last[j]
-        self.last[j] = self.scans
+        """Whether the long scan of entry `j` starting now should try a rule.
+
+        A rule the table knows is tried at every long scan of its entry;
+        a search only when the entry recurs after the same number of long
+        scans as last time, and its wait is over.
+        """
+        scans = self.scans = self.scans + 1
+        gap = scans - self.last[j]
+        self.last[j] = scans
         if gap != self.gap[j]:
             self.gap[j] = gap
-            return False
-        if self.wait[j]:
+            search = False
+        elif self.wait[j]:
             self.wait[j] -= 1
-            return False
-        return True
+            search = False
+        else:
+            search = True
+        self.search = search
+        return search or j in self.rules
 
     def apply(self, tape, j, budget, cap, reads) -> int:
         """Apply a rule for the scan of entry `j`; the steps it took, or 0.
 
         `tape` is the run's tape, the head on the scan's first cell; it
         is changed only when a rule is applied.  A rule proved before is
-        used when the tape matches it; otherwise one is proved, unless a
-        search refused before would refuse it again.
+        used when the tape matches it; otherwise, when `due` allowed a
+        search, one is proved, unless a search refused before would
+        refuse it again.
         """
         read = _reader(tape, (self.cm.entry[j][1] + 1) >> 1)
-        kept = self.rules[j]
-        for rule in kept:
+        for rule in self.rules.get(j, ()):
             runs = rule.match(read)
             if runs is not None:
                 return _apply(rule, runs, tape, budget, cap, reads)
-        if any(refusal.holds(read, budget) for refusal in self.refused[j]):
+        if not self.search:
+            return 0
+        if any(refusal.holds(read, budget) for refusal in self.refused.get(j, ())):
             rule = None
         else:
             rule = self._prove(read, j, budget)
         if rule is None:
-            self.fails[j] += 1
-            self.wait[j] = (1 << self.fails[j]) - 1
+            fails = self.fails[j] = self.fails[j] + 1
+            self.wait[j] = (1 << fails) - 1
+            self.failed[j] = min(fails, _FAILS)
             return 0
         self.fails[j] = 0
+        self.failed.pop(j, None)
+        kept = self.rules.setdefault(j, [])
         kept.insert(0, rule)
         del kept[KEPT:]
         return _apply(rule, rule.match(read), tape, budget, cap, reads)
@@ -345,7 +385,7 @@ class Prover:
             if _repeats(budget, search.steps, pairs, c) >= MIN_REPEATS:
                 return self._proof(j, search, c)
             cycle = (c, search.steps, search.scanned, ends)
-        refused = self.refused[j]
+        refused = self.refused.setdefault(j, [])
         refused.insert(0, _Refusal(search, cycle))
         del refused[KEPT:]
         return None

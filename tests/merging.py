@@ -13,6 +13,7 @@ from beaverkit.optimize import (
     ScenarioComparison,
     _changed_entries,
     _locate_divergence,
+    _probe,
     _retarget,
     merge_alias,
 )
@@ -54,7 +55,7 @@ def compared_merge(original, merged, scenarios, plan=None):
         if not same:
             comp.first_divergence, comp.detail = _locate_divergence(
                 original, merged, scn, alias, out_a, out_b,
-                _changed_entries(original, merged, alias),
+                _probe(original, _changed_entries(original, merged, alias)),
             )
         comparisons.append(comp)
     return MergeVerdict(all(c.equivalent for c in comparisons), comparisons)

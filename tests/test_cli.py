@@ -13,6 +13,7 @@ from beaverkit.data import data_path
 from beaverkit.harness import load_scenarios
 from beaverkit.optimize import profile_reads, propose_merges
 from beaverkit.tables import build_machine, parse_table
+from test_compose import SECOND, manifest_with_a_second
 
 
 # a 4-state ring writing 1s rightward forever
@@ -439,6 +440,15 @@ def test_error_in_a_nested_file_names_that_file(capsys, tmp_path):
     assert code == 2
     assert err == f"error: {tmp_path}/bad.tbl:1: expected 5 pipe-separated fields, got 4\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("directive", sorted(SECOND))
+def test_a_second_manifest_declaration_exits_2(capsys, tmp_path, directive):
+    path = manifest_with_a_second(tmp_path, directive)
+    code, out, err = run_cli(capsys, "compose", str(path), "-o", str(tmp_path / "out.tbl"))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:4: {SECOND[directive][1]}\n"
+    assert not (tmp_path / "out.tbl").exists()
 
 
 @pytest.mark.parametrize("ref, message", [

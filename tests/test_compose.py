@@ -94,3 +94,34 @@ def test_shipped_manifests_load(data_dir):
     for name in ("fermat.manifest", "brocard.manifest", "brocard_asprinted.manifest"):
         manifest = load_manifest(data_dir / name)
         compose(manifest)
+
+
+# one section, wired and entered; each case appends a second declaration
+MANIFEST = "section a a.tbl start=a\nwire a.NM -> HALT\nentry a.a\n"
+SECOND = {
+    "section": ("section a a.tbl start=a", "section 'a' is declared twice"),
+    "wire": ("wire a.NM -> a.a", "a.NM is wired twice"),
+    "entry": ("entry a.a", "entry is declared twice"),
+}
+
+
+def manifest_with_a_second(tmp_path, directive):
+    (tmp_path / "a.tbl").write_text("!start a\na|0|1|R|NM\n")
+    path = tmp_path / "m.manifest"
+    path.write_text(MANIFEST + SECOND[directive][0] + "\n")
+    return path
+
+
+@pytest.mark.parametrize("directive", sorted(SECOND))
+def test_a_second_declaration_is_refused_at_its_line(tmp_path, directive):
+    # a second wire or entry used to overwrite the first, and a second
+    # section with one label was refused by `compose` alone, with no line
+    path = manifest_with_a_second(tmp_path, directive)
+    message = SECOND[directive][1]
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(path.read_text(), tmp_path)
+    assert str(err.value) == f"line 4: {message}"
+    with pytest.raises(ManifestError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"{path}:4: {message}"
+    assert compose(parse_manifest(MANIFEST, tmp_path)).machine.start == "a.a"

@@ -861,14 +861,17 @@ def test_runs_across_the_buffers_edges_match_single_step(data):
 def test_a_rule_that_grows_the_buffer_mid_run(monkeypatch, cap, kind, steps, state, head, support):
     # A1 and B1 cross a block of 1s that A0 and B0 widen by a cell at
     # each end: one proven rule widens it past the 4096-cell buffer, and
-    # the run goes on in the grown buffer to its budget or to the cap
+    # the run goes on in the grown buffer to its budget or to the cap.
+    # The rule matches again at a later long scan, where it fits no
+    # application in the budget left and credits nothing
     grown = []
     apply = rules._apply
 
     def spy(rule, runs, tape, *args):
         size = len(tape.buf)
         done = apply(rule, runs, tape, *args)
-        grown.append(len(tape.buf) > size)
+        if done:
+            grown.append(len(tape.buf) > size)
         return done
 
     monkeypatch.setattr(rules, "_apply", spy)

@@ -4,10 +4,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beaverkit import harness
+from beaverkit import engine, harness
 from beaverkit.engine import HALTED, RunLimits
 from beaverkit.harness import OracleExpect, OutcomeExpect, Scenario, TransferExpect, load_scenarios
-from beaverkit.machine import HALT, Action, Machine, state_count
+from beaverkit.machine import HALT, Action, Machine, compile_machine, state_count
 from beaverkit.optimize import (
     MergePair,
     MergePlan,
@@ -308,13 +308,22 @@ BROCARD_CHEAP = {
 }
 
 
-def test_brocard_divergences_located(data_dir, brocard_ref):
-    """A plan profiled on five cheap scenarios, verified on the whole suite."""
+def test_brocard_divergences_located(monkeypatch, data_dir, brocard_ref):
+    """A plan profiled on five cheap scenarios, verified on the whole suite.
+
+    Its twelve divergent scenarios share one probe, compiled once.
+    """
     scns = load_scenarios(data_dir / "scenarios" / "brocard.scn")
     machine = brocard_ref.machine
     profile = profile_reads(machine, [s for s in scns if s.name in BROCARD_CHEAP])
     plan = propose_merges(machine, profile)
-    verdict = verify_merge(machine, apply_merges(machine, plan), scns, plan)
+    merged = apply_merges(machine, plan)
+    compiled = []
+    monkeypatch.setattr(engine, "compile_machine",
+                        lambda m, *watch: compiled.append(m) or compile_machine(m, *watch))
+    verdict = verify_merge(machine, merged, scns, plan)
+    probes = [m for m in compiled if m is not machine and m is not merged]
+    assert len(probes) == 1 and probes[0].name == machine.name
     got = {c.name: c.first_divergence for c in verdict.comparisons if not c.equivalent}
     assert got == {
         "factorial_stage_5": 603,

@@ -2,15 +2,20 @@
 
 A run with a `trace` never scans, so it never applies a rule; every test
 here compares a plain run with a traced one on kind, steps, state, head,
-tape, the 1-extent `_lo1/_hi1` and the read profile.
+tape, the 1-extent `_lo1/_hi1` and the read profile.  A compiled table
+keeps the rules and refusals of every run on it, so runs are compared on
+a table that earlier runs left warm, too.
 """
 
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beaverkit import oracles, rules
+from beaverkit import harness, oracles, rules
 from beaverkit.engine import MEMORY_LIMIT, STEP_LIMIT, WATCH, RunLimits, run
 from beaverkit.machine import Action, Machine, compile_machine
 from beaverkit.tape import Configuration, Tape
@@ -87,10 +92,16 @@ def transfer(a, b=70):
     return start
 
 
+def fresh():
+    """TRANSFER with a table of its own, which keeps no proofs yet."""
+    return Machine("transfer", "S", TRANSFER.states)
+
+
 def first_rule(start, limits=RunLimits(max_steps=10**6), watch=()):
-    """(steps before, steps credited, 1-extent after) of the run's first rule."""
+    """(steps before, steps credited, 1-extent after) of the first rule of
+    a run on a table that keeps no proofs."""
     with Spy() as spy:
-        untraced(TRANSFER, start(), limits, watch=watch)
+        untraced(fresh(), start(), limits, watch=watch)
     budget, steps, lo, hi = spy.credited[0]
     return limits.max_steps - budget, steps, (lo, hi)
 
@@ -118,8 +129,10 @@ def test_shrinking_block_runs_out(a):
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_budget_at_the_rules_step_total(delta):
+    # measured and tested on tables that keep no proofs: a warm table
+    # applies the rule at its first long scan
     before, steps, _ = first_rule(transfer(100))
-    on, off = both(TRANSFER, transfer(100), RunLimits(max_steps=before + steps + delta))
+    on, off = both(fresh(), transfer(100), RunLimits(max_steps=before + steps + delta))
     assert on == off and on[0] == STEP_LIMIT
 
 
@@ -127,8 +140,50 @@ def test_budget_at_the_rules_step_total(delta):
 def test_cap_at_the_extent_after_the_rule(under):
     _, _, (lo, hi) = first_rule(transfer(100))
     limits = RunLimits(max_steps=10**6, max_support_cells=hi - lo + 1 - under)
-    on, off = both(TRANSFER, transfer(100), limits)
+    on, off = both(fresh(), transfer(100), limits)
     assert on == off and on[0] == MEMORY_LIMIT
+
+
+def gapped(a, gap, b):
+    """TRANSFER some rounds in: A = a cells, then `gap` 0s and B = b
+    cells, S on B's second cell."""
+    def start():
+        tape = Tape.from_symbols([1] * a + [0] * gap + [1] * b)
+        tape.head = a + gap + 1
+        return Configuration("S", tape)
+    return start
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_runs_on_a_warm_table_match_single_steps(data):
+    # the first run is long enough to prove a rule, most often; the second
+    # starts with the rules and refusals it left on the table, from another
+    # tape, with another budget and cap.  A watched run has a table of its
+    # own: a rule through G would cross the watch
+    machine = fresh()
+    # (the least A, the budgets); the second run's lean to budgets that fit a rule
+    runs = ((30, st.integers(20_000, 60_000)), (1, st.integers(0, 60_000) | st.integers(20_000, 60_000)))
+    for least, budgets in runs:
+        start = gapped(*(data.draw(st.integers(n, 150)) for n in (least, 1, 1)))
+        limits = RunLimits(data.draw(budgets), data.draw(st.just(1 << 22) | st.integers(1, 2000)))
+        on, off = both(machine, start, limits, data.draw(st.sampled_from([(), (), ("G",)])))
+        assert on == off
+
+
+def test_a_warm_store_reports_the_shipped_suites_as_expected(data_dir):
+    # two passes on one resolver: the second runs on the tables the first
+    # left warm, and both report the benchmark's known answers byte for byte
+    expected = Path(__file__).resolve().parents[1] / "bench" / "expected"
+    resolver = harness.MachineResolver(data_dir / "scenarios")
+    suites = ("fermat_sections", "fermat_composed", "brocard")
+    for _ in range(2):
+        for suite in suites:
+            scenarios = harness.load_scenarios(data_dir / "scenarios" / f"{suite}.scn")
+            reports, summary = harness.run_suite(scenarios, resolver)
+            lines = [r.line(deterministic=True) for r in reports]
+            lines.append(f"{summary['passed']}/{summary['total']} passed")
+            assert "\n".join(lines) + "\n" == (expected / f"{suite}.txt").read_text()
 
 
 def fourth_round():
@@ -151,6 +206,26 @@ def test_a_cycle_through_a_watched_state_is_refused():
         steps = prover.apply(tape, 2 * state + 1, 10**6, 1 << 22, None)
         assert bool(steps) == credited
         assert tape.content_equal(config.tape) != credited
+
+
+def test_a_run_retries_an_entry_its_table_saw_fail_many_times():
+    # a cycle through the watched G is refused at every search.  The table
+    # counts failures up to `_FAILS` only, so the twentieth run on it
+    # searches the entry within MIN_REPEATS triggers, and doubles its wait
+    # from there: once more within the next 2 * MIN_REPEATS
+    config = fourth_round()
+    cm = compile_machine(TRANSFER, {"G"})
+    j = 2 * cm.index["S"] + 1
+    for _ in range(20):
+        prover = rules.Prover(cm)
+        searched = []
+        for trigger in range(3 * rules.MIN_REPEATS + 2):
+            if prover.due(j):
+                searched.append(trigger)
+                assert prover.search
+                assert not prover.apply(config.tape.clone(), j, 10**6, 1 << 22, None)
+    assert searched == [rules.MIN_REPEATS, 3 * rules.MIN_REPEATS]
+    assert cm.proofs[2][j] == rules._FAILS
 
 
 def searched(machine, config):
