@@ -112,10 +112,14 @@ def machine_label(machine: Machine) -> str:
     """The machine's name and a digest of its whole table, start state included.
 
     A certificate's `machine` line; a name alone would let the certificate
-    pass for any machine called the same.
+    pass for any machine called the same.  A machine cannot change, so the
+    digest is computed once per machine and kept on it.
     """
-    table = serialize_machine(machine).encode()
-    return f"{machine.name} {blake2b(table, digest_size=8).hexdigest()}"
+    digest = machine.digest
+    if digest is None:
+        digest = blake2b(serialize_machine(machine).encode(), digest_size=8).hexdigest()
+        object.__setattr__(machine, "digest", digest)  # a cache, not a field value
+    return f"{machine.name} {digest}"
 
 
 @dataclass(frozen=True)
@@ -141,36 +145,69 @@ class NonHaltCertificate:
         return "\n".join(lines) + "\n"
 
 
+_HEADER = "certificate nonhalt"
+# each basis by its file name: its kind, and its fields with their attributes
+_BASES = {
+    "bb-bound": ("bb_bound", {"n": "n", "value": "bb_value"}),
+    "cycle": ("cycle", {"first": "first_visit", "period": "period"}),
+}
+
+
 def parse_certificate(text: str) -> NonHaltCertificate:
+    """The certificate `NonHaltCertificate.serialize` wrote, read strictly.
+
+    The header comes first, then `machine`, `steps` and `basis` once each,
+    in any order, and the basis takes each of its own fields once.  Any
+    other line, a repeated one included, is refused at its line.
+    """
     kv: dict = {}
+    header = False
     with Lines(text) as lines:
         for _, line in lines:
+            if not header:
+                if line != _HEADER:
+                    raise ValueError(f"expected {_HEADER!r} first, got {line!r}")
+                header = True
+                continue
             key, _, rest = line.partition(" ")
+            if key not in ("machine", "steps", "basis"):
+                raise ValueError(f"unknown certificate line {line!r}")
+            if key in kv:
+                raise ValueError(f"a second {key!r} line")
+            if not rest:
+                raise ValueError(f"{line!r} is missing an argument")
             if key == "steps":
                 kv[key] = int(rest)
             elif key == "basis":
-                kind, *tokens = rest.split()
-                kv[key] = kind, dict(_field(tok) for tok in tokens)
-            elif line != "certificate nonhalt":
+                kv[key] = _basis(*rest.split())
+            else:
                 kv[key] = rest
     try:
         machine, steps, (kind, fields) = kv["machine"], kv["steps"], kv["basis"]
-        if kind == "bb-bound":
-            return NonHaltCertificate(machine, steps, "bb_bound",
-                                      n=fields["n"], bb_value=fields["value"])
-        if kind == "cycle":
-            return NonHaltCertificate(machine, steps, "cycle",
-                                      first_visit=fields["first"], period=fields["period"])
     except KeyError as e:
         raise ValueError(f"certificate has no {e.args[0]!r}") from None
-    raise ValueError(f"unrecognized certificate basis {kind!r}")
+    return NonHaltCertificate(machine, steps, kind, **fields)
 
 
-def _field(token: str) -> tuple[str, int]:
-    key, eq, value = token.partition("=")
-    if not eq:
-        raise ValueError(f"expected <key>=<integer>, got {token!r}")
-    return key, int(value)
+def _basis(kind: str, *tokens: str) -> tuple[str, dict]:
+    """A `basis` line's kind and its fields, by attribute: all of them, once each."""
+    if kind not in _BASES:
+        raise ValueError(f"unrecognized certificate basis {kind!r}")
+    basis, names = _BASES[kind]
+    fields: dict = {}
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ValueError(f"expected <key>=<integer>, got {token!r}")
+        if key not in names:
+            raise ValueError(f"basis {kind} takes no field {key!r}")
+        if names[key] in fields:
+            raise ValueError(f"a second field {key!r}")
+        fields[names[key]] = int(value)
+    for key, name in names.items():
+        if name not in fields:
+            raise ValueError(f"certificate has no {key!r}")
+    return basis, fields
 
 
 def certify_nonhalt(

@@ -69,11 +69,15 @@ per transition entry.  Configurations equal up to translation have equal
 h, so no repeat is missed.  The store maps one int, folding h and the
 transition entry read (the state and the symbol under the head), to
 every step that produced it, so a collision hides no older
-configuration.  A key match is confirmed exactly: a clone of the start
-configuration, taken when the run began, is rerun unobserved through the
-earlier steps with that key, in one pass, and the `fingerprint`s must be
-equal at one of them; when none is, the step is stored and the run goes
-on.  Only a key match takes a `fingerprint`.
+configuration.  A key match is confirmed exactly, by `fingerprint`s.  The
+first time a key matches, a clone of the start configuration, taken when
+the run began, is rerun unobserved to that key's first step, once, and
+that step's fingerprint is kept.  A match that equals no kept
+fingerprint of its key keeps its own, at hand, next to its step, and the
+run goes on; a later match of the key compares the kept fingerprints in
+step order, so the oldest equal one is the first visit.  A run replays
+at most once per key that ever matches, and a run whose keys never match
+keeps no fingerprint.  Only a key match takes a `fingerprint`.
 
 Scanned and single-stepped runs produce identical outcomes, step counts
 and tapes; the property suite asserts this on random machines against
@@ -132,9 +136,10 @@ class RunLimits:
     with kind cycle at the first exact repeat (translation invariant).  The
     key folds the state and the symbol read into a hash of the tape seen
     from the head, which each transition updates in O(1).  The store takes
-    about 110 bytes per step, whatever the support's width, and a key
-    match is confirmed by rerunning the start through the earlier steps
-    with that key.
+    about 110 bytes per step, whatever the support's width.  A key match
+    is confirmed exactly: the first match of a key reruns the start once,
+    to that key's first step, and keeps its `fingerprint`; each match
+    that equals no kept fingerprint of its key keeps its own.
     """
 
     max_steps: int = DEFAULT_MAX_STEPS
@@ -315,8 +320,9 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
         shift = [_SHIFT[m] for _, m, _ in entry]
         bump = [(w - (j & 1)) * shift[j] % _P for j, (w, _, _) in enumerate(entry)]
         n_entries = len(entry)
-        # _support_hash(h) * n_entries + j -> the first step with that key,
-        # and the later steps of keys that matched an unequal configuration
+        # _support_hash(h) * n_entries + j -> the first step with that key;
+        # and, for each key that ever matched, (step, `fingerprint`) of its
+        # first step and of each later step that matched no earlier one
         seen: dict = {}
         later: dict = {}
         start = config.clone()
@@ -343,14 +349,18 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
                 if first != steps:
                     _sync(tape, org, p, lo1, hi1)
                     full = fingerprint(state >> 1, tape)
-                    past = start.clone()
-                    for prev in (first, *later.get(key, ())):  # in step order
-                        past = _replayed(cm, past, cap, prev)
-                        if fingerprint(cm.index[past.state], past.tape) == full:
+                    prints = later.get(key)
+                    if prints is None:
+                        past = _replayed(cm, start.clone(), cap, first)
+                        prints = later[key] = [
+                            (first, fingerprint(cm.index[past.state], past.tape))
+                        ]
+                    for prev, known in prints:  # in step order
+                        if known == full:
                             return _outcome(
                                 CYCLE, cm, tape, state, steps, first_visit=prev, period=steps - prev
                             )
-                    later.setdefault(key, []).append(steps)
+                    prints.append((steps, full))
                 h = (h * shift[j] + bump[j]) % _P
             f = fused[j]
             if f is not None:

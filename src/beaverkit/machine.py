@@ -61,7 +61,10 @@ class Action(NamedTuple):
 class Machine:
     """Immutable transition table with a start state and a label.
 
-    `compiled` caches the engine's flat form, filled by its first run.
+    Two caches, filled at first use and kept out of construction, repr
+    and equality: `compiled` holds the engine's flat form, filled by the
+    machine's first run, and `digest` the hex digest of its table text,
+    filled by its first `bb.machine_label`.
     """
 
     name: str
@@ -70,6 +73,7 @@ class Machine:
     compiled: CompiledMachine | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", MappingProxyType(dict(self.states)))

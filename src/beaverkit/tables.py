@@ -120,12 +120,10 @@ def load_table(path) -> RawTable:
 def serialize_machine(machine: Machine) -> str:
     """Canonical table text for a Machine (state order preserved)."""
     lines = [f"!name {machine.name}", f"!start {machine.start}"]
-    for state, (on_zero, on_one) in machine.states.items():
-        for sym, act in ((0, on_zero), (1, on_one)):
+    for state, pair in machine.states.items():
+        for sym, act in enumerate(pair):
             if act is not None:
-                lines.append(
-                    TableRow(state, sym, act.write, act.move, act.target).to_line()
-                )
+                lines.append(f"{state}|{sym}|{act.write}|{move_name(act.move)}|{act.target}")
     return "\n".join(lines) + "\n"
 
 

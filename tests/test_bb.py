@@ -28,6 +28,7 @@ from beaverkit.bb import (
 )
 from beaverkit.engine import CYCLE, RunLimits, run
 from beaverkit.machine import Action, Machine, state_count
+from beaverkit.tables import serialize_machine
 from beaverkit.tape import Configuration, Tape
 import bb_reference
 
@@ -303,6 +304,33 @@ def test_certificate_missing_line_names_it(key, text):
         parse_certificate(text)
 
 
+VALID = "certificate nonhalt\nmachine m 0123\nsteps 9\nbasis cycle first=3 period=6\n"
+
+
+@pytest.mark.parametrize("lineno, text", [
+    # the header comes first
+    (1, "machine m 0123\ncertificate nonhalt\nsteps 9\nbasis cycle first=3 period=6"),
+    (1, VALID.replace("certificate nonhalt\n", "")),
+    (3, VALID.replace("steps 9\n", "certificate nonhalt\nsteps 9\n")),
+    # machine, steps and basis once each: the last no longer wins
+    (5, VALID + "machine m 0123"),
+    (5, VALID + "steps 10"),
+    (5, VALID + "basis cycle first=3 period=6"),
+    # no line of any other kind, nor one with no argument
+    (5, VALID + "note anything"),
+    (3, VALID.replace("steps 9", "steps")),
+    # each of a basis's own fields once, and no other
+    (4, VALID.replace("period=6", "period=6 first=2")),
+    (4, VALID.replace("period=6", "period=6 n=5")),
+    (4, "certificate nonhalt\nmachine m 0123\nsteps 108\nbasis bb-bound n=4 value=107 period=1"),
+    (4, "certificate nonhalt\nmachine m 0123\nsteps 108\nbasis bb-bound n=4 value=107 n=4"),
+])
+def test_malformed_certificate_is_refused_at_its_line(lineno, text):
+    assert parse_certificate(VALID).first_visit == 3
+    with pytest.raises(ValueError, match=f"^line {lineno}: "):
+        parse_certificate(text)
+
+
 @pytest.mark.parametrize("basis", [
     "basis cycle first=0 period=0",
     "basis cycle first=2 period=-1",
@@ -324,6 +352,33 @@ def test_machine_label_digest_is_pinned():
     # a certificate carries does not depend on where it was imported from
     champion = machine_from_program(((0, -1, 1), (0, -1, -1), (1, 1, 0), (1, -1, 1)), 2)
     assert machine_label(champion) == "0LB0LH1RA1LB 1b9d3b6261da8489"
+
+
+def test_composed_machine_labels_are_pinned(brocard_ref, fermat_composed):
+    # Brocard's section b entered at Ps is the README's `bb certify` example
+    b = brocard_ref.machine
+    assert machine_label(Machine(b.name, "b.Ps", b.states)) == "b b05aa0d3b8dd0341"
+    assert machine_label(fermat_composed.machine) == "t1+t2+t3 0bdbd452b90d324a"
+
+
+def test_a_machine_is_digested_once(monkeypatch):
+    # a machine cannot change, so certifying, replaying and certifying
+    # again serialize its table once; an equal machine built afresh
+    # serializes its own, to the same label
+    calls = []
+    monkeypatch.setattr(bb, "serialize_machine", lambda m: calls.append(m) or serialize_machine(m))
+    mover = Machine("mover", "A", {"A": (Action(0, 1, "A"), None)})
+    for m, limits in ((mover, RunLimits(max_steps=100, cycle_check=True)),
+                      (spinner(4), RunLimits(max_steps=108))):
+        calls.clear()
+        out = run(m, limits=limits)
+        cert = certify_nonhalt(m, out)
+        assert replay_certificate(m, cert)
+        assert certify_nonhalt(m, out) == cert
+        assert len(calls) == 1 and calls[0] is m
+        twin = Machine(m.name, m.start, m.states)
+        assert twin == m and replay_certificate(twin, cert)
+        assert len(calls) == 2 and calls[1] is twin
 
 
 def test_cli_import_loads_no_openssl_hash_module():

@@ -155,6 +155,35 @@ def test_bb_replay_refuses_a_table_of_the_same_name(capsys, tmp_path):
     assert got == 1 and out.startswith("refused:")
 
 
+# the README's example: Brocard's Ps searches left for a 1 never there
+PS_CERT = ("certificate nonhalt\nmachine b b05aa0d3b8dd0341\nsteps 4\n"
+           "basis cycle first=3 period=1\n")
+
+
+@pytest.mark.parametrize("lineno, text", [
+    (0, PS_CERT),
+    (1, PS_CERT.replace("certificate nonhalt\n", "")),
+    (5, PS_CERT + "steps 5\n"),
+    (5, PS_CERT + "note anything\n"),
+    (4, PS_CERT.replace("period=1", "period=1 first=2")),
+    (4, PS_CERT.replace("period=1", "period=1 n=5")),
+    # three defects at once: the first is named
+    (4, PS_CERT.replace("period=1", "period=1 first=3") + "note anything\nsteps 4\n"),
+])
+def test_bb_replay_refuses_a_malformed_certificate(capsys, tmp_path, lineno, text):
+    manifest = str(data_path("brocard.manifest"))
+    code, out, _ = run_cli(capsys, "bb", "certify", manifest, "--entry", "b.Ps",
+                           "--steps", "100", "--cycle-check")
+    assert (code, out) == (0, PS_CERT)
+    cert = tmp_path / "ps.cert"
+    cert.write_text(text)
+    got, out, err = run_cli(capsys, "bb", "replay", manifest, str(cert), "--entry", "b.Ps")
+    if lineno:
+        assert (got, out) == (2, "") and err.startswith(f"error: {cert}:{lineno}: ")
+    else:
+        assert (got, out) == (0, "holds: the cycle certificate holds for b\n")
+
+
 MOVER = "!name mover\n!start A\nA|0|0|R|B\nB|0|0|L|A\n"  # repeats every 2 steps
 SPIN3 = "!name spin3\n!start A\nA|0|1|R|B\nB|0|1|R|C\nC|0|1|R|A\n"
 # the BB(2) champion, which halts after 6 steps

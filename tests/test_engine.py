@@ -462,6 +462,28 @@ def test_cycle_check_fingerprints_only_on_a_key_match(monkeypatch):
                 assert calls == [exact[-1]] * 2
 
 
+def test_cycle_check_replays_once_per_matching_key(monkeypatch):
+    # with every support hashing alike a key is the entry read, so the
+    # bouncer, whose support grows, matches one of its 4 keys at almost
+    # every step: each key replays the start once, to its first step
+    bouncer = Machine("bouncer", "A", {"A": (Action(1, 1, "B"), Action(1, -1, "A")),
+                                       "B": (Action(1, -1, "A"), Action(1, 1, "B"))})
+    replayed = engine._replayed
+    firsts = []
+
+    def counted(cm, past, cap, steps):
+        firsts.append(steps)
+        return replayed(cm, past, cap, steps)
+
+    monkeypatch.setattr(engine, "_replayed", counted)
+    plain = run(bouncer, limits=RunLimits(300))
+    with mock.patch.object(engine, "_support_hash", lambda support: 0):
+        out = run(bouncer, limits=RunLimits(300, cycle_check=True))
+    assert out.kind == STEP_LIMIT
+    assert_same_run(plain, out)
+    assert 0 < len(firsts) == len(set(firsts)) <= 4
+
+
 def test_cycle_check_leaves_long_runs_unchanged(fermat_composed, brocard_ref):
     # supports of 368 and 430 cells, far past what the properties draw
     for m in (fermat_composed.machine, brocard_ref.machine):

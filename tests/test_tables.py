@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from beaverkit.machine import HALT, state_count
+from beaverkit.machine import HALT, NEXT_MACHINE, Action, Machine, state_count
 from beaverkit.tables import (
     CONFLICTING_TRANSITION,
     DUPLICATE_ROW,
@@ -10,6 +11,7 @@ from beaverkit.tables import (
     Overlay,
     Rename,
     TableError,
+    TableRow,
     apply_overlay,
     build_machine,
     errors_of,
@@ -174,6 +176,35 @@ def test_machine_round_trip_preserves_action_map(fermat_t3):
     again = build_machine(parse_table(serialize_machine(fermat_t3)))
     assert dict(again.states) == dict(fermat_t3.states)
     assert again.start == fermat_t3.start
+
+
+def serialized_by_rows(machine):
+    """The reference for `serialize_machine`: one `TableRow` line per action."""
+    lines = [f"!name {machine.name}", f"!start {machine.start}"]
+    for state, (on_zero, on_one) in machine.states.items():
+        for sym, act in ((0, on_zero), (1, on_one)):
+            if act is not None:
+                lines.append(TableRow(state, sym, act.write, act.move, act.target).to_line())
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def tables(draw):
+    """Random machines: names as the shipped tables have them, actions
+    missing, and targets undefined, external or the halt marker."""
+    names = draw(st.lists(st.sampled_from(["A", "B", "q0", "13", "b.Ps", "t1.25", "Ss"]),
+                          min_size=1, max_size=5, unique=True))
+    targets = st.sampled_from([*names, HALT, NEXT_MACHINE, "ext", "x.Qf"])
+    action = st.builds(Action, st.integers(0, 1), st.sampled_from([-1, 1]), targets)
+    pairs = st.tuples(st.none() | action, st.none() | action).filter(lambda p: p != (None, None))
+    states = {name: draw(pairs) for name in names}
+    return Machine(draw(st.sampled_from(["rand", "t1+t2+t3"])),
+                   draw(st.sampled_from([*names, HALT])), states)
+
+
+@given(tables())
+def test_serialize_machine_matches_the_row_reference(machine):
+    assert serialize_machine(machine) == serialized_by_rows(machine)
 
 
 def test_build_machine_determinism_guarantee(data_dir):
