@@ -139,12 +139,11 @@ class CompiledMachine:
     has None there, and shares ``names``, ``index`` and the records of
     the entries it does not stop with the unwatched table.  ``proofs`` is
     what the shuttle-rule prover (`rules.Prover`) established on this
-    table, for every run on it: ``(rules, refused, fails)``, dicts keyed
-    by entry of its last rules and refused searches (a few each, newest
-    first) and of its failures since its last proof (a count that stops
-    at `rules._FAILS`, so that every run retries every entry).  It is
-    None until the table's first scan long enough to try a rule, and a
-    watched table keeps its own.
+    table, for every run on it: ``(rules, fails)``, dicts keyed by entry
+    of its last rules (a few, newest first) and of its failures since its
+    last proof (a count that stops at `rules._FAILS`, so that every run
+    retries every entry).  It is None until the table's first scan long
+    enough to try a rule, and a watched table keeps its own.
     """
 
     names: tuple[str, ...]

@@ -391,7 +391,7 @@ def _maps_onto_merged(original, merged, scn, alias, changed, out_a, reads) -> bo
     visited = {state for state, _ in reads}
     visited.add(out_a.config.state)
     watched_by: dict[str, str] = {}
-    for state in visited:
+    for state in sorted(visited):  # in an order the hash seed does not move
         image = alias.get(state, state)
         if (state in original.states) != (image in merged.states):
             return False

@@ -54,21 +54,10 @@ retries every entry within `MIN_REPEATS` triggers, then at doubling
 intervals.  The result is the configuration, step count, extent and
 read set the machine reaches one transition at a time.
 
-A refusal in step 1 costs a read when it comes again.  The search uses
-the lengths of the runs it read only where a single transition shortens
-a run: the run empties or it does not.  So the table keeps its last
-`KEPT` such refusals per entry (`_Refusal`), each with the bounds
-within which every run read gives the same answers, and a later trigger
-whose runs have the same symbols and fit those bounds is refused by
-reading them, with its repeats counted again on the new lengths and
-the budget of the run at hand.  It is refused exactly when the search
-would refuse it, so the same rules are proved and applied.  Kept per
-run, refusals made refused searches fall from 208 to 94 on the shipped
-suites, from 151 to 35 on Brocard's way to its n = 10 guard and from 13
-to 5 on Fermat's t1 from state 25, run to its halt.  Kept on the table,
-searches, proved or refused, fall from 104 to 51 on a first pass of the
-suites and to 8 on a second, from 44 to 24 on the guard and from 7 to 4
-on t1, and no fewer rules are applied (`tests/test_prover_work.py`).
+Kept on the table rather than per run, rules cut searches, proved or
+refused, from 218 to 124 on a first pass of the shipped suites, from 160
+to 103 on Brocard's way to its n = 10 guard and from 15 to 12 on
+Fermat's t1 from state 25, run to its halt (`tests/test_prover_work.py`).
 """
 
 from __future__ import annotations
@@ -78,7 +67,7 @@ from operator import add, sub
 LONG_SCAN = 64  # the shortest scan that may start a proof
 BLANK = 1 << 62  # the length of the 0-run beyond the 1-extent
 MAX_MOVES = 64  # the most run-level moves a cycle may take
-KEPT = 4  # the proved rules, and the refused searches, kept per entry, newest first
+KEPT = 4  # the proved rules kept per entry, newest first
 MIN_REPEATS = 16  # a cycle that repeats fewer times costs more to prove than it saves
 # the failures a table counts per entry at most: a run's first search of
 # an entry waits at most MIN_REPEATS - 1 triggers
@@ -126,40 +115,33 @@ class _Search:
     next state.  The search runs it on the int lengths `read` reads from
     the tape; the proof runs it again on forms, with `read` reading its
     start forms and `one` the form of 1.  Runs are read as the stacks
-    empty (`loaded`, and `index`: each side's indices in it, nearest
-    first); each stack entry is [symbol, length, ids], the top last,
-    where `ids` are the indices in `loaded` of the runs whose cells it
-    holds besides the cells single transitions moved.  `moves` is the
-    length of the cycle: the start (state, face, symbol) recurs with the
-    run shape it started with, the symbols of every run read.  It is 0
-    when the cycle meets a stop entry, runs out of runs (past the blank,
-    or past the start forms), takes more than `MAX_MOVES` moves, or
-    meets the start twice in a row with one other shape: then it repeats
-    a cycle that the start is not on.
+    empty (`runs`: each side's runs read, nearest first); each stack
+    entry is [symbol, length], the top last.  `moves` is the length of
+    the cycle: the start (state, face, symbol) recurs with the run shape
+    it started with, the symbols of every run read.  It is 0 when the
+    cycle meets a stop entry, runs out of runs (past the blank, or past
+    the start forms), takes more than `MAX_MOVES` moves, or meets the
+    start twice in a row with one other shape: then it repeats a cycle
+    that the start is not on.
 
-    Whether a run that a single transition shortens empties is the only
-    choice the lengths make; `decided` lists the (ids, length) of each
-    such run, and `scanned` the ids of each run a scan crossed.  On
-    forms, a choice that depends on n raises `_Undecided`, and the pass
-    keeps what the proof needs: `entries`, the entries read; `head`, the
-    head's offset from the start; and `ones`, the offsets of the 0->1
-    writes, both ends of each scan's.
+    On forms, a choice that depends on n raises `_Undecided`, and the
+    pass keeps what the proof needs: `entries`, the entries read;
+    `head`, the head's offset from the start; and `ones`, the offsets of
+    the 0->1 writes, both ends of each scan's.
     """
 
     def __init__(self, cm, read, j, one=1):
-        loaded: list = []
-        index: list = [[], []]
+        runs: list = [[], []]
         stacks: list = [[], []]
         start: list = [[], []]  # the symbols of each side's runs read, the top last
 
         def load(side):
-            run = read(side, len(index[side]))
+            run = read(side, len(runs[side]))
             if run is None:
                 return False
-            index[side].append(len(loaded))
+            runs[side].append(run)
             start[side].insert(0, run[0])
-            stacks[side].append([run[0], run[1], (len(loaded),)])
-            loaded.append((side, run))
+            stacks[side].append(list(run))
             return True
 
         load(0)
@@ -172,30 +154,24 @@ class _Search:
         steps = head = one - one
         entries: set = set()
         ones: list = []
-        scanned: tuple = ()
-        decided: list = []
         last = None  # the shape at the last recurrence of the start
-        self.loaded, self.index, self.stacks, self.decided = loaded, index, stacks, decided
-        self.entries, self.ones = entries, ones
+        self.runs, self.stacks, self.entries, self.ones = runs, stacks, entries, ones
         self.moves = 0
         for moves in range(1, MAX_MOVES + 1):
             stack = stacks[f]
             run = stack[-1]
-            s, n, ids = run
+            s, n = run
             j = st + s
             w, m, t = entry[j]
             if t < 0:
                 break  # a stop: it halts, exits, or enters a watched state
             side = (m + 1) >> 1
             if t == st and side == f:
-                count, moved = n, ids  # a scan crosses the whole run
-                scanned += ids
+                count = n  # a scan crosses the whole run
                 stack.pop()
             else:
-                count, moved = one, ()
+                count = one
                 singles += 1
-                if ids:
-                    decided.append((ids, n))
                 if n > one:
                     run[1] = n - one
                 else:
@@ -205,9 +181,8 @@ class _Search:
             top = stacks[1 - side][-1]
             if top[0] == w:
                 top[1] += count
-                top[2] += moved
             else:
-                stacks[1 - side].append([w, count, moved])
+                stacks[1 - side].append([w, count])
             steps += count
             if proof:
                 entries.add(j)
@@ -226,7 +201,7 @@ class _Search:
                 if shape == last:
                     break
                 last = shape
-        self.steps, self.singles, self.scanned, self.head = steps, singles, scanned, head
+        self.steps, self.singles, self.head = steps, singles, head
 
 
 def _reader(tape, face):
@@ -282,22 +257,22 @@ def _largest(hi, ok):
 
 
 class Prover:
-    """The rule trigger of one run, and the rules and refusals of its table.
+    """The rule trigger of one run, and the rules of its table.
 
     What a proof establishes is a fact about the compiled table, so the
     table keeps it (`CompiledMachine.proofs`, made at its first long
-    scan): per entry, its last `KEPT` rules and `KEPT` refusals, and its
-    failures since its last proof, at most `_FAILS`.  The prover keeps
-    only the run's schedule: the long scans so far, each entry's last
-    one and the gap between its last two, and its failures and the
-    triggers it still waits, which start from the table's count.
+    scan): per entry, its last `KEPT` rules, and its failures since its
+    last proof, at most `_FAILS`.  The prover keeps only the run's
+    schedule: the long scans so far, each entry's last one and the gap
+    between its last two, and its failures and the triggers it still
+    waits, which start from the table's count.
     """
 
     def __init__(self, cm):
         self.cm = cm
         if cm.proofs is None:
-            object.__setattr__(cm, "proofs", ({}, {}, {}))
-        self.rules, self.refused, self.failed = cm.proofs
+            object.__setattr__(cm, "proofs", ({}, {}))
+        self.rules, self.failed = cm.proofs
         n = len(cm.entry)
         self.scans = 0
         self.last = [0] * n  # the long scan at which each entry last scanned
@@ -339,8 +314,7 @@ class Prover:
         `tape` is the run's tape, the head on the scan's first cell; it
         is changed only when a rule is applied.  A rule proved before is
         used when the tape matches it; otherwise, when `due` allowed a
-        search, one is proved, unless a search refused before would
-        refuse it again.
+        search, one is proved.
         """
         read = _reader(tape, (self.cm.entry[j][1] + 1) >> 1)
         for rule in self.rules.get(j, ()):
@@ -349,10 +323,7 @@ class Prover:
                 return _apply(rule, runs, tape, budget, cap, reads)
         if not self.search:
             return 0
-        if any(refusal.holds(read, budget) for refusal in self.refused.get(j, ())):
-            rule = None
-        else:
-            rule = self._prove(read, j, budget)
+        rule = self._prove(read, j, budget)
         if rule is None:
             fails = self.fails[j] = self.fails[j] + 1
             self.wait[j] = (1 << fails) - 1
@@ -366,45 +337,34 @@ class Prover:
         return _apply(rule, rule.match(read), tape, budget, cap, reads)
 
     def _prove(self, read, j, budget):
-        """The rule of the cycle that starts at the scan of entry `j`, or None.
-
-        A cycle refused before its proof is remembered, so that `apply`
-        refuses it again by reading the runs it read (`_Refusal`).
-        """
+        """The rule of the cycle that starts at the scan of entry `j`, or None."""
         search = _Search(self.cm, read, j)
-        cycle = None
-        if search.moves:
-            # no single transition empties a run of c cells or more
-            c = search.singles + 1
-            ends = [
-                (k, r[1], r[2])
-                for side in (0, 1)
-                for r, k in zip(reversed(search.stacks[side]), search.index[side])
-            ]
-            pairs = [(search.loaded[k][1][1], r) for k, r, _ in ends]
-            if _repeats(budget, search.steps, pairs, c) >= MIN_REPEATS:
-                return self._proof(j, search, c)
-            cycle = (c, search.steps, search.scanned, ends)
-        refused = self.refused.setdefault(j, [])
-        refused.insert(0, _Refusal(search, cycle))
-        del refused[KEPT:]
-        return None
+        if not search.moves:
+            return None
+        c = search.singles + 1  # no single transition empties a run of c cells or more
+        pairs = [
+            (r0[1], r[1])
+            for side in (0, 1)
+            for r0, r in zip(search.runs[side], reversed(search.stacks[side]))
+        ]
+        if _repeats(budget, search.steps, pairs, c) < MIN_REPEATS:
+            return None
+        return self._proof(j, search, c)
 
     def _proof(self, j, search, c):
         """The rule of the cycle `search` found, or None when it does not hold for all n."""
-        orig = [[search.loaded[k][1] for k in search.index[side]] for side in (0, 1)]
         # A run becomes n + c when its length changed or exceeds c, so that
         # the rule serves other lengths too; the rest keep their length.
         where = [
             (side, i)
             for side in (0, 1)
-            for i, r in enumerate(reversed(search.stacks[side]))
-            if r[1] != orig[side][i][1] or orig[side][i][1] > c
+            for i, (r0, r) in enumerate(zip(search.runs[side], reversed(search.stacks[side])))
+            if r[1] != r0[1] or r0[1] > c
         ]
         unit = {at: v for v, at in enumerate(where, 1)}
         start: list = [[], []]
         for side in (0, 1):
-            for i, (s, n) in enumerate(orig[side]):
+            for i, (s, n) in enumerate(search.runs[side]):
                 form = [n] + [0] * len(where)
                 v = unit.get((side, i))
                 if v is not None:
@@ -423,7 +383,7 @@ class Prover:
             return None
         shift: list = [[], []]  # each run's constant change
         for side in (0, 1):
-            for (_, e, _), (_, e0) in zip(reversed(proof.stacks[side]), start[side]):
+            for (_, e), (_, e0) in zip(reversed(proof.stacks[side]), start[side]):
                 if e[1:] != e0[1:]:
                     return None
                 shift[side].append(e[0] - e0[0])
@@ -438,63 +398,6 @@ def _repeats(budget, steps, pairs, c):
         if r < n:
             repeats = min(repeats, (n - min(n, c)) // (n - r) + 1)
     return repeats
-
-
-class _Refusal:
-    """A cycle `_prove` refused before its proof, and the tapes it is refused on.
-
-    The search reads the lengths of its runs only where a single
-    transition shortens a run: the run empties or it does not.  So on a
-    tape whose runs have the same symbols, it makes the same moves as
-    long as each such run gives the same answer.  A run that emptied
-    keeps its length; one that did not may lose the cells it had to
-    spare.  The blank stays the blank.  Each run read is kept as (side,
-    its index on that side, symbol, length, lowest, highest), in the
-    order the search read them.  `cycle` is None when the search found
-    no cycle.  For one that `MIN_REPEATS` refused it is (c, steps,
-    scanned, ends), where each end (k, r, ids) is the run that ended where
-    run k started, its length r and the runs it holds; the repeats are
-    counted again on the new lengths.
-    """
-
-    def __init__(self, search, cycle):
-        self.cycle = cycle
-        n = [run[1] for _, run in search.loaded]
-        lo = [BLANK if x == BLANK else 1 for x in n]
-        hi = [BLANK if x == BLANK else BLANK - 1 for x in n]
-        for ids, e in search.decided:
-            if e == 1:  # it emptied: each run it holds keeps its length
-                for i in ids:
-                    lo[i] = hi[i] = n[i]
-                continue
-            # it kept e - 1 cells: the runs it holds may lose e - 2 in all
-            over = sum(n[i] - lo[i] for i in ids) - (e - 2)
-            for i in ids:
-                if over <= 0:
-                    break
-                up = min(over, n[i] - lo[i])
-                lo[i] += up
-                over -= up
-        depth = [0, 0]
-        self.runs = []
-        for (at, (s, x)), a, b in zip(search.loaded, lo, hi):
-            self.runs.append((at, depth[at], s, x, a, b))
-            depth[at] += 1
-
-    def holds(self, read, budget) -> bool:
-        """Whether `_prove` refuses this cycle on the tape `read` reads."""
-        d = []  # each run's change in length
-        for side, i, s, n, lo, hi in self.runs:
-            run = read(side, i)
-            if run is None or run[0] != s or not lo <= run[1] <= hi:
-                return False
-            d.append(run[1] - n)
-        if self.cycle is None:
-            return True
-        c, steps, scanned, ends = self.cycle
-        delta = d.__getitem__
-        pairs = [(self.runs[k][3] + d[k], r + sum(map(delta, ids))) for k, r, ids in ends]
-        return _repeats(budget, steps + sum(map(delta, scanned)), pairs, c) < MIN_REPEATS
 
 
 class _Rule:

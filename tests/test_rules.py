@@ -3,8 +3,8 @@
 A run with a `trace` never scans, so it never applies a rule; every test
 here compares a plain run with a traced one on kind, steps, state, head,
 tape, the 1-extent `_lo1/_hi1` and the read profile.  A compiled table
-keeps the rules and refusals of every run on it, so runs are compared on
-a table that earlier runs left warm, too.
+keeps the rules and failure counts of every run on it, so runs are
+compared on a table that earlier runs left warm, too.
 """
 
 import random
@@ -158,9 +158,9 @@ def gapped(a, gap, b):
 @given(data=st.data())
 def test_runs_on_a_warm_table_match_single_steps(data):
     # the first run is long enough to prove a rule, most often; the second
-    # starts with the rules and refusals it left on the table, from another
-    # tape, with another budget and cap.  A watched run has a table of its
-    # own: a rule through G would cross the watch
+    # starts with the rules and failure counts it left on the table, from
+    # another tape, with another budget and cap.  A watched run has a table
+    # of its own: a rule through G would cross the watch
     machine = fresh()
     # (the least A, the budgets); the second run's lean to budgets that fit a rule
     runs = ((30, st.integers(20_000, 60_000)), (1, st.integers(0, 60_000) | st.integers(20_000, 60_000)))
@@ -225,7 +225,7 @@ def test_a_run_retries_an_entry_its_table_saw_fail_many_times():
                 assert prover.search
                 assert not prover.apply(config.tape.clone(), j, 10**6, 1 << 22, None)
     assert searched == [rules.MIN_REPEATS, 3 * rules.MIN_REPEATS]
-    assert cm.proofs[2][j] == rules._FAILS
+    assert rules.Prover(cm).failed[j] == rules._FAILS
 
 
 def searched(machine, config):
