@@ -1,29 +1,30 @@
 """Execution engine: budgeted runs, cycle detection, tracing, fingerprints.
 
-One run loop serves every run.  It recognizes crossings: a self-loop,
-or a sweep, a cycle of k > 1 states, whose entries all read the symbol
-under the head and move the same way.  `compile_machine` finds each
-entry's self-loop or cycle once, so the loop only looks it up.  A
-crossing covers the whole uniform run of that symbol ahead in one memchr
-pass and one fill of the writes (tiled, for a sweep), crediting the
-exact number of steps, and a sweep ends in the state the crossing's
-length reaches in its cycle; everything else executes one transition
-per iteration.  Only the search differs between the two directions
-(`find` rightward, `rfind` leftward).  A crossing that writes only 0s
-over blank with no 1 ahead anywhere glides to the end of the budget.  A
-fill's 0->1 writes obey the single-step memory rule: the crossing stops
-short of the first write the rule refuses, and the next iteration
-refuses it.  Each watch set has a table of its own, where an entry into
-a watched state from another state stops the run as an exit does: no
-cycle runs through it, and a self-loop, which enters nothing, still
-crosses.  Cycle detection and tracing observe every configuration, so
-they turn the crossings off, and nothing else: the stop rules are the
-same whether or not a run is observed.  A self-loop crossing of at least
-`LONG_SCAN` cells may hand the run to a proven shuttle rule
-(`rules.py`), which applies a repeating cycle of scans k times in closed
-form with the outcome, steps, tape, 1-extent and read profile of the
-run one transition at a time.  Traced and cycle-checked runs never
-cross, so they never use a rule.
+One run loop serves every run.  It recognizes crossings: a cycle of
+k >= 1 states (a self-loop when k = 1, a sweep when k > 1) whose entries
+all read the symbol under the head and move the same way, found for
+every entry in one walk over the table by `compile_machine`, so the loop
+only looks it up.  A crossing covers the whole uniform run of that
+symbol ahead in one memchr pass and one fill of the cycle's writes,
+tiled, crediting the exact number of steps, and a sweep ends in the
+state the crossing's length reaches in its cycle; everything else
+executes one transition per iteration.  Only the search differs between
+the two directions (`find` rightward, `rfind` leftward).  A crossing
+that writes only 0s over blank with no 1 ahead anywhere glides to the
+end of the budget.  A fill's 0->1 writes obey the single-step memory
+rule, in one form for both directions: the crossing stops short of the
+first write the rule refuses, and the next iteration refuses it.  Each
+watch set has a table of its own, where an entry into a watched state
+from another state stops the run as an exit does: no cycle runs through
+it, and a self-loop, which enters nothing, still crosses.  Cycle
+detection and tracing observe every configuration, so they turn the
+crossings off, and nothing else: the stop rules are the same whether or
+not a run is observed.  A self-loop crossing of at least `LONG_SCAN`
+cells may hand the run to a proven shuttle rule (`rules.py`), which
+applies a repeating cycle of scans k times in closed form with the
+outcome, steps, tape, 1-extent and read profile of the run one
+transition at a time.  Traced and cycle-checked runs never cross, so
+they never use a rule.
 
 The loop holds the state as its first transition entry, 2 × its index,
 so the entry read is that plus the symbol, and it holds the head and the
@@ -49,16 +50,16 @@ rule and the step count are inline, and nothing is called.  Only a 0->1
 write outside the 1-extent can widen it, so only that write is checked;
 a run whose start tape's extent already spans more than the cap refuses
 every 0->1 write, inside it too, and takes the general path for all of
-them.  A self-loop takes the second branch, through its own table `loop`
-of (move, fill): one search, the `LONG_SCAN` trigger, one budget clamp,
-at most one fill and, for a fill of 1s, the memory rule inline.  A sweep
-takes the third.  A stop entry (an exit or a watched one) takes the
-general path, which unpacks the same record, and in a traced run every
-entry does; a cycle-checked run, which never crosses, runs the self-loop
-and sweep entries as plain too.  A sweep facing a run of one cell, where
-the next cell holds the other symbol, takes one transition on the
-general path, with no search and no fill: random small machines meet 7
-in 10 of their cycles so.
+them.  A self-loop takes the second branch, through its own table
+`loop` of (move, fill): one search, the `LONG_SCAN` trigger, one budget
+clamp, at most one fill and, for a fill of 1s, the memory rule inline,
+in the sweep's form at k = 1.  A sweep takes the third.  A stop entry
+(an exit or a watched one) takes the general path, which unpacks the
+same record, and in a traced run every entry does; a cycle-checked run,
+which never crosses, runs the self-loop and sweep entries as plain too.
+A sweep facing a run of one cell, where the next cell holds the other
+symbol, takes one transition on the general path, with no search and no
+fill: random small machines meet 7 in 10 of their cycles so.
 
 Cycle detection keeps no tape per step, and hashes no tape per step.  It
 keeps h, the sum of R^(c - head) mod P over the cells c that hold 1 (P =
@@ -93,6 +94,7 @@ A1:0RB B0:1LA B1:0LA, which has no crossing (A moves right, B left) and
 flips the two cells it visits, over 3×10^5 steps, best of 7 runs.  A
 self-loop crossing of a short run, which hands nothing to the prover,
 executes about 81 instructions, its search's call included, 111 before.
+`tests/test_step_cost.py` pins these counts on CPython 3.11.
 """
 
 from __future__ import annotations
@@ -414,32 +416,22 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
                     n = max_steps - steps
                 if fill is not None:
                     if not sym:
-                        # the single-step rule on 0->1 writes: the crossing
-                        # stops short of the first one that would widen the
-                        # 1-extent past `cap` cells, and the next iteration
-                        # refuses it
+                        # the single-step rule on 0->1 writes, in a sweep's form:
+                        # the crossing stops short of the first one that would widen
+                        # the 1-extent past `cap` cells, and the next iteration refuses it
                         if hi1 < lo1:
                             lo1 = hi1 = p
-                        if m > 0:
-                            lo = p if p < lo1 else lo1
-                            if (p if p > hi1 else hi1) - lo >= cap:
-                                _sync(tape, org, p, lo1, hi1)
-                                return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
-                            if n > lo + cap - p:
-                                n = lo + cap - p
-                            lo1 = lo
-                            if p + n - 1 > hi1:
-                                hi1 = p + n - 1
-                        else:
-                            hi = p if p > hi1 else hi1
-                            if hi - (p if p < lo1 else lo1) >= cap:
-                                _sync(tape, org, p, lo1, hi1)
-                                return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
-                            if n > p - hi + cap:
-                                n = p - hi + cap
-                            hi1 = hi
-                            if p - n + 1 < lo1:
-                                lo1 = p - n + 1
+                        lo = p if p < lo1 else lo1
+                        hi = p if p > hi1 else hi1
+                        if hi - lo >= cap:
+                            _sync(tape, org, p, lo1, hi1)
+                            return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
+                        lim = lo + cap - p if m > 0 else p - hi + cap
+                        if n > lim:
+                            n = lim
+                        c = p + m * (n - 1)  # the last cell filled
+                        lo1 = c if c < lo else lo
+                        hi1 = c if c > hi else hi
                     if m > 0:
                         buf[p : p + n] = fill * n
                     else:

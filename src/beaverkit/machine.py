@@ -116,23 +116,22 @@ class CompiledMachine:
     `WATCHED` when it is a watched state the entry enters from another
     state (a self-loop enters nothing), and `NO_ACTION`, with write 0
     and move right, when no action exists.  The successor's name of an
-    `EXIT` or `WATCHED` entry is in ``exit_name``.  ``loop`` holds
-    ``(move, fill)`` for each self-loop entry and None for every other:
-    started on a run of its symbol, the self-loop crosses it, writing
-    ``fill`` (the one byte 0 or 1) over each cell, or nothing when fill
-    is None, the entry writing the symbol it reads.  ``sweep`` holds, per
-    entry, the cycle of k > 1 states that entry starts, all reading its
-    symbol and moving one way, or None.  Started on a run of that symbol,
-    the cycle crosses it: the i-th cell gets the write of the cycle's
-    (i mod k)-th entry.  The cycle is the plain tuple ``(k, fill, first1,
-    entries)`` (the loop unpacks it, which a tuple subclass would slow):
-    ``fill`` is the k writes in cycle order, or None when each entry
-    writes the symbol it reads; ``first1`` is the offset of the first
-    0->1 write, or None when there is none; ``entries`` lists the k
-    entries, this one first.  No cycle runs through a stop, so none
-    through a watched state.  ``fused`` holds the record itself of each
-    entry whose target is a state and that starts no self-loop and no
-    sweep, and None for every other entry: the engine executes such an
+    `EXIT` or `WATCHED` entry is in ``exit_name``.  ``loop`` and
+    ``sweep`` come from one walk over the table, which finds the cycle
+    of k >= 1 states each entry starts, all reading its symbol and moving
+    one way, if any.  Started on a run of that symbol, the cycle crosses
+    it: the i-th cell gets the write of the cycle's (i mod k)-th entry.
+    Its ``fill`` is the k writes in cycle order, or None when each entry
+    writes the symbol it reads.  A cycle of one state, a self-loop, is
+    ``loop``'s: ``(move, fill)``.  A cycle of k > 1 states is
+    ``sweep``'s: the plain tuple ``(k, fill, first1, entries)`` (the
+    loop unpacks it, which a tuple subclass would slow), where
+    ``first1`` is the offset of the first 0->1 write, or None when there
+    is none, and ``entries`` lists the k entries, this one first.  Both
+    hold None for every other entry.  No cycle runs through a stop, so
+    none through a watched state.  ``fused`` holds the record itself of
+    each entry whose target is a state and that starts no self-loop and
+    no sweep, and None for every other entry: the engine executes such an
     entry with one lookup and one unpack.  ``watches``, in an unwatched
     table, maps each watch set (a frozenset of state names) a run asked
     for to that set's table, compiled at its first run; a watched table
@@ -140,10 +139,10 @@ class CompiledMachine:
     the entries it does not stop with the unwatched table.  ``proofs`` is
     what the shuttle-rule prover (`rules.Prover`) established on this
     table, for every run on it: ``(rules, fails)``, dicts keyed by entry
-    of its last rules (a few, newest first) and of its failures since its
-    last proof (a count that stops at `rules._FAILS`, so that every run
-    retries every entry).  It is None until the table's first scan long
-    enough to try a rule, and a watched table keeps its own.
+    of its last rule and of its failures since its last proof (a count
+    that stops at `rules._FAILS`, so that every run retries every
+    entry).  It is None until the table's first scan long enough to try
+    a rule, and a watched table keeps its own.
     """
 
     names: tuple[str, ...]
@@ -156,9 +155,6 @@ class CompiledMachine:
     watches: dict | None = field(default=None, repr=False, compare=False)
     proofs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-
-# a self-loop's fill, by (symbol, write): None when it writes what it reads
-_FILLS = {(0, 0): None, (0, 1): b"\x01", (1, 0): b"\x00", (1, 1): None}
 
 NO_ACTION = -2
 EXIT = -1
@@ -192,16 +188,13 @@ def compile_machine(machine: Machine, watch: frozenset[str] = frozenset()) -> Co
             if t >= 0 and t != j & ~1 and names[t >> 1] in watch:
                 entry[j] = (w, m, WATCHED)
                 exit_name[j] = names[t >> 1]
-    loop = tuple(
-        (m, _FILLS[j & 1, w]) if t == j & ~1 else None for j, (w, m, t) in enumerate(entry)
-    )
-    sweep = _sweeps(entry)
+    loop, sweep = _crossings(entry)
     return CompiledMachine(
         names=names,
         index=index,
         entry=tuple(entry),  # the base table's own records, where not stopped
         exit_name=tuple(exit_name),
-        loop=loop,
+        loop=tuple(loop),
         sweep=tuple(sweep),
         fused=tuple(
             e if e[2] >= 0 and s is None and lp is None else None
@@ -211,16 +204,16 @@ def compile_machine(machine: Machine, watch: frozenset[str] = frozenset()) -> Co
     )
 
 
-def _sweeps(entry) -> list:
-    """Each entry's cycle of k > 1 states, or None when it starts no such
-    cycle of one move (a self-loop is `loop`'s).
+def _crossings(entry) -> tuple[list, list]:
+    """`CompiledMachine`'s ``(loop, sweep)``: the crossing each entry starts.
 
     Entry j leads to entry t + symbol when its target is t, the first
     entry of a state, so the entries of one symbol form a functional
     graph.  Each entry is walked once, and every cycle found whose
     entries all move one way gives each of its k entries the cycle as
-    seen from there.
+    seen from there: in `loop` when k = 1, in `sweep` when k > 1.
     """
+    loop: list[tuple | None] = [None] * len(entry)
     sweep: list[tuple | None] = [None] * len(entry)
     walk = [-1] * len(entry)  # the first entry of the walk that reached each
     for j0 in range(len(entry)):
@@ -234,8 +227,6 @@ def _sweeps(entry) -> list:
         else:
             if walk[j] != j0:
                 continue  # the walk met an earlier walk
-            if entry[j][2] == j & ~1:
-                continue  # a self-loop
             sym = j & 1
             cycle = [j]
             e = entry[j][2] + sym
@@ -245,14 +236,14 @@ def _sweeps(entry) -> list:
             if len({entry[e][1] for e in cycle}) > 1:
                 continue
             k = len(cycle)
-            writes = bytes(entry[e][0] for e in cycle)
-            changes = writes.count(sym) < k
+            fill = bytes(entry[e][0] for e in cycle)
+            if fill.count(sym) == k:
+                fill = None  # each entry writes the symbol it reads
+            if k == 1:
+                loop[j] = (entry[j][1], fill)
+                continue
             for i, e in enumerate(cycle):
-                w = writes[i:] + writes[:i]
-                sweep[e] = (
-                    k,
-                    w if changes else None,
-                    w.find(1) if changes and not sym else None,
-                    tuple(cycle[i:] + cycle[:i]),
-                )
-    return sweep
+                w = None if fill is None else fill[i:] + fill[:i]
+                first1 = None if w is None or sym else w.find(1)
+                sweep[e] = (k, w, first1, tuple(cycle[i:] + cycle[:i]))
+    return loop, sweep

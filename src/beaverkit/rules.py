@@ -41,11 +41,11 @@ closed form.  k is the largest count under three bounds: no variable
 run falls below its c, the steps fit the budget, and the 1-extent
 widened by every 0->1 write of the k applications spans at most the
 memory cap; that extent becomes the tape's `_lo1/_hi1`.  A rule reads
-the compiled table alone, so the table keeps its last `KEPT` rules per
-entry, for every run on it, and one is applied again at any long scan of
-its entry where the tape has its shape: the same symbols and fixed
-lengths.  A cycle that meets a stop entry of the table (a halt, an exit,
-or an entry into a watched state) is refused, and so is one whose proof
+the compiled table alone, so the table keeps each entry's last rule,
+for every run on it, and applies it again at any long scan of its entry
+where the tape has its shape: the same symbols and fixed lengths.  A
+cycle that meets a stop entry of the table (a halt, an exit, or an
+entry into a watched state) is refused, and so is one whose proof
 fails; then the entry is not searched again for a number of its
 triggers that doubles with each failure since its last proof.  The
 table counts an entry's failures up to `_FAILS`, a wait of
@@ -67,7 +67,6 @@ from operator import add, sub
 LONG_SCAN = 64  # the shortest scan that may start a proof
 BLANK = 1 << 62  # the length of the 0-run beyond the 1-extent
 MAX_MOVES = 64  # the most run-level moves a cycle may take
-KEPT = 4  # the proved rules kept per entry, newest first
 MIN_REPEATS = 16  # a cycle that repeats fewer times costs more to prove than it saves
 # the failures a table counts per entry at most: a run's first search of
 # an entry waits at most MIN_REPEATS - 1 triggers
@@ -261,8 +260,8 @@ class Prover:
 
     What a proof establishes is a fact about the compiled table, so the
     table keeps it (`CompiledMachine.proofs`, made at its first long
-    scan): per entry, its last `KEPT` rules, and its failures since its
-    last proof, at most `_FAILS`.  The prover keeps only the run's
+    scan): per entry, its last rule, and its failures since its last
+    proof, at most `_FAILS`.  The prover keeps only the run's
     schedule: the long scans so far, each entry's last one and the gap
     between its last two, and its failures and the triggers it still
     waits, which start from the table's count.
@@ -317,10 +316,10 @@ class Prover:
         search, one is proved.
         """
         read = _reader(tape, (self.cm.entry[j][1] + 1) >> 1)
-        for rule in self.rules.get(j, ()):
-            runs = rule.match(read)
-            if runs is not None:
-                return _apply(rule, runs, tape, budget, cap, reads)
+        rule = self.rules.get(j)
+        runs = None if rule is None else rule.match(read)
+        if runs is not None:
+            return _apply(rule, runs, tape, budget, cap, reads)
         if not self.search:
             return 0
         rule = self._prove(read, j, budget)
@@ -331,9 +330,7 @@ class Prover:
             return 0
         self.fails[j] = 0
         self.failed.pop(j, None)
-        kept = self.rules.setdefault(j, [])
-        kept.insert(0, rule)
-        del kept[KEPT:]
+        self.rules[j] = rule
         return _apply(rule, rule.match(read), tape, budget, cap, reads)
 
     def _prove(self, read, j, budget):

@@ -627,13 +627,14 @@ def ring(writes, move, sym=0):
     return Machine("ring", "A", states)
 
 
-@pytest.mark.parametrize("fill", ["10", "01", "110"])
+@pytest.mark.parametrize("fill", ["1", "10", "01", "110"])
 @pytest.mark.parametrize("move", [1, -1])
 @pytest.mark.parametrize("blocks", [[], [3], [3, 3]])
 @pytest.mark.parametrize("gap", [0, 1])
 def test_sweep_memory_cap_edges(fill, move, blocks, gap):
     # a cycle filling blank with `fill` tiled under a cap of 5 cells:
-    # from blank, beside 3 cells, and beside 7 (no 0->1 write allowed)
+    # from blank, beside 3 cells, and beside 7 (no 0->1 write allowed);
+    # the fill "1" is a self-loop, held to the sweeps' cap edges
     m = ring(fill, move)
     tape = Tape.from_blocks(blocks)
     width = sum(blocks) + len(blocks) - 1
