@@ -54,7 +54,10 @@ def _parse_window(spec: str) -> tuple[int, int]:
     a, sep, b = spec.partition("..")
     if not sep:
         raise ValueError(f"window must be <a>..<b>, got {spec!r}")
-    return int(a), int(b)
+    start, stop = int(a), int(b)
+    if stop <= start:
+        raise ValueError(f"window {spec!r} is empty: needs b > a")
+    return start, stop
 
 
 def cmd_run(args) -> int:

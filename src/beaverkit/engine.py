@@ -55,11 +55,12 @@ them.  A self-loop takes the second branch, through its own table
 clamp, at most one fill and, for a fill of 1s, the memory rule inline,
 in the sweep's form at k = 1.  A sweep takes the third.  A stop entry
 (an exit or a watched one) takes the general path, which unpacks the
-same record, and in a traced run every entry does; a cycle-checked run,
-which never crosses, runs the self-loop and sweep entries as plain too.
-A sweep facing a run of one cell, where the next cell holds the other
-symbol, takes one transition on the general path, with no search and no
-fill: random small machines meet 7 in 10 of their cycles so.
+same record.  An observed run, traced or cycle-checked, takes the
+general path for every entry, and the cycle check's key is taken there
+alone, so the other branches test nothing for it.  A sweep facing a
+run of one cell, where the next cell holds the other symbol, takes one
+transition on the general path, with no search and no fill: random
+small machines meet 7 in 10 of their cycles so.
 
 Cycle detection keeps no tape per step, and hashes no tape per step.  It
 keeps h, the sum of R^(c - head) mod P over the cells c that hold 1 (P =
@@ -86,15 +87,17 @@ the reference `step` in `tests/stepping.py`, one pure transition at a
 time.  The scan sustains well over 10^7 credited steps per second on
 the unary-arithmetic tables this package ships, whose inner loops are
 long scans.  A plain transition makes no function call and executes
-47.5 bytecode instructions on average, 62.5 before the step horizon
+45.5 bytecode instructions on average, 62.5 before the step horizon
 (counted by `sys.settrace` opcode events): about 4-7×10^6 per second
-(4.1-6.7 M/s against 3.3-5.8 M/s before, alternating, in one spell of
-a 2-core x86 host, CPython 3.11), timed on the 2-state machine A0:1RB
-A1:0RB B0:1LA B1:0LA, which has no crossing (A moves right, B left) and
-flips the two cells it visits, over 3×10^5 steps, best of 7 runs.  A
-self-loop crossing of a short run, which hands nothing to the prover,
-executes about 81 instructions, its search's call included, 111 before.
-`tests/test_step_cost.py` pins these counts on CPython 3.11.
+(4.1-6.7 M/s at 47.5 instructions against 3.3-5.8 M/s before the
+horizon, alternating, in one spell of a 2-core x86 host, CPython 3.11),
+timed on the 2-state machine A0:1RB A1:0RB B0:1LA B1:0LA, which has no
+crossing (A moves right, B left) and flips the two cells it visits, over
+3×10^5 steps, best of 7 runs.  A self-loop crossing of a short run,
+which hands nothing to the prover, executes about 79 instructions, its
+search's call included, 111 before.  `tests/test_step_cost.py` pins
+these counts on CPython 3.11.  A cycle-checked step, on the general
+path, executes about 101 on the bouncer A0:1RB A1:1LA B0:1LA B1:1RB.
 """
 
 from __future__ import annotations
@@ -105,7 +108,6 @@ from .machine import (
     EXIT,
     NO_ACTION,
     RESERVED_NAMES,
-    WATCHED,
     Machine,
     compile_machine,
 )
@@ -305,13 +307,10 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
     buf, size, org, p, lo1, hi1 = _loaded(tape)
     cycle_check = limits.cycle_check
     fused, loop, sweep = cm.fused, cm.loop, cm.sweep
-    if trace is not None:
-        fused = loop = sweep = (None,) * len(entry)  # a trace sees every step
-    elif cycle_check:
-        # the key takes every step, so a crossing's entries run one at a time
-        loop = sweep = (None,) * len(entry)
-        fused = [f if f[2] >= 0 else None for f in entry]
-    if hi1 - lo1 >= cap:
+    if trace is not None or cycle_check:
+        # an observer sees every step, so every entry takes the general path
+        fused = loop = sweep = (None,) * len(entry)
+    elif hi1 - lo1 >= cap:
         # a start tape's 1-extent already spans more than `cap` cells, so
         # every 0->1 write is refused, inside it too: the general path's rule
         fused = (None,) * len(entry)
@@ -345,25 +344,6 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
         while steps < horizon:
             sym = buf[p]
             j = state + sym
-            if cycle_check:
-                key = _support_hash(h) * n_entries + j
-                first = seen.setdefault(key, steps)
-                if first != steps:
-                    _sync(tape, org, p, lo1, hi1)
-                    full = fingerprint(state >> 1, tape)
-                    prints = later.get(key)
-                    if prints is None:
-                        past = _replayed(cm, start.clone(), cap, first)
-                        prints = later[key] = [
-                            (first, fingerprint(cm.index[past.state], past.tape))
-                        ]
-                    for prev, known in prints:  # in step order
-                        if known == full:
-                            return _outcome(
-                                CYCLE, cm, tape, state, steps, first_visit=prev, period=steps - prev
-                            )
-                    prints.append((steps, full))
-                h = (h * shift[j] + bump[j]) % _P
             f = fused[j]
             if f is not None:
                 # a plain transition into a state: one lookup, no call
@@ -488,6 +468,25 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
                     for e in entries[1:n]:
                         reads[e] = 1
                 continue
+            if cycle_check:
+                key = _support_hash(h) * n_entries + j
+                first = seen.setdefault(key, steps)
+                if first != steps:
+                    _sync(tape, org, p, lo1, hi1)
+                    full = fingerprint(state >> 1, tape)
+                    prints = later.get(key)
+                    if prints is None:
+                        past = _replayed(cm, start.clone(), cap, first)
+                        prints = later[key] = [
+                            (first, fingerprint(cm.index[past.state], past.tape))
+                        ]
+                    for prev, known in prints:  # in step order
+                        if known == full:
+                            return _outcome(
+                                CYCLE, cm, tape, state, steps, first_visit=prev, period=steps - prev
+                            )
+                    prints.append((steps, full))
+                h = (h * shift[j] + bump[j]) % _P
             if t == NO_ACTION:
                 _sync(tape, org, p, lo1, hi1)
                 return _outcome(HALTED, cm, tape, state, steps)
@@ -509,14 +508,12 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
             if trace is not None:
                 _sync(tape, org, p, lo1, hi1)
                 trace(steps, exit_names[j] if t < 0 else names[t >> 1], p - org, tape)
-            if t == EXIT:
+            if t < 0:  # an exit or an entry into a watched state
                 _sync(tape, org, p, lo1, hi1)
-                return _outcome(HALTED, cm, tape, state, steps, exit_name=exit_names[j])
-            if t == WATCHED:
-                _sync(tape, org, p, lo1, hi1)
-                return _outcome(
-                    WATCH, cm, tape, state, steps, exit_names[j], watched_state=exit_names[j]
-                )
+                name = exit_names[j]
+                if t == EXIT:
+                    return _outcome(HALTED, cm, tape, state, steps, exit_name=name)
+                return _outcome(WATCH, cm, tape, state, steps, name, watched_state=name)
             state = t
     _sync(tape, org, p, lo1, hi1)
     return _outcome(STEP_LIMIT, cm, tape, state, steps)

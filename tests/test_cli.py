@@ -266,6 +266,28 @@ def test_run_five_step_trace_window(capsys):
     assert trace_lines[-1].split("\t") == ["5", "b.Af", "-5", "0 1 1 0 1 1"]
 
 
+@pytest.mark.parametrize("window", ["3..0", "2..2"])
+def test_run_refuses_an_empty_window(capsys, window):
+    code, out, err = run_cli(capsys, "run", str(data_path("brocard.manifest")), "--steps", "5",
+                             "--trace", "--window", window)
+    assert code == 2 and out == ""
+    assert err == f"error: window {window!r} is empty: needs b > a\n"
+
+
+def test_run_traces_a_cycle_checked_run(capsys, tmp_path):
+    # both observers at once: every step is traced, and the walker's
+    # return to its start configuration, one cell right, is the cycle
+    table = tmp_path / "walker.tbl"
+    table.write_text("!name walker\n!start A\nA|0|0|R|B\nB|0|0|R|A\n")
+    code, out, _ = run_cli(capsys, "run", str(table), "--steps", "10", "--cycle-check",
+                           "--trace", "--window", "0..2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:4] == ["1\tB\t1\t0 0", "2\tA\t2\t0 0", "outcome: cycle",
+                         "steps: 2"]
+    assert "cycle: first visit 0, period 2" in lines
+
+
 def test_run_reports_outcome_fields(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -484,6 +484,21 @@ def test_cycle_check_replays_once_per_matching_key(monkeypatch):
     assert 0 < len(firsts) == len(set(firsts)) <= 4
 
 
+def test_cycle_check_keys_no_configuration_at_the_budget():
+    # the walker is back in its start configuration, one cell right, at
+    # step 2; the configuration at step max_steps is never keyed, so the
+    # repeat shows from a budget of 3 on, as `bench/refsim.first_repeat`
+    # has it; a trace does not move that edge
+    walker = Machine("walker", "A", {"A": (Action(0, 1, "B"), None),
+                                     "B": (Action(0, 1, "A"), None)})
+    for trace in (None, lambda *seen: None):
+        for budget in (1, 2):
+            out = run(walker, limits=RunLimits(budget, cycle_check=True), trace=trace)
+            assert (out.kind, out.steps) == (STEP_LIMIT, budget)
+        out = run(walker, limits=RunLimits(3, cycle_check=True), trace=trace)
+        assert (out.kind, out.steps, out.first_visit, out.period) == (CYCLE, 2, 0, 2)
+
+
 def test_cycle_check_leaves_long_runs_unchanged(fermat_composed, brocard_ref):
     # supports of 368 and 430 cells, far past what the properties draw
     for m in (fermat_composed.machine, brocard_ref.machine):

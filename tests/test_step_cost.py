@@ -75,18 +75,18 @@ def left_of_a_one(gap):
     "text, start, fewer, more, cost",
     [
         # a plain step: A moves right and B left, flipping the two cells
-        # they visit; 47.5185 instructions a step
-        ("A0:1RB A1:0RB B0:1LA B1:0LA", Configuration("A"), 4000, 8000, 190074),
+        # they visit; 45.5185 instructions a step
+        ("A0:1RB A1:0RB B0:1LA B1:0LA", Configuration("A"), 4000, 8000, 182074),
         # the 40-cell bouncer: a self-loop crosses the block, one plain
-        # step turns it, the other self-loop crosses back; 3.006 a step
+        # step turns it, the other self-loop crosses back; 2.908 a step
         ("A0:0LB A1:1RA B0:0RA B1:1LB", Configuration("A", Tape.from_blocks([40])),
-         4000, 8000, 12024),
+         4000, 8000, 11632),
         # after one plain step, the self-loop B0 fills 40 blank cells with
         # 1s up to the lone 1: one crossing, the memory rule's included
-        ("A0:0RB B0:1RB", left_of_a_one(41), 1, 41, 156),
+        ("A0:0RB B0:1RB", left_of_a_one(41), 1, 41, 154),
         # after one plain step, the cycle B0 C0 fills 40 blank cells with
         # 1010... up to the lone 1: one sweep crossing
-        ("A0:0RB B0:1RC C0:0RB", left_of_a_one(41), 1, 41, 236),
+        ("A0:0RB B0:1RC C0:0RB", left_of_a_one(41), 1, 41, 234),
     ],
     ids=["plain-step", "bouncer", "self-loop-fill", "sweep"],
 )
