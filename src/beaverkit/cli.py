@@ -3,7 +3,7 @@
 Exit status: 0 on success with no findings, 1 when validation finds
 error-severity defects or any scenario fails or a run is inconclusive
 for certification or a replayed certificate is refused, 2 on usage or
-I/O errors and malformed input files.  ``--deterministic``
+I/O errors, malformed input files and runs that run out of memory.  ``--deterministic``
 suppresses wall-clock fields so identical inputs give identical output.
 """
 
@@ -298,6 +298,9 @@ def dispatch(argv=None) -> int:
         return args.fn(args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return USAGE
+    except MemoryError:  # a tape buffer out to a head billions of cells away
+        print("error: out of memory", file=sys.stderr)
         return USAGE
 
 

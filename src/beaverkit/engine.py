@@ -13,7 +13,18 @@ the two directions (`find` rightward, `rfind` leftward).  A crossing
 that writes only 0s over blank with no 1 ahead anywhere glides to the
 end of the budget.  A fill's 0->1 writes obey the single-step memory
 rule, in one form for both directions: the crossing stops short of the
-first write the rule refuses, and the next iteration refuses it.  Each
+first write the rule refuses, and the next iteration refuses it.  The
+glide's counterpart in place is the 2-cell trap: an entry into another
+state, facing a neighbour cell (at its move) that holds one of the
+entry's trapping symbols, from where the head alternates between the
+two cells for ever and meets no stop.  `compile_machine` finds each
+one, with its preperiod mu, its period lam and the window's
+configurations (state, head's cell, both symbols), and the loop credits
+the whole rest of the budget, n steps, at once: it takes configuration
+n, or mu + (n - mu) mod lam once n >= mu + lam, marks every entry read
+in those steps and widens the 1-extent by each cell given a 0->1 write.
+When that widening would pass the memory cap, the entry takes its one
+transition instead, so the run stops where single steps stop it.  Each
 watch set has a table of its own, where an entry into a watched state
 from another state stops the run as an exit does: no cycle runs through
 it, and a self-loop, which enters nothing, still crosses.  Cycle
@@ -44,7 +55,7 @@ Each iteration takes the first branch that fits its entry.  Each entry
 has one record (write, move, target), whose target is the successor's
 first entry or a stop code, so the loop moves to the next state with no
 arithmetic.  `fused` holds the record of each plain entry, one whose
-target is a state and that starts no crossing, and the first branch
+target is a state and starts no crossing or trap, and the first branch
 executes it with one index and one unpack: the read flag, the memory
 rule and the step count are inline, and nothing is called.  Only a 0->1
 write outside the 1-extent can widen it, so only that write is checked;
@@ -53,8 +64,14 @@ every 0->1 write, inside it too, and takes the general path for all of
 them.  A self-loop takes the second branch, through its own table
 `loop` of (move, fill): one search, the `LONG_SCAN` trigger, one budget
 clamp, at most one fill and, for a fill of 1s, the memory rule inline,
-in the sweep's form at k = 1.  A sweep takes the third.  A stop entry
-(an exit or a watched one) takes the general path, which unpacks the
+in the sweep's form at k = 1.  A sweep takes the third.  A trap entry
+has a record in its `sweep` slot too, `NO_SWEEP` (a cycle of k = 0) when
+it starts no sweep, and the trap table (`CompiledMachine.trap`) is read
+only past a sweep slot that is not None, so the fused, self-loop and
+sweep branches, and observed runs, test nothing for traps.  An entry
+that sweeps facing its own symbol may trap facing the other, and keeps
+both.  A trap entry that faces no trapping symbol, and a stop entry
+(an exit or a watched one), take the general path, which unpacks the
 same record.  An observed run, traced or cycle-checked, takes the
 general path for every entry, and the cycle check's key is taken there
 alone, so the other branches test nothing for it.  A sweep facing a
@@ -86,18 +103,21 @@ and tapes; the property suite asserts this on random machines against
 the reference `step` in `tests/stepping.py`, one pure transition at a
 time.  The scan sustains well over 10^7 credited steps per second on
 the unary-arithmetic tables this package ships, whose inner loops are
-long scans.  A plain transition makes no function call and executes
-45.5 bytecode instructions on average, 62.5 before the step horizon
-(counted by `sys.settrace` opcode events): about 4-7×10^6 per second
-(4.1-6.7 M/s at 47.5 instructions against 3.3-5.8 M/s before the
-horizon, alternating, in one spell of a 2-core x86 host, CPython 3.11),
-timed on the 2-state machine A0:1RB A1:0RB B0:1LA B1:0LA, which has no
-crossing (A moves right, B left) and flips the two cells it visits, over
-3×10^5 steps, best of 7 runs.  A self-loop crossing of a short run,
-which hands nothing to the prover, executes about 79 instructions, its
-search's call included, 111 before.  `tests/test_step_cost.py` pins
-these counts on CPython 3.11.  A cycle-checked step, on the general
-path, executes about 101 on the bouncer A0:1RB A1:1LA B0:1LA B1:1RB.
+long scans.  A plain transition makes no function call: the 2-state
+machine A0:1LB A1:1RB B0:1RA B1:0LA, which has no crossing and no trap
+and whose every step from blank is fused, executes 53.3 bytecode
+instructions a step (counted by `sys.settrace` opcode events), many of
+its 0->1 writes widening the 1-extent, and runs 3×10^5 steps at
+4.2-6.7×10^6 per second (best of 7 runs, 3 trials, a 2-core x86 host,
+CPython 3.11).  The probe before it, A0:1RB A1:0RB B0:1LA B1:0LA, took
+45.5 a step (62.5 before the step horizon) and 4.7-7.3×10^6 per second
+on the same trials; it flips the two cells it visits for ever, so it is
+a 2-cell trap of period 4 and now takes one iteration whatever its
+budget.  A self-loop crossing of a short run, which hands nothing to
+the prover, executes about 79 instructions, its search's call
+included, 111 before.  `tests/test_step_cost.py` pins these counts on
+CPython 3.11.  A cycle-checked step, on the general path, executes
+about 101 on the bouncer A0:1RB A1:1LA B0:1LA B1:1RB.
 """
 
 from __future__ import annotations
@@ -421,53 +441,90 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
                 continue
             w, m, t = entry[j]
             sw = sweep[j]
-            if sw is not None and (not 0 <= p + m < size or buf[p + m] == sym):
-                # A cycle of k > 1 states that read `sym` and move one way
-                # crosses the whole uniform run ahead at once.  Facing a run
-                # of one cell (the next cell holds the other symbol), it
-                # takes one transition, below, with no search.
-                k, fill, first1, entries = sw
-                if m > 0:
-                    q = buf.find(1 - sym, p)
-                    n = (size if q < 0 else q) - p
-                else:
-                    q = buf.rfind(1 - sym, 0, p + 1)
-                    n = p - q
-                if q < 0 and not sym and fill is None:
-                    n = max_steps - steps  # gliding over blank forever: no 1 ahead anywhere
-                elif n > max_steps - steps:
-                    n = max_steps - steps
-                if fill is not None:
-                    if first1 is not None and first1 < n:
-                        # the single-step rule on the 0->1 writes, as above
-                        c = p + m * first1
-                        lo, hi = (c, c) if hi1 < lo1 else (min(lo1, c), max(hi1, c))
-                        if hi - lo >= cap:
-                            n = first1
-                        else:
-                            # the cells from offset `lim` on lie past `cap` cells
-                            lim = lo + cap - p if m > 0 else p - hi + cap
-                            if lim < n:
-                                r = lim % k
-                                n = min(n, lim - r + (fill * 2).index(1, r))
-                        if not n:  # the write at the head is the one refused
-                            _sync(tape, org, p, lo1, hi1)
-                            return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
-                    a = p if m > 0 else p - n + 1
-                    tiles = fill * (n // k) + fill[: n % k]
-                    buf[a : a + n] = tiles if m > 0 else tiles[::-1]
-                    if first1 is not None and first1 < n:
+            if sw is not None:
+                if not 0 <= p + m < size or buf[p + m] == sym:
+                    # A cycle of k > 1 states that read `sym` and move one
+                    # way crosses the whole uniform run ahead at once.
+                    # Facing a run of one cell (the next cell holds the
+                    # other symbol), it takes one transition, below, with
+                    # no search.  `NO_SWEEP`, k = 0, marks an entry that
+                    # starts no cycle but may trap.
+                    k, fill, first1, states = sw
+                    if k:
                         if m > 0:
-                            lo1, hi1 = lo, max(hi, buf.rfind(1, a, a + n))
+                            q = buf.find(1 - sym, p)
+                            n = (size if q < 0 else q) - p
                         else:
-                            lo1, hi1 = min(lo, buf.find(1, a, a + n)), hi
-                p += m * n
-                steps += n
-                state = entries[n % k] - sym
-                if reads is not None:
-                    for e in entries[1:n]:
-                        reads[e] = 1
-                continue
+                            q = buf.rfind(1 - sym, 0, p + 1)
+                            n = p - q
+                        if q < 0 and not sym and fill is None:
+                            n = max_steps - steps  # gliding over blank forever: no 1 ahead anywhere
+                        elif n > max_steps - steps:
+                            n = max_steps - steps
+                        if fill is not None:
+                            if first1 is not None and first1 < n:
+                                # the single-step rule on the 0->1 writes, as above
+                                c = p + m * first1
+                                lo, hi = (c, c) if hi1 < lo1 else (min(lo1, c), max(hi1, c))
+                                if hi - lo >= cap:
+                                    n = first1
+                                else:
+                                    # the cells from offset `lim` on lie past `cap` cells
+                                    lim = lo + cap - p if m > 0 else p - hi + cap
+                                    if lim < n:
+                                        r = lim % k
+                                        n = min(n, lim - r + (fill * 2).index(1, r))
+                                if not n:  # the write at the head is the one refused
+                                    _sync(tape, org, p, lo1, hi1)
+                                    return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
+                            a = p if m > 0 else p - n + 1
+                            tiles = fill * (n // k) + fill[: n % k]
+                            buf[a : a + n] = tiles if m > 0 else tiles[::-1]
+                            if first1 is not None and first1 < n:
+                                if m > 0:
+                                    lo1, hi1 = lo, max(hi, buf.rfind(1, a, a + n))
+                                else:
+                                    lo1, hi1 = min(lo, buf.find(1, a, a + n)), hi
+                        p += m * n
+                        steps += n
+                        state = states[n % k]
+                        if reads is not None:
+                            for e in states[1:n]:
+                                reads[e + sym] = 1
+                        continue
+                if j in cm.trap and 0 <= p + m < size:
+                    r = cm.trap[j][buf[p + m]]
+                    if r is not None:
+                        # The head alternates between this cell and the next
+                        # for ever: the rest of the budget, n steps, ends in
+                        # the trap's configuration n, counted round its cycle.
+                        mu, lam, configs, entries, widen = r
+                        n = max_steps - steps
+                        v = mu + lam  # the steps that visit every configuration
+                        if n < v:
+                            v = i = n
+                        else:
+                            i = mu + (n - mu) % lam
+                        cells = widen[v]
+                        if cells is not None:
+                            # the cells the v steps write 1 over 0 widen the
+                            # 1-extent; past `cap` cells single steps stop the
+                            # run, so this entry takes its one transition below
+                            lo, hi = p + cells[0], p + cells[1]
+                            if hi1 >= lo1:
+                                lo = lo1 if lo1 < lo else lo
+                                hi = hi1 if hi1 > hi else hi
+                        if cells is None or hi - lo < cap:
+                            if cells is not None:
+                                lo1, hi1 = lo, hi
+                            # the state, the head's offset and both cells
+                            state, d, buf[p], buf[p + m] = configs[i]
+                            p += d
+                            steps = max_steps
+                            if reads is not None:
+                                for e in entries[:v]:
+                                    reads[e] = 1
+                            continue
             if cycle_check:
                 key = _support_hash(h) * n_entries + j
                 first = seen.setdefault(key, steps)

@@ -124,15 +124,21 @@ class CompiledMachine:
     Its ``fill`` is the k writes in cycle order, or None when each entry
     writes the symbol it reads.  A cycle of one state, a self-loop, is
     ``loop``'s: ``(move, fill)``.  A cycle of k > 1 states is
-    ``sweep``'s: the plain tuple ``(k, fill, first1, entries)`` (the
+    ``sweep``'s: the plain tuple ``(k, fill, first1, states)`` (the
     loop unpacks it, which a tuple subclass would slow), where
     ``first1`` is the offset of the first 0->1 write, or None when there
-    is none, and ``entries`` lists the k entries, this one first.  Both
-    hold None for every other entry.  No cycle runs through a stop, so
-    none through a watched state.  ``fused`` holds the record itself of
-    each entry whose target is a state and that starts no self-loop and
-    no sweep, and None for every other entry: the engine executes such an
-    entry with one lookup and one unpack.  ``watches``, in an unwatched
+    is none, and ``states`` lists the first entries of the k states,
+    this one's first.  Both hold None for every other entry, but an
+    entry with a trap and no sweep has `NO_SWEEP`, a cycle of k = 0, in
+    ``sweep``.  No cycle runs through a stop, so none through a watched
+    state.  ``trap``, from the same walk, maps each entry into another
+    state that can trap the head in a 2-cell window to a pair, indexed
+    by the neighbour cell's symbol, of its trap there or None (`_trap`
+    gives the form); no trap runs through a stop either.  ``fused``
+    holds the record itself of each entry whose target is a state and
+    that starts no self-loop, no sweep and no trap, and None for every
+    other entry: the engine executes such an entry with one lookup and
+    one unpack.  ``watches``, in an unwatched
     table, maps each watch set (a frozenset of state names) a run asked
     for to that set's table, compiled at its first run; a watched table
     has None there, and shares ``names``, ``index`` and the records of
@@ -151,6 +157,7 @@ class CompiledMachine:
     exit_name: tuple[str | None, ...]
     loop: tuple[tuple[int, bytes | None] | None, ...]
     sweep: tuple[tuple | None, ...]
+    trap: Mapping[int, tuple]
     fused: tuple[tuple[int, int, int] | None, ...]
     watches: dict | None = field(default=None, repr=False, compare=False)
     proofs: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -159,6 +166,7 @@ class CompiledMachine:
 NO_ACTION = -2
 EXIT = -1
 WATCHED = -3
+NO_SWEEP = (0, None, None, ())  # the sweep slot of an entry with a trap and no sweep
 
 
 def compile_machine(machine: Machine, watch: frozenset[str] = frozenset()) -> CompiledMachine:
@@ -188,7 +196,7 @@ def compile_machine(machine: Machine, watch: frozenset[str] = frozenset()) -> Co
             if t >= 0 and t != j & ~1 and names[t >> 1] in watch:
                 entry[j] = (w, m, WATCHED)
                 exit_name[j] = names[t >> 1]
-    loop, sweep = _crossings(entry)
+    loop, sweep, trap = _crossings(entry)
     return CompiledMachine(
         names=names,
         index=index,
@@ -196,6 +204,7 @@ def compile_machine(machine: Machine, watch: frozenset[str] = frozenset()) -> Co
         exit_name=tuple(exit_name),
         loop=tuple(loop),
         sweep=tuple(sweep),
+        trap=trap,
         fused=tuple(
             e if e[2] >= 0 and s is None and lp is None else None
             for e, s, lp in zip(entry, sweep, loop)
@@ -204,25 +213,47 @@ def compile_machine(machine: Machine, watch: frozenset[str] = frozenset()) -> Co
     )
 
 
-def _crossings(entry) -> tuple[list, list]:
-    """`CompiledMachine`'s ``(loop, sweep)``: the crossing each entry starts.
+def _crossings(entry) -> tuple[list, list, dict]:
+    """`CompiledMachine`'s ``(loop, sweep, trap)``: the crossing each
+    entry starts, and its 2-cell traps.
 
     Entry j leads to entry t + symbol when its target is t, the first
     entry of a state, so the entries of one symbol form a functional
     graph.  Each entry is walked once, and every cycle found whose
     entries all move one way gives each of its k entries the cycle as
     seen from there: in `loop` when k = 1, in `sweep` when k > 1.
+
+    The walk also tries each entry j into another state B for traps.  j
+    reads s, writes w and moves m: its window is the head's cell and the
+    one at m.  Only when B, reading the neighbour's symbol b, steps back,
+    and its successor, reading w, steps out again, can (j, b) trap the
+    head, so only then does `_trap` walk the window.  A self-loop is left
+    out: the loop's self-loop branch takes it before any trap.  An entry
+    with a trap and no sweep gets `NO_SWEEP` in `sweep`.
     """
     loop: list[tuple | None] = [None] * len(entry)
     sweep: list[tuple | None] = [None] * len(entry)
+    trap: dict = {}
     walk = [-1] * len(entry)  # the first entry of the walk that reached each
     for j0 in range(len(entry)):
         j = j0
         while walk[j] < 0:
             walk[j] = j0
-            t = entry[j][2]
+            w, m, t = entry[j]
             if t < 0:
                 break
+            if t != j & ~1:
+                # `_trap`'s first two steps, for each neighbour symbol b:
+                # B, reading b, steps back, and its successor, reading w,
+                # steps out again
+                if entry[t][1] != m:
+                    u = entry[t][2]
+                    if u >= 0 and entry[u + w][1] == m:
+                        _trap(entry, j, 0, trap)
+                if entry[t + 1][1] != m:
+                    u = entry[t + 1][2]
+                    if u >= 0 and entry[u + w][1] == m:
+                        _trap(entry, j, 1, trap)
             j = t + (j & 1)
         else:
             if walk[j] != j0:
@@ -242,8 +273,58 @@ def _crossings(entry) -> tuple[list, list]:
             if k == 1:
                 loop[j] = (entry[j][1], fill)
                 continue
+            states = [e - sym for e in cycle]
             for i, e in enumerate(cycle):
                 w = None if fill is None else fill[i:] + fill[:i]
                 first1 = None if w is None or sym else w.find(1)
-                sweep[e] = (k, w, first1, tuple(cycle[i:] + cycle[:i]))
-    return loop, sweep
+                sweep[e] = (k, w, first1, tuple(states[i:] + states[:i]))
+    for j, pair in trap.items():
+        trap[j] = tuple(pair)
+        if sweep[j] is None:
+            sweep[j] = NO_SWEEP
+    return loop, sweep, trap
+
+
+def _trap(entry, j, b, trap) -> None:
+    """Put the trap of entry j beside a cell holding b, if any, in ``trap[j][b]``.
+
+    A window configuration is ``(state, d, x, y)``: the state's first
+    entry, the head's offset d from the cell j read (0 or j's move m),
+    and the symbols x and y of that cell and of its neighbour at m.  Its
+    successor is the window configuration after one transition, while
+    that transition is no stop and moves the head to the window's other
+    cell.  There are 8 per state, so the walk from ``(j's state, 0, s,
+    b)`` leaves the window, stops or repeats within 8 steps per state.
+    A repeat makes the trap ``(mu, lam, configs, reads, widen)``: the
+    walk's first mu configurations lead into a cycle of lam, so after n
+    steps the head is in ``configs[n]`` when n < mu + lam and in
+    ``configs[mu + (n - mu) % lam]`` after; ``reads[i]`` is the entry
+    configuration i reads; ``widen[v]`` is None when the first v steps
+    write no 1 over a 0, else the lowest and the highest offset d of the
+    cells they do.
+    """
+    s = j & 1
+    m = entry[j][1]
+    config = (j - s, 0, s, b)
+    index: dict = {}  # each configuration of the walk -> its step
+    while config not in index:
+        index[config] = len(index)
+        state, d, x, y = config
+        w, move, t = entry[state + (y if d else x)]
+        if t < 0 or move != (-m if d else m):
+            return
+        config = (t, 0, x, w) if d else (t, m, w, y)
+    configs = tuple(index)
+    reads = []
+    widen: list = [None]
+    lo = hi = None
+    for state, d, x, y in configs:
+        sym = y if d else x
+        reads.append(state + sym)
+        if not sym and entry[state + sym][0]:
+            lo = d if lo is None or d < lo else lo
+            hi = d if hi is None or d > hi else hi
+        widen.append(None if lo is None else (lo, hi))
+    mu = index[config]
+    trap.setdefault(j, [None, None])[b] = (mu, len(configs) - mu, configs, tuple(reads),
+                                           tuple(widen))

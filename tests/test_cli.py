@@ -432,6 +432,32 @@ def test_run_refuses_out_of_range_budgets(capsys, budget):
     assert err.startswith("error: max_")
 
 
+def test_run_with_a_head_too_far_for_memory_exits_2(capsys):
+    # the buffer would have to reach a cell 10^11 cells away: refused in one line
+    code, out, err = run_cli(capsys, "run", str(data_path("brocard.manifest")),
+                             "--head", "99999999999", "--steps", "10")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def test_run_with_a_far_head_and_no_steps_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "run", str(data_path("brocard.manifest")),
+                           "--head", "-99999999999", "--steps", "0")
+    assert code == 0
+    assert "steps: 0" in out.splitlines()
+    assert "support: [0, -1] head: -99999999999" in out.splitlines()
+
+
+def test_run_credits_a_ping_pong_in_one_step(capsys, tmp_path):
+    # A and B turn the head back and forth between cells 0 and -1: a
+    # 2-cell trap, credited to the end of the budget at once
+    table = tmp_path / "pingpong.tbl"
+    table.write_text("!name pingpong\n!start A\nA|0|0|L|B\nB|0|0|R|A\n")
+    code, out, _ = run_cli(capsys, "run", str(table), "--steps", "1000000000001")
+    assert code == 0
+    assert out.splitlines()[:3] == ["outcome: step_limit", "steps: 1000000000001",
+                                    "support: [0, -1] head: -1"]
+
+
 def test_deterministic_output_is_reproducible(capsys):
     args = ["verify", str(data_path("scenarios", "brocard.scn")), "--deterministic"]
     _, out1, _ = run_cli(capsys, *args)

@@ -3,7 +3,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from beaverkit import engine, harness, rules
 from beaverkit.engine import (
@@ -16,6 +16,7 @@ from beaverkit.engine import (
     fingerprint,
     run,
 )
+from beaverkit.harness import load_scenarios, watch_states
 from beaverkit.machine import HALT, NEXT_MACHINE, Action, Machine, compile_machine
 from beaverkit.tape import Configuration, Tape
 from stepping import HaltEvent, checked_run, read_profile, step, stepped_run
@@ -303,6 +304,124 @@ def test_sweep_matches_single_step(data):
     assert out.config.tape.content_equal(ref.tape)
     assert extent(out.config.tape) == extent(ref.tape)
     assert profile == read_profile(m, kind, trail)
+
+
+@st.composite
+def trappers(draw):
+    """(machine, s, b): 2-4 states, where a walk of the 2-cell window
+    from A reading s beside a cell holding b defines each entry it reads
+    as it goes, moving the head to the window's other cell, toward a
+    state that, reading that cell, does so too where it can, until the
+    window repeats or an entry read before moves away.  The other entries
+    are random, missing, or lead to HALT or an exit."""
+    names = [chr(65 + i) for i in range(draw(st.integers(2, 4)))]
+    moves = draw(st.sampled_from([(1, -1), (-1, 1)]))  # the move from each side
+    s, b = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    acts = {}
+    state, side, window, seen = "A", 0, [s, b], set()
+    while (state, side, *window) not in seen:
+        seen.add((state, side, *window))
+        act = acts.get((state, window[side]))
+        if act is None:
+            act = acts[state, window[side]] = Action(draw(st.integers(0, 1)), moves[side], "")
+            ahead = [x for x in names if (x, window[1 - side]) not in acts
+                     or acts[x, window[1 - side]].move == moves[1 - side]]
+            act = acts[state, window[side]] = act._replace(
+                target=draw(st.sampled_from(ahead or names)))
+        elif act.move != moves[side]:
+            break
+        window[side], side, state = act.write, 1 - side, act.target
+    other = st.one_of(st.none(), st.builds(Action, st.integers(0, 1), st.sampled_from([-1, 1]),
+                                           st.sampled_from(names + [HALT, "ext"])))
+    states = {name: tuple(acts.get((name, sym)) or draw(other) for sym in (0, 1))
+              for name in names}
+    states = {name: pair if pair != (None, None) else (Action(1, 1, HALT), None)
+              for name, pair in states.items()}
+    return Machine("trapper", "A", states), s, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_trap_matches_single_step(data):
+    # Started in the trap's window, or near it, on tapes with 1s in and
+    # beside the window; budgets that end at every step of the walk and
+    # past it; caps at the window's edges and below the start's extent;
+    # watches that cut the cycle; the window at the buffer's edges
+    m, s, b = data.draw(trappers())
+    cm = compile_machine(m)
+    assume(cm.trap)
+    move = m.states["A"][s].move
+    tape = Tape()
+    edge = data.draw(st.sampled_from([None, "ahead", "behind"]))
+    if edge is None:
+        head = data.draw(st.integers(-3, 3))
+    else:  # the buffer's first or last cell lies ahead of the head's, at its move, or behind
+        last = (move > 0) == (edge == "ahead")
+        inward = -1 if last else 1
+        head = (len(tape.buf) - 1 - tape.org if last else -tape.org) + inward * data.draw(
+            st.sampled_from([0, 0, 1, 2]))
+    for offset in data.draw(st.lists(st.integers(-4, 4), max_size=4)):
+        if 0 <= tape.org + head + offset < len(tape.buf):
+            tape.write(head + offset, 1)
+    for cell, sym in ((head, s), (head + move, b)):
+        if 0 <= tape.org + cell < len(tape.buf) and data.draw(st.integers(0, 3)):
+            tape.write(cell, sym)
+    tape.head = head + data.draw(st.sampled_from([0, 0, 0, -1, 1, 2]))
+    width = tape._hi1 - tape._lo1 + 1
+    # a trap of A's entry: budgets that end at each step of its walk and past it
+    tr = cm.trap.get(s)
+    walk = 40 if tr is None or tr[b] is None else tr[b][0] + 2 * tr[b][1] + 2
+    budget = data.draw(st.one_of(st.integers(0, walk), st.integers(0, 300)))
+    cap = data.draw(st.one_of(st.just(1 << 22), st.integers(1, max(width, 1) + 3)))
+    watch = tuple(data.draw(st.lists(st.sampled_from(sorted(m.states)), max_size=2)))
+    assert_matches_stepped(m, Configuration("A", tape), RunLimits(budget, cap), watch)
+
+
+@pytest.mark.parametrize("last", [False, True])
+@pytest.mark.parametrize("inside", [0, 1])
+def test_trap_beside_the_buffers_edge(last, inside):
+    # A steps out to the next cell and B back, both writing 1s: the
+    # window's outer cell is the buffer's first or last cell (inside = 1),
+    # or lies just past it (inside = 0), and the trap is credited only
+    # once that cell is in the buffer
+    move = 1 if last else -1
+    m = Machine("filler", "A", {"A": (Action(1, move, "B"),) * 2,
+                                "B": (Action(1, -move, "A"),) * 2})
+    tape = Tape()
+    tape.head = (len(tape.buf) - 1 - tape.org if last else -tape.org) - move * inside
+    for budget in (1, 2, 3, 1000):
+        out, _ = assert_matches_stepped(m, Configuration("A", tape.clone()), RunLimits(budget))
+        assert out.kind == STEP_LIMIT
+
+
+def test_trap_credits_the_whole_budget_at_once():
+    # A and B write 0s over blank, turning the head back and forth
+    # between cells 0 and -1: one step at a time this takes hours
+    m = Machine("ping-pong", "A", {"A": (Action(0, -1, "B"), None),
+                                   "B": (Action(0, 1, "A"), None)})
+    started = time.perf_counter()
+    for steps, state, head in ((10**12, "A", 0), (10**12 + 1, "B", -1)):
+        out = run(m, limits=RunLimits(steps))
+        assert (out.kind, out.steps, out.config.state) == (STEP_LIMIT, steps, state)
+        assert out.config.tape.head == head and out.config.tape.support_size() == 0
+    assert time.perf_counter() - started < 5
+    trap = compile_machine(m).trap
+    assert trap == {0: ((0, 2, ((0, 0, 0, 0), (2, -1, 0, 0)), (0, 2), (None,) * 3), None),
+                    2: ((0, 2, ((2, 0, 0, 0), (0, 1, 0, 0)), (2, 0), (None,) * 3), None)}
+
+
+def test_no_shipped_table_has_a_trap(resolver, data_dir):
+    # the suites run on tables without traps, so the trap branch leaves
+    # their runs as they were: pinned here, under every scenario's watches
+    seen = 0
+    for suite in ("fermat_sections", "fermat_composed", "brocard"):
+        for scenario in load_scenarios(data_dir / "scenarios" / f"{suite}.scn", resolver):
+            machine = resolver(scenario.machine_ref)
+            watch = frozenset(watch_states(scenario, machine)) & set(machine.states)
+            cm = compile_machine(machine, watch)
+            assert not cm.trap, scenario.name
+            seen += 1
+    assert seen == 116
 
 
 def cells(tape):

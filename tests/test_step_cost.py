@@ -15,7 +15,7 @@ import pytest
 
 from beaverkit import engine
 from beaverkit.engine import RunLimits, run
-from beaverkit.machine import Action, Machine, parse_move
+from beaverkit.machine import Action, Machine, compile_machine, parse_move
 from beaverkit.tape import Configuration, Tape
 
 PINNED = (3, 11)
@@ -74,22 +74,34 @@ def left_of_a_one(gap):
 @pytest.mark.parametrize(
     "text, start, fewer, more, cost",
     [
-        # a plain step: A moves right and B left, flipping the two cells
-        # they visit; 45.5185 instructions a step
-        ("A0:1RB A1:0RB B0:1LA B1:0LA", Configuration("A"), 4000, 8000, 182074),
-        # the 40-cell bouncer: a self-loop crosses the block, one plain
-        # step turns it, the other self-loop crosses back; 2.908 a step
+        # a plain step: every entry is fused, for this machine has no
+        # crossing (A0 and B1 move left, A1 and B0 right) and no trap; it
+        # spreads its 1s both ways, so many of its 0->1 writes widen the
+        # 1-extent; 53.32 instructions a step
+        ("A0:1LB A1:1RB B0:1RA B1:0LA", Configuration("A"), 4000, 8000, 213287),
+        # the 40-cell bouncer: a self-loop crosses the block, a turn, the
+        # other self-loop crosses back; the turns A0 and B0 trap the head
+        # beside a 0, so they take the general path facing the block's 1s;
+        # 4.79 a step (2.908 when the turns were fused)
         ("A0:0LB A1:1RA B0:0RA B1:1LB", Configuration("A", Tape.from_blocks([40])),
-         4000, 8000, 11632),
+         4000, 8000, 19178),
         # after one plain step, the self-loop B0 fills 40 blank cells with
         # 1s up to the lone 1: one crossing, the memory rule's included
         ("A0:0RB B0:1RB", left_of_a_one(41), 1, 41, 154),
         # after one plain step, the cycle B0 C0 fills 40 blank cells with
         # 1010... up to the lone 1: one sweep crossing
         ("A0:0RB B0:1RC C0:0RB", left_of_a_one(41), 1, 41, 234),
+        # A and B turn the head back and forth over blank: a 2-cell trap
+        # credits the rest of the budget in one iteration, whatever it is
+        ("A0:0LB B0:0RA", Configuration("A"), 4000, 8000, 0),
     ],
-    ids=["plain-step", "bouncer", "self-loop-fill", "sweep"],
+    ids=["plain-step", "bouncer", "self-loop-fill", "sweep", "trap"],
 )
 def test_opcode_events_per_step_and_crossing(text, start, fewer, more, cost):
     m = machine(text)
     assert events(m, start, more) - events(m, start, fewer) == cost
+
+
+def test_the_plain_step_probe_is_all_fused():
+    cm = compile_machine(machine("A0:1LB A1:1RB B0:1RA B1:0LA"))
+    assert all(f is not None for f in cm.fused) and not cm.trap
