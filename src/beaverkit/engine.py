@@ -14,20 +14,21 @@ that writes only 0s over blank with no 1 ahead anywhere glides to the
 end of the budget.  A fill's 0->1 writes obey the single-step memory
 rule, in one form for both directions: the crossing stops short of the
 first write the rule refuses, and the next iteration refuses it.  The
-glide's counterpart in place is the 2-cell trap: an entry into another
-state, facing a neighbour cell (at its move) that holds one of the
+glide's counterpart in place is the 2-cell trap: an entry, a self-loop
+too, facing a neighbour cell (at its move) that holds one of the
 entry's trapping symbols, from where the head alternates between the
 two cells for ever and meets no stop.  `compile_machine` finds each
-one, with its preperiod mu, its period lam and the window's
-configurations (state, head's cell, both symbols), and the loop credits
-the whole rest of the budget, n steps, at once: it takes configuration
-n, or mu + (n - mu) mod lam once n >= mu + lam, marks every entry read
-in those steps and widens the 1-extent by each cell given a 0->1 write.
-When that widening would pass the memory cap, the entry takes its one
-transition instead, so the run stops where single steps stop it.  Each
-watch set has a table of its own, where an entry into a watched state
-from another state stops the run as an exit does: no cycle runs through
-it, and a self-loop, which enters nothing, still crosses.  Cycle
+one's walk through the window's configurations (state, head's cell,
+both symbols), whose first mu lead into a cycle of lam, and a run that
+finds the head in one credits the whole rest of the budget, n steps, at
+once: it takes configuration n, or mu + (n - mu) mod lam once n >= mu +
+lam, and from the configurations those steps cross it marks every
+entry read and widens the 1-extent by each cell given a 0->1 write.
+When that widening would pass the memory cap, the run steps on, so it
+stops where single steps stop it.  Each watch set has a table of its
+own, where an entry into a watched state from another state stops the
+run as an exit does: no cycle or trap runs through it, and a self-loop,
+which enters nothing, still crosses.  Cycle
 detection and tracing observe every configuration, so they turn the
 crossings off, and nothing else: the stop rules are the same whether or
 not a run is observed.  A self-loop crossing of at least `LONG_SCAN`
@@ -49,13 +50,17 @@ the buffer while the steps stay below `horizon` = (steps now) + 1 + d.
 An outer loop grows the buffer once the head has left it and sets that
 horizon, capped by the budget, and the inner loop runs to it with no
 bounds test.  A rule may grow the buffer, so after one the loop reloads
-the tape and sets a new horizon.
+the tape and sets a new horizon.  An unobserved run on a table with
+traps looks for one there: it takes the entry under the head and the
+neighbour cell at that entry's move, credits the trap they make, if
+any, and caps the horizon at `TRAP_CHECK` steps, so a trapped head is
+found within that many.  The inner loop tests nothing for traps.
 
 Each iteration takes the first branch that fits its entry.  Each entry
 has one record (write, move, target), whose target is the successor's
 first entry or a stop code, so the loop moves to the next state with no
 arithmetic.  `fused` holds the record of each plain entry, one whose
-target is a state and starts no crossing or trap, and the first branch
+target is a state and starts no crossing, and the first branch
 executes it with one index and one unpack: the read flag, the memory
 rule and the step count are inline, and nothing is called.  Only a 0->1
 write outside the 1-extent can widen it, so only that write is checked;
@@ -64,14 +69,8 @@ every 0->1 write, inside it too, and takes the general path for all of
 them.  A self-loop takes the second branch, through its own table
 `loop` of (move, fill): one search, the `LONG_SCAN` trigger, one budget
 clamp, at most one fill and, for a fill of 1s, the memory rule inline,
-in the sweep's form at k = 1.  A sweep takes the third.  A trap entry
-has a record in its `sweep` slot too, `NO_SWEEP` (a cycle of k = 0) when
-it starts no sweep, and the trap table (`CompiledMachine.trap`) is read
-only past a sweep slot that is not None, so the fused, self-loop and
-sweep branches, and observed runs, test nothing for traps.  An entry
-that sweeps facing its own symbol may trap facing the other, and keeps
-both.  A trap entry that faces no trapping symbol, and a stop entry
-(an exit or a watched one), take the general path, which unpacks the
+in the sweep's form at k = 1.  A sweep takes the third.  A stop entry
+(an exit or a watched one) takes the general path, which unpacks the
 same record.  An observed run, traced or cycle-checked, takes the
 general path for every entry, and the cycle check's key is taken there
 alone, so the other branches test nothing for it.  A sweep facing a
@@ -115,8 +114,11 @@ on the same trials; it flips the two cells it visits for ever, so it is
 a 2-cell trap of period 4 and now takes one iteration whatever its
 budget.  A self-loop crossing of a short run, which hands nothing to
 the prover, executes about 79 instructions, its search's call
-included, 111 before.  `tests/test_step_cost.py` pins these counts on
-CPython 3.11.  A cycle-checked step, on the general path, executes
+included, 111 before.  The 40-cell bouncer A0:0LB A1:1RA B0:0RA
+B1:1LB, whose turns trap the head beside a 0, so that its runs look for
+a trap at least every `TRAP_CHECK` steps, executes 3.96 a step.
+`tests/test_step_cost.py` pins these counts on CPython 3.11.  A
+cycle-checked step, on the general path, executes
 about 101 on the bouncer A0:1RB A1:1LA B0:1LA B1:1RB.
 """
 
@@ -142,6 +144,13 @@ WATCH = "watch"
 
 DEFAULT_MAX_STEPS = 10**8
 DEFAULT_MAX_SUPPORT = 1 << 22
+
+# The most steps an unobserved run on a table with traps takes between two
+# looks for a trap at the head.  Opcode events per pass of the benchmark's
+# small-machines (seed 3, CPython 3.11) are within 0.15 % of each other at
+# 16, 32 and 64, and 1.1 % more at 256: a trapped head takes one step an
+# iteration until the next look.
+TRAP_CHECK = 64
 
 
 @dataclass(frozen=True)
@@ -326,10 +335,11 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
     # indices into buf; `_sync` puts them on the tape in cells
     buf, size, org, p, lo1, hi1 = _loaded(tape)
     cycle_check = limits.cycle_check
-    fused, loop, sweep = cm.fused, cm.loop, cm.sweep
+    fused, loop, sweep, traps = cm.fused, cm.loop, cm.sweep, cm.trap
     if trace is not None or cycle_check:
         # an observer sees every step, so every entry takes the general path
         fused = loop = sweep = (None,) * len(entry)
+        traps = None
     elif hi1 - lo1 >= cap:
         # a start tape's 1-extent already spans more than `cap` cells, so
         # every 0->1 write is refused, inside it too: the general path's rule
@@ -359,6 +369,42 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
         # its displacement.  So the head stays in the buffer until the
         # steps reach `horizon`, and the loop below never checks it.
         horizon = steps + 1 + (p if p < size - p else size - 1 - p)
+        if traps:
+            # a run on a table with traps looks for one at the head at least
+            # every `TRAP_CHECK` steps
+            if horizon > steps + TRAP_CHECK:
+                horizon = steps + TRAP_CHECK
+            j = state + buf[p]
+            m = entry[j][1]
+            r = traps[j][buf[p + m]] if j in traps and 0 <= p + m < size else None
+            if r is not None:
+                # The head alternates between this cell and the next for
+                # ever: the rest of the budget, n steps, ends in the
+                # trap's configuration n, counted round its cycle.
+                mu, configs = r
+                n = max_steps - steps
+                v = len(configs)  # the steps that visit every configuration
+                if n < v:
+                    v = i = n
+                else:
+                    i = mu + (n - mu) % (v - mu)
+                # the cells the v steps write 1 over 0 widen the 1-extent;
+                # past `cap` cells single steps stop the run, so it steps on
+                ones = [p + d for e, d, x, y in configs[:v]
+                        if entry[e][0] and not (y if d else x)]
+                if ones and hi1 >= lo1:
+                    ones += (lo1, hi1)
+                if not ones or max(ones) - min(ones) < cap:
+                    if ones:
+                        lo1, hi1 = min(ones), max(ones)
+                    if reads is not None:
+                        for e, d, x, y in configs[:v]:
+                            reads[e + (y if d else x)] = 1
+                    # the state, the head's offset and both cells
+                    state, d, buf[p], buf[p + m] = configs[i]
+                    p += d
+                    steps = max_steps
+                    continue
         if horizon > max_steps:
             horizon = max_steps
         while steps < horizon:
@@ -441,90 +487,53 @@ def _run(cm, config, limits, trace, reads) -> RunOutcome:
                 continue
             w, m, t = entry[j]
             sw = sweep[j]
-            if sw is not None:
-                if not 0 <= p + m < size or buf[p + m] == sym:
-                    # A cycle of k > 1 states that read `sym` and move one
-                    # way crosses the whole uniform run ahead at once.
-                    # Facing a run of one cell (the next cell holds the
-                    # other symbol), it takes one transition, below, with
-                    # no search.  `NO_SWEEP`, k = 0, marks an entry that
-                    # starts no cycle but may trap.
-                    k, fill, first1, states = sw
-                    if k:
+            if sw is not None and (not 0 <= p + m < size or buf[p + m] == sym):
+                # A cycle of k > 1 states that read `sym` and move one way
+                # crosses the whole uniform run ahead at once.  Facing a run
+                # of one cell (the next cell holds the other symbol), it
+                # takes one transition, below, with no search.
+                k, fill, first1, states = sw
+                if m > 0:
+                    q = buf.find(1 - sym, p)
+                    n = (size if q < 0 else q) - p
+                else:
+                    q = buf.rfind(1 - sym, 0, p + 1)
+                    n = p - q
+                if q < 0 and not sym and fill is None:
+                    n = max_steps - steps  # gliding over blank forever: no 1 ahead anywhere
+                elif n > max_steps - steps:
+                    n = max_steps - steps
+                if fill is not None:
+                    if first1 is not None and first1 < n:
+                        # the single-step rule on the 0->1 writes, as above
+                        c = p + m * first1
+                        lo, hi = (c, c) if hi1 < lo1 else (min(lo1, c), max(hi1, c))
+                        if hi - lo >= cap:
+                            n = first1
+                        else:
+                            # the cells from offset `lim` on lie past `cap` cells
+                            lim = lo + cap - p if m > 0 else p - hi + cap
+                            if lim < n:
+                                r = lim % k
+                                n = min(n, lim - r + (fill * 2).index(1, r))
+                        if not n:  # the write at the head is the one refused
+                            _sync(tape, org, p, lo1, hi1)
+                            return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
+                    a = p if m > 0 else p - n + 1
+                    tiles = fill * (n // k) + fill[: n % k]
+                    buf[a : a + n] = tiles if m > 0 else tiles[::-1]
+                    if first1 is not None and first1 < n:
                         if m > 0:
-                            q = buf.find(1 - sym, p)
-                            n = (size if q < 0 else q) - p
+                            lo1, hi1 = lo, max(hi, buf.rfind(1, a, a + n))
                         else:
-                            q = buf.rfind(1 - sym, 0, p + 1)
-                            n = p - q
-                        if q < 0 and not sym and fill is None:
-                            n = max_steps - steps  # gliding over blank forever: no 1 ahead anywhere
-                        elif n > max_steps - steps:
-                            n = max_steps - steps
-                        if fill is not None:
-                            if first1 is not None and first1 < n:
-                                # the single-step rule on the 0->1 writes, as above
-                                c = p + m * first1
-                                lo, hi = (c, c) if hi1 < lo1 else (min(lo1, c), max(hi1, c))
-                                if hi - lo >= cap:
-                                    n = first1
-                                else:
-                                    # the cells from offset `lim` on lie past `cap` cells
-                                    lim = lo + cap - p if m > 0 else p - hi + cap
-                                    if lim < n:
-                                        r = lim % k
-                                        n = min(n, lim - r + (fill * 2).index(1, r))
-                                if not n:  # the write at the head is the one refused
-                                    _sync(tape, org, p, lo1, hi1)
-                                    return _outcome(MEMORY_LIMIT, cm, tape, state, steps)
-                            a = p if m > 0 else p - n + 1
-                            tiles = fill * (n // k) + fill[: n % k]
-                            buf[a : a + n] = tiles if m > 0 else tiles[::-1]
-                            if first1 is not None and first1 < n:
-                                if m > 0:
-                                    lo1, hi1 = lo, max(hi, buf.rfind(1, a, a + n))
-                                else:
-                                    lo1, hi1 = min(lo, buf.find(1, a, a + n)), hi
-                        p += m * n
-                        steps += n
-                        state = states[n % k]
-                        if reads is not None:
-                            for e in states[1:n]:
-                                reads[e + sym] = 1
-                        continue
-                if j in cm.trap and 0 <= p + m < size:
-                    r = cm.trap[j][buf[p + m]]
-                    if r is not None:
-                        # The head alternates between this cell and the next
-                        # for ever: the rest of the budget, n steps, ends in
-                        # the trap's configuration n, counted round its cycle.
-                        mu, lam, configs, entries, widen = r
-                        n = max_steps - steps
-                        v = mu + lam  # the steps that visit every configuration
-                        if n < v:
-                            v = i = n
-                        else:
-                            i = mu + (n - mu) % lam
-                        cells = widen[v]
-                        if cells is not None:
-                            # the cells the v steps write 1 over 0 widen the
-                            # 1-extent; past `cap` cells single steps stop the
-                            # run, so this entry takes its one transition below
-                            lo, hi = p + cells[0], p + cells[1]
-                            if hi1 >= lo1:
-                                lo = lo1 if lo1 < lo else lo
-                                hi = hi1 if hi1 > hi else hi
-                        if cells is None or hi - lo < cap:
-                            if cells is not None:
-                                lo1, hi1 = lo, hi
-                            # the state, the head's offset and both cells
-                            state, d, buf[p], buf[p + m] = configs[i]
-                            p += d
-                            steps = max_steps
-                            if reads is not None:
-                                for e in entries[:v]:
-                                    reads[e] = 1
-                            continue
+                            lo1, hi1 = min(lo, buf.find(1, a, a + n)), hi
+                p += m * n
+                steps += n
+                state = states[n % k]
+                if reads is not None:
+                    for e in states[1:n]:
+                        reads[e + sym] = 1
+                continue
             if cycle_check:
                 key = _support_hash(h) * n_entries + j
                 first = seen.setdefault(key, steps)

@@ -232,11 +232,12 @@ def _judge_oracle(scenario, outcome, exp, report):
     name, args = exp.name, exp.args
     if name in ("square", "factorial_plus_one", "fermat"):
         (x,) = args
-        want = {
-            "square": [x * x + 1],
-            "factorial_plus_one": [oracles.factorial_plus_one(x)],
-            "fermat": [oracles.fermat_number(x)],
-        }[name]
+        if name == "square":
+            want = [x * x + 1]
+        elif name == "factorial_plus_one":
+            want = [oracles.factorial_plus_one(x)]
+        else:
+            want = [oracles.fermat_number(x)]
         got = outcome.config.tape.blocks()
         return report(outcome.kind == HALTED and got == want, outcome,
                       observed=f"{outcome.kind}:{got}", expected=f"halted:{want}")

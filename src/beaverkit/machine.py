@@ -128,27 +128,26 @@ class CompiledMachine:
     loop unpacks it, which a tuple subclass would slow), where
     ``first1`` is the offset of the first 0->1 write, or None when there
     is none, and ``states`` lists the first entries of the k states,
-    this one's first.  Both hold None for every other entry, but an
-    entry with a trap and no sweep has `NO_SWEEP`, a cycle of k = 0, in
-    ``sweep``.  No cycle runs through a stop, so none through a watched
-    state.  ``trap``, from the same walk, maps each entry into another
-    state that can trap the head in a 2-cell window to a pair, indexed
-    by the neighbour cell's symbol, of its trap there or None (`_trap`
-    gives the form); no trap runs through a stop either.  ``fused``
+    this one's first.  Both hold None for every other entry.  No cycle
+    runs through a stop, so none through a watched state.  ``trap``,
+    from the same walk, maps each entry that can trap the head in a
+    2-cell window, a self-loop too, to a pair, indexed by the neighbour
+    cell's symbol, of its trap there or None: the walk ``(mu, configs)``
+    that `_trap` gives.  No trap runs through a stop either.  ``fused``
     holds the record itself of each entry whose target is a state and
-    that starts no self-loop, no sweep and no trap, and None for every
-    other entry: the engine executes such an entry with one lookup and
-    one unpack.  ``watches``, in an unwatched
-    table, maps each watch set (a frozenset of state names) a run asked
-    for to that set's table, compiled at its first run; a watched table
-    has None there, and shares ``names``, ``index`` and the records of
-    the entries it does not stop with the unwatched table.  ``proofs`` is
-    what the shuttle-rule prover (`rules.Prover`) established on this
-    table, for every run on it: ``(rules, fails)``, dicts keyed by entry
-    of its last rule and of its failures since its last proof (a count
-    that stops at `rules._FAILS`, so that every run retries every
-    entry).  It is None until the table's first scan long enough to try
-    a rule, and a watched table keeps its own.
+    that starts no self-loop and no sweep, and None for every other
+    entry: the engine executes such an entry with one lookup and one
+    unpack.  ``watches``, in an unwatched table, maps each watch set (a
+    frozenset of state names) a run asked for to that set's table,
+    compiled at its first run; a watched table has None there, and
+    shares ``names``, ``index`` and the records of the entries it does
+    not stop with the unwatched table.  ``proofs`` is what the
+    shuttle-rule prover (`rules.Prover`) established on this table, for
+    every run on it: ``(rules, fails)``, dicts keyed by entry of its last
+    rule and of its failures since its last proof (a count that stops at
+    `rules._FAILS`, so that every run retries every entry).  It is None
+    until the table's first scan long enough to try a rule, and a
+    watched table keeps its own.
     """
 
     names: tuple[str, ...]
@@ -166,7 +165,6 @@ class CompiledMachine:
 NO_ACTION = -2
 EXIT = -1
 WATCHED = -3
-NO_SWEEP = (0, None, None, ())  # the sweep slot of an entry with a trap and no sweep
 
 
 def compile_machine(machine: Machine, watch: frozenset[str] = frozenset()) -> CompiledMachine:
@@ -223,13 +221,12 @@ def _crossings(entry) -> tuple[list, list, dict]:
     entries all move one way gives each of its k entries the cycle as
     seen from there: in `loop` when k = 1, in `sweep` when k > 1.
 
-    The walk also tries each entry j into another state B for traps.  j
-    reads s, writes w and moves m: its window is the head's cell and the
-    one at m.  Only when B, reading the neighbour's symbol b, steps back,
-    and its successor, reading w, steps out again, can (j, b) trap the
-    head, so only then does `_trap` walk the window.  A self-loop is left
-    out: the loop's self-loop branch takes it before any trap.  An entry
-    with a trap and no sweep gets `NO_SWEEP` in `sweep`.
+    The walk also tries each entry j into a state B for traps, B being
+    j's own state when j is a self-loop.  j reads s, writes w and moves
+    m: its window is the head's cell and the one at m.  Only when B,
+    reading the neighbour's symbol b, steps back, and its successor,
+    reading w, steps out again, can (j, b) trap the head, so only then
+    does `_trap` walk the window.
     """
     loop: list[tuple | None] = [None] * len(entry)
     sweep: list[tuple | None] = [None] * len(entry)
@@ -242,18 +239,17 @@ def _crossings(entry) -> tuple[list, list, dict]:
             w, m, t = entry[j]
             if t < 0:
                 break
-            if t != j & ~1:
-                # `_trap`'s first two steps, for each neighbour symbol b:
-                # B, reading b, steps back, and its successor, reading w,
-                # steps out again
-                if entry[t][1] != m:
-                    u = entry[t][2]
-                    if u >= 0 and entry[u + w][1] == m:
-                        _trap(entry, j, 0, trap)
-                if entry[t + 1][1] != m:
-                    u = entry[t + 1][2]
-                    if u >= 0 and entry[u + w][1] == m:
-                        _trap(entry, j, 1, trap)
+            # `_trap`'s first two steps, for each neighbour symbol b: B,
+            # reading b, steps back, and its successor, reading w, steps
+            # out again
+            if entry[t][1] != m:
+                u = entry[t][2]
+                if u >= 0 and entry[u + w][1] == m:
+                    _trap(entry, j, 0, trap)
+            if entry[t + 1][1] != m:
+                u = entry[t + 1][2]
+                if u >= 0 and entry[u + w][1] == m:
+                    _trap(entry, j, 1, trap)
             j = t + (j & 1)
         else:
             if walk[j] != j0:
@@ -280,8 +276,6 @@ def _crossings(entry) -> tuple[list, list, dict]:
                 sweep[e] = (k, w, first1, tuple(states[i:] + states[:i]))
     for j, pair in trap.items():
         trap[j] = tuple(pair)
-        if sweep[j] is None:
-            sweep[j] = NO_SWEEP
     return loop, sweep, trap
 
 
@@ -295,13 +289,10 @@ def _trap(entry, j, b, trap) -> None:
     that transition is no stop and moves the head to the window's other
     cell.  There are 8 per state, so the walk from ``(j's state, 0, s,
     b)`` leaves the window, stops or repeats within 8 steps per state.
-    A repeat makes the trap ``(mu, lam, configs, reads, widen)``: the
-    walk's first mu configurations lead into a cycle of lam, so after n
-    steps the head is in ``configs[n]`` when n < mu + lam and in
-    ``configs[mu + (n - mu) % lam]`` after; ``reads[i]`` is the entry
-    configuration i reads; ``widen[v]`` is None when the first v steps
-    write no 1 over a 0, else the lowest and the highest offset d of the
-    cells they do.
+    A repeat makes the trap ``(mu, configs)``, the walk: its first mu
+    configurations lead into a cycle of the rest, so after n steps the
+    head is in ``configs[n]`` when n < len(configs), and in
+    ``configs[mu + (n - mu) % (len(configs) - mu)]`` after.
     """
     s = j & 1
     m = entry[j][1]
@@ -314,17 +305,4 @@ def _trap(entry, j, b, trap) -> None:
         if t < 0 or move != (-m if d else m):
             return
         config = (t, 0, x, w) if d else (t, m, w, y)
-    configs = tuple(index)
-    reads = []
-    widen: list = [None]
-    lo = hi = None
-    for state, d, x, y in configs:
-        sym = y if d else x
-        reads.append(state + sym)
-        if not sym and entry[state + sym][0]:
-            lo = d if lo is None or d < lo else lo
-            hi = d if hi is None or d > hi else hi
-        widen.append(None if lo is None else (lo, hi))
-    mu = index[config]
-    trap.setdefault(j, [None, None])[b] = (mu, len(configs) - mu, configs, tuple(reads),
-                                           tuple(widen))
+    trap.setdefault(j, [None, None])[b] = (index[config], tuple(index))

@@ -473,9 +473,9 @@ def _apply(rule, runs, tape, budget, cap, reads) -> int:
     ]
     if ones:
         lo, hi = extent(k)
+        tape._lo1, tape._hi1 = lo, hi  # before `grow`, which moves a blank buffer
         tape.grow(lo)
         tape.grow(hi)
-        tape._lo1, tape._hi1 = lo, hi
     _rewrite(tape, _layout(runs, head0, rule.face), _layout(after, head0 + k * move, rule.face))
     tape.head = head0 + k * move
     if reads is not None:

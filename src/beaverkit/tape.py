@@ -32,13 +32,13 @@ class Tape:
         t = cls(head)
         if blocks:
             last = start_cell + sum(blocks) + len(blocks) - 2  # the last 1
+            t._lo1, t._hi1 = start_cell, last  # before `grow`, which moves a blank buffer
             t.grow(start_cell)
             t.grow(last)
             p = t.org + start_cell
             for b in blocks:
                 t.buf[p : p + b] = b"\x01" * b
                 p += b + 1
-            t._lo1, t._hi1 = start_cell, last
         return t
 
     @classmethod
@@ -50,10 +50,10 @@ class Tape:
         if first >= 0:
             last = cells.rfind(1)
             lo, hi = start_cell + first, start_cell + last
+            t._lo1, t._hi1 = lo, hi  # before `grow`, which moves a blank buffer
             t.grow(lo)
             t.grow(hi)
             t.buf[t.org + lo : t.org + hi + 1] = cells[first : last + 1]
-            t._lo1, t._hi1 = lo, hi
         return t
 
     def read(self, cell: int) -> int:
@@ -78,10 +78,17 @@ class Tape:
                     self._hi1 = cell
 
     def grow(self, cell: int) -> None:
-        """Extend the buffer so `cell` is addressable, with headroom."""
+        """Extend the buffer so `cell` is addressable, with headroom.
+
+        A blank tape, one that has never held a 1, holds only 0s, so its
+        buffer moves to lie around `cell` instead: a far head costs no
+        memory.  So a caller about to write 1s sets the 1-extent first.
+        """
         margin = max(len(self.buf), _INITIAL)
         p = self.org + cell
-        if p < 0:
+        if not 0 <= p < len(self.buf) and self._hi1 < self._lo1:
+            self.org = len(self.buf) // 2 - cell
+        elif p < 0:
             pre = max(margin, -p + 1)
             self.buf = bytearray(pre) + self.buf
             self.org += pre

@@ -7,12 +7,14 @@ from pathlib import Path
 import pytest
 
 import beaverkit
+from beaverkit import tape as tape_module
 from beaverkit.bb import machine_label
 from beaverkit.cli import dispatch
 from beaverkit.data import data_path
 from beaverkit.harness import load_scenarios
 from beaverkit.optimize import profile_reads, propose_merges
 from beaverkit.tables import build_machine, parse_table
+from beaverkit.tape import Tape
 from test_compose import SECOND, manifest_with_a_second
 
 
@@ -433,10 +435,33 @@ def test_run_refuses_out_of_range_budgets(capsys, budget):
 
 
 def test_run_with_a_head_too_far_for_memory_exits_2(capsys):
-    # the buffer would have to reach a cell 10^11 cells away: refused in one line
+    # the buffer would have to reach from the 1 at cell 0 to a head 10^11
+    # cells away: refused in one line
     code, out, err = run_cli(capsys, "run", str(data_path("brocard.manifest")),
-                             "--head", "99999999999", "--steps", "10")
+                             "--tape-unary", "1", "--head", "99999999999", "--steps", "10")
     assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("head, support", [("100000000", "[99999995, 100000000]"),
+                                           ("-100000000", "[-100000005, -100000000]")])
+def test_a_far_head_on_a_blank_tape_keeps_a_small_buffer(monkeypatch, capsys, head, support):
+    # a blank tape's buffer moves to the head, so it never spans the cells between
+    tapes = []
+
+    class Kept(Tape):
+        __slots__ = ()
+
+        def __init__(self, head=0):
+            super().__init__(head)
+            tapes.append(self)
+
+    monkeypatch.setattr(tape_module, "Tape", Kept)
+    code, out, _ = run_cli(capsys, "run", str(data_path("brocard.manifest")),
+                           "--head", head, "--steps", "10", "--cells", "10")
+    assert code == 0
+    assert out.splitlines() == ["outcome: step_limit", "steps: 10",
+                                f"support: {support} head: {head}", "blocks: [1, 1, 1]"]
+    assert len(tapes) == 1 and len(tapes[0].buf) <= 2 * tape_module._INITIAL
 
 
 def test_run_with_a_far_head_and_no_steps_exits_0(capsys):

@@ -3,7 +3,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, find, given, settings, strategies as st
 
 from beaverkit import engine, harness, rules
 from beaverkit.engine import (
@@ -340,6 +340,18 @@ def trappers(draw):
     return Machine("trapper", "A", states), s, b
 
 
+def test_trappers_draw_self_loops_in_the_window():
+    # the trap property meets traps that run through a self-loop, too
+    def walks_a_self_loop(drawn):
+        m, s, b = drawn
+        cm = compile_machine(m)
+        tr = cm.trap.get(s)
+        return tr is not None and tr[b] is not None and any(
+            cm.entry[e + (y if d else x)][2] == e for e, d, x, y in tr[b][1])
+
+    find(trappers(), walks_a_self_loop, settings=settings(database=None))
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_trap_matches_single_step(data):
@@ -370,7 +382,7 @@ def test_trap_matches_single_step(data):
     width = tape._hi1 - tape._lo1 + 1
     # a trap of A's entry: budgets that end at each step of its walk and past it
     tr = cm.trap.get(s)
-    walk = 40 if tr is None or tr[b] is None else tr[b][0] + 2 * tr[b][1] + 2
+    walk = 40 if tr is None or tr[b] is None else 2 * len(tr[b][1]) - tr[b][0] + 2
     budget = data.draw(st.one_of(st.integers(0, walk), st.integers(0, 300)))
     cap = data.draw(st.one_of(st.just(1 << 22), st.integers(1, max(width, 1) + 3)))
     watch = tuple(data.draw(st.lists(st.sampled_from(sorted(m.states)), max_size=2)))
@@ -396,18 +408,37 @@ def test_trap_beside_the_buffers_edge(last, inside):
 
 def test_trap_credits_the_whole_budget_at_once():
     # A and B write 0s over blank, turning the head back and forth
-    # between cells 0 and -1: one step at a time this takes hours
+    # between cells 0 and -1; the self-loops A0:0RA A1:1LA do the same
+    # between a 0 and a 1: one step at a time either takes hours
     m = Machine("ping-pong", "A", {"A": (Action(0, -1, "B"), None),
                                    "B": (Action(0, 1, "A"), None)})
+    loops = Machine("self-loop ping-pong", "A", {"A": (Action(0, 1, "A"), Action(1, -1, "A"))})
     started = time.perf_counter()
     for steps, state, head in ((10**12, "A", 0), (10**12 + 1, "B", -1)):
         out = run(m, limits=RunLimits(steps))
         assert (out.kind, out.steps, out.config.state) == (STEP_LIMIT, steps, state)
         assert out.config.tape.head == head and out.config.tape.support_size() == 0
+    for steps, head in ((10**12, 0), (10**12 + 1, 1)):
+        out = run(loops, Configuration("A", Tape.from_symbols([0, 1])), RunLimits(steps))
+        assert (out.kind, out.steps, out.config.state) == (STEP_LIMIT, steps, "A")
+        assert out.config.tape.head == head and out.config.tape.support() == (1, 1)
     assert time.perf_counter() - started < 5
-    trap = compile_machine(m).trap
-    assert trap == {0: ((0, 2, ((0, 0, 0, 0), (2, -1, 0, 0)), (0, 2), (None,) * 3), None),
-                    2: ((0, 2, ((2, 0, 0, 0), (0, 1, 0, 0)), (2, 0), (None,) * 3), None)}
+    # each trap is its walk (mu, configs): a configuration is the state's
+    # first entry, the head's offset and the cell it read and its neighbour
+    assert compile_machine(m).trap == {0: ((0, ((0, 0, 0, 0), (2, -1, 0, 0))), None),
+                                       2: ((0, ((2, 0, 0, 0), (0, 1, 0, 0))), None)}
+    assert compile_machine(loops).trap == {0: (None, (0, ((0, 0, 0, 1), (0, 1, 0, 1)))),
+                                           1: ((0, ((0, 0, 1, 0), (0, -1, 1, 0))), None)}
+
+
+def test_trap_entries_stay_fused():
+    # the bouncer's turns A0 and B0 trap the head beside a 0; runs look for
+    # a trap outside the inner loop, so the turns execute as plain entries
+    m = Machine("bouncer", "A", {"A": (Action(0, -1, "B"), Action(1, 1, "A")),
+                                 "B": (Action(0, 1, "A"), Action(1, -1, "B"))})
+    cm = compile_machine(m)
+    assert sorted(cm.trap) == [0, 2]
+    assert cm.fused == (cm.entry[0], None, cm.entry[2], None)  # A1 and B1 are self-loops
 
 
 def test_no_shipped_table_has_a_trap(resolver, data_dir):

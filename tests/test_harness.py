@@ -16,6 +16,7 @@ from beaverkit.harness import (
     run_scenario,
     run_suite,
 )
+from beaverkit import oracles
 from beaverkit.machine import Action, Machine
 from beaverkit.oracles import is_prime
 from beaverkit.tape import Configuration, Tape
@@ -192,6 +193,20 @@ def test_oracle_expectations_match_oracles(resolver):
         r = run_scenario(s, resolver)
         assert r.passed, (n, r.line())
         assert is_prime(13) and not is_prime(9)
+
+
+def test_a_square_oracle_computes_no_other_oracle(resolver, monkeypatch):
+    # F_28 alone takes seconds, and F_34 does not fit in memory
+    def refuse(x):
+        raise AssertionError("a square scenario computed another oracle")
+
+    monkeypatch.setattr(oracles, "fermat_number", refuse)
+    monkeypatch.setattr(oracles, "factorial_plus_one", refuse)
+    s = Scenario("square_4", "../fermat.manifest#t2", entry="0", tape_blocks=(4,),
+                 head=("block", 0, "left"), limits=RunLimits(max_steps=10**5),
+                 expect=OracleExpect("square", (4,)))
+    r = run_scenario(s, resolver)
+    assert r.passed, r.line()
 
 
 def test_square_check_sweep_matches_oracle(resolver):

@@ -77,25 +77,30 @@ def left_of_a_one(gap):
         # a plain step: every entry is fused, for this machine has no
         # crossing (A0 and B1 move left, A1 and B0 right) and no trap; it
         # spreads its 1s both ways, so many of its 0->1 writes widen the
-        # 1-extent; 53.32 instructions a step
-        ("A0:1LB A1:1RB B0:1RA B1:0LA", Configuration("A"), 4000, 8000, 213287),
+        # 1-extent; 53.33 instructions a step, of which the table's empty
+        # trap map costs one test per step horizon (213,287 before)
+        ("A0:1LB A1:1RB B0:1RA B1:0LA", Configuration("A"), 4000, 8000, 213317),
         # the 40-cell bouncer: a self-loop crosses the block, a turn, the
         # other self-loop crosses back; the turns A0 and B0 trap the head
-        # beside a 0, so they take the general path facing the block's 1s;
-        # 4.79 a step (2.908 when the turns were fused)
+        # beside a 0, so its runs look for a trap at least every
+        # `engine.TRAP_CHECK` steps; 3.96 a step (4.79 when the turns left
+        # `fused`, 2.908 before the table had traps)
         ("A0:0LB A1:1RA B0:0RA B1:1LB", Configuration("A", Tape.from_blocks([40])),
-         4000, 8000, 19178),
+         4000, 8000, 15829),
         # after one plain step, the self-loop B0 fills 40 blank cells with
         # 1s up to the lone 1: one crossing, the memory rule's included
         ("A0:0RB B0:1RB", left_of_a_one(41), 1, 41, 154),
         # after one plain step, the cycle B0 C0 fills 40 blank cells with
         # 1010... up to the lone 1: one sweep crossing
-        ("A0:0RB B0:1RC C0:0RB", left_of_a_one(41), 1, 41, 234),
+        ("A0:0RB B0:1RC C0:0RB", left_of_a_one(41), 1, 41, 232),
         # A and B turn the head back and forth over blank: a 2-cell trap
         # credits the rest of the budget in one iteration, whatever it is
         ("A0:0LB B0:0RA", Configuration("A"), 4000, 8000, 0),
+        # the self-loops A0 and A1 turn the head back and forth between a
+        # 0 and a 1: a 2-cell trap too
+        ("A0:0RA A1:1LA", Configuration("A", Tape.from_symbols([0, 1])), 4000, 8000, 0),
     ],
-    ids=["plain-step", "bouncer", "self-loop-fill", "sweep", "trap"],
+    ids=["plain-step", "bouncer", "self-loop-fill", "sweep", "trap", "self-loop-trap"],
 )
 def test_opcode_events_per_step_and_crossing(text, start, fewer, more, cost):
     m = machine(text)

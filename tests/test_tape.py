@@ -57,3 +57,22 @@ def test_from_blocks_matches_cell_by_cell(blocks, head, start):
 def test_from_symbols_matches_cell_by_cell(symbols, head, start):
     got = Tape.from_symbols(symbols, start, head)
     assert state(got) == state(cell_by_cell_symbols(symbols, start, head))
+
+
+@pytest.mark.parametrize("start", [-9000, 0, 9000])
+def test_from_symbols_wider_than_a_buffer_keeps_every_cell(start):
+    # the first `grow` moves a blank buffer; the second must keep the first cell
+    symbols = [1] + [0] * 5000 + [1]
+    got = Tape.from_symbols(symbols, start)
+    assert got.support() == (start, start + 5001) and got.blocks() == [1, 1]
+    assert state(got) == state(cell_by_cell_symbols(symbols, start, 0))
+
+
+@pytest.mark.parametrize("head", [-(10**12), 10**12])
+def test_a_blank_tapes_buffer_moves_to_a_far_cell(head):
+    t = Tape(head)
+    size = len(t.buf)
+    t.write(head, 0)
+    assert len(t.buf) == size and t.read(head) == 0 and t.support() == (0, -1)
+    t.write(head + 1, 1)
+    assert len(t.buf) == size and t.support() == (head + 1, head + 1)
