@@ -40,8 +40,10 @@ they never use a rule.
 
 The loop holds the state as its first transition entry, 2 × its index,
 so the entry read is that plus the symbol, and it holds the head and the
-1-extent as indices into the tape's buffer, which `_sync` puts back on
-the tape in cells where the run stops, grows the buffer or calls out.
+1-extent as indices into the tape's buffer: `_loaded` takes them from
+the tape, and `_sync` puts them back in cells where the run stops, grows
+the buffer or calls out.  These two are the only code outside `tape.py`
+that knows the tape's layout.
 It checks the buffer's edge once per step horizon, not once per step.
 Every credited step moves the head one cell at most: a transition one
 cell, a crossing of n cells n steps, and a rule at least as many steps
@@ -100,26 +102,12 @@ keeps no fingerprint.  Only a key match takes a `fingerprint`.
 Scanned and single-stepped runs produce identical outcomes, step counts
 and tapes; the property suite asserts this on random machines against
 the reference `step` in `tests/stepping.py`, one pure transition at a
-time.  The scan sustains well over 10^7 credited steps per second on
-the unary-arithmetic tables this package ships, whose inner loops are
-long scans.  A plain transition makes no function call: the 2-state
-machine A0:1LB A1:1RB B0:1RA B1:0LA, which has no crossing and no trap
-and whose every step from blank is fused, executes 53.3 bytecode
-instructions a step (counted by `sys.settrace` opcode events), many of
-its 0->1 writes widening the 1-extent, and runs 3×10^5 steps at
-4.2-6.7×10^6 per second (best of 7 runs, 3 trials, a 2-core x86 host,
-CPython 3.11).  The probe before it, A0:1RB A1:0RB B0:1LA B1:0LA, took
-45.5 a step (62.5 before the step horizon) and 4.7-7.3×10^6 per second
-on the same trials; it flips the two cells it visits for ever, so it is
-a 2-cell trap of period 4 and now takes one iteration whatever its
-budget.  A self-loop crossing of a short run, which hands nothing to
-the prover, executes about 79 instructions, its search's call
-included, 111 before.  The 40-cell bouncer A0:0LB A1:1RA B0:0RA
-B1:1LB, whose turns trap the head beside a 0, so that its runs look for
-a trap at least every `TRAP_CHECK` steps, executes 3.96 a step.
-`tests/test_step_cost.py` pins these counts on CPython 3.11.  A
-cycle-checked step, on the general path, executes
-about 101 on the bouncer A0:1RB A1:1LA B0:1LA B1:1RB.
+time.  The scan credits long runs of the unary-arithmetic tables this
+package ships at memchr speed, and a plain transition makes no function
+call.  `tests/test_step_cost.py` pins what each path costs a step in
+exact bytecode instructions (`sys.settrace` opcode events, CPython
+3.11): the fused step, a self-loop crossing, a trapped bouncer and a
+cycle-checked step among them.
 """
 
 from __future__ import annotations
@@ -273,7 +261,7 @@ def fingerprint(state, tape: Tape) -> tuple:
     lo, hi = tape.support()
     if hi < lo:
         return (state, 0, b"")
-    return (state, tape.head - lo, bytes(tape.buf[tape.org + lo : tape.org + hi + 1]))
+    return (state, tape.head - lo, tape.cells(lo, hi))
 
 
 _support_hash = hash  # the store's hash of h (h itself); a name of its own to stub
@@ -289,7 +277,7 @@ def _tape_hash(tape: Tape) -> int:
     """
     lo, hi = tape.support()
     h = 0
-    for b in reversed(tape.buf[tape.org + lo : tape.org + hi + 1]):
+    for b in reversed(tape.cells(lo, hi)):
         h = (h * _R + b) % _P
     return h * pow(_R, lo - tape.head, _P) % _P
 

@@ -17,9 +17,11 @@ Scenario files hold one stanza per scenario::
 
 ``#`` opens a comment at the start of a line or after whitespace (the
 rule every beaverkit file shares), so ``<manifestFile>#<sectionLabel>``
-is one token.  ``transfer S@k`` (k >= 1) stops at the k-th entry into
-S; entering an undefined or external name (a standalone section's NM
-exit) counts as reaching it.
+is one token.  A stanza gives each directive at most once and each limit
+key at most once, and a token past a directive's arguments is refused at
+its line.  ``transfer S@k`` (k >= 1) stops at the k-th entry into S;
+entering an undefined or external name (a standalone section's NM exit)
+counts as reaching it.
 Report lines are ``PASS|FAIL <name> steps=<n> [observed=.. expected=..]``.
 """
 
@@ -32,7 +34,7 @@ from pathlib import Path
 
 from . import oracles
 from .engine import HALTED, WATCH, RunLimits, RunOutcome, run
-from .machine import HALT, NEXT_MACHINE, Machine, parse_symbol
+from .machine import HALT, NEXT_MACHINE, RESERVED_NAMES, Machine, parse_symbol
 from .tape import Configuration, Tape
 from .compose import compose, load_manifest, section_machine
 from .tables import build_machine, load_table
@@ -70,6 +72,10 @@ Expectation = OracleExpect | SnapshotExpect | OutcomeExpect | TransferExpect
 _ORACLES = ("square", "factorial_plus_one", "fermat", "prime", "brocard")  # one integer each
 _HEAD_EDGES = ("left", "right", "after")
 _LIMITS = {"steps": "max_steps", "cells": "max_support_cells"}
+# the most tokens a line takes, by its directive or by its first two
+# words; the other lines take a list, or count it where they parse it
+_MOST = {"scenario": 2, "machine": 2, "entry": 2, "tape blank": 2, "head abs": 3,
+         "head block": 4, "expect halted": 3, "expect nothalt": 2}
 
 
 @dataclass
@@ -294,14 +300,19 @@ def parse_scenarios(text: str, resolve=None) -> list[Scenario]:
     A text that holds no scenario raises ValueError("holds no scenario"):
     a suite of none verifies nothing.  With `resolve` (a `MachineResolver`)
     every machine is built here, so a bad reference is reported at its
-    `machine` line before any run.
+    `machine` line before any run, and an entry state the machine does not
+    define at its `entry` line.
     """
     out: list[Scenario] = []
-    given: list[dict] = []  # per scenario: directive -> line it was last given on
+    given: list[dict] = []  # per scenario: directive -> the line it is given on
     names: set[str] = set()
     with Lines(text) as lines:
         for lineno, line in lines:
             parts = line.split()
+            most = _MOST.get(parts[0]) or _MOST.get(" ".join(parts[:2]), len(parts))
+            if len(parts) > most:
+                raise ValueError(f"unexpected {' '.join(parts[most:])!r} after "
+                                 f"{' '.join(parts[:most])!r}")
             if parts[0] == "scenario":
                 if parts[1] in names:
                     raise ValueError(f"scenario {parts[1]!r} is named twice")
@@ -310,6 +321,8 @@ def parse_scenarios(text: str, resolve=None) -> list[Scenario]:
                 given.append({"scenario": lineno})
             elif not out:
                 raise ValueError("directive before any scenario")
+            elif parts[0] in given[-1]:
+                raise ValueError(f"scenario {out[-1].name!r} gives {parts[0]} twice")
             else:
                 _parse_directive(out[-1], parts)
                 given[-1][parts[0]] = lineno
@@ -328,11 +341,14 @@ def parse_scenarios(text: str, resolve=None) -> list[Scenario]:
                               where["head"])
         if resolve is not None:
             try:
-                resolve(s.machine_ref)
+                machine = resolve(s.machine_ref)
             except (OSError, ValueError) as e:
                 if getattr(e, "location", (None,))[0] is not None:
                     raise  # it names the inner file at fault
                 raise located(ValueError, str(e), where["machine"]) from None
+            if s.entry is not None and s.entry not in machine.states.keys() | RESERVED_NAMES:
+                raise located(ValueError, f"initial state {s.entry!r} is not defined in "
+                              f"{machine.name!r}", where["entry"])
     return out
 
 
@@ -343,7 +359,6 @@ def _parse_directive(current: Scenario, parts: list[str]) -> None:
     elif key == "entry":
         current.entry = parts[1]
     elif key == "tape":
-        current.tape_blocks = current.tape_window = None  # the last tape line wins
         if parts[1] == "blank":
             pass
         elif parts[1] == "unary":
@@ -369,6 +384,8 @@ def _parse_directive(current: Scenario, parts: list[str]) -> None:
             k, _, v = tok.partition("=")
             if k not in _LIMITS:
                 raise ValueError(f"unknown limit {k!r}")
+            if _LIMITS[k] in kw:
+                raise ValueError(f"limit {k} is given twice")
             if int(v) < 1:
                 raise ValueError(f"limit {k} must be >= 1, got {v}")
             kw[_LIMITS[k]] = int(v)

@@ -6,18 +6,18 @@ shrinks and another grows by a constant each round.  `Prover` finds such
 a cycle where it starts, proves that it repeats, and applies it k times
 at once; this is the proof system of Marxen and Buntrock (1990,
 "Attacking the Busy Beaver 5") and of S. Ligocki's simulator, on the
-engine's bytearray tape.
+engine's tape.
 
 The engine asks at every scan across at least `LONG_SCAN` cells; a proof
 is tried when that scan's (state, symbol) entry recurs after the same
 number of long scans as last time.  The tape around the head is read as
-two stacks of runs of equal symbols, one on each side, and the head reads
-the top cell of the stack it faces.  A run is read from the buffer only
-when the head reaches it; the blank beyond the 1-extent is one 0-run of
-length `BLANK`, so it needs no case of its own.  One move at run level
-is either a scan, a self-loop that consumes the whole run it faces, or a
-single transition.  One simulation (`_Search`) makes these moves, and it
-runs twice:
+two stacks of runs of equal symbols, one on each side, and the head
+reads the top cell of the stack it faces.  A run is read from the tape
+(`Tape.runs`) only when the head reaches it; the blank beyond the
+1-extent is one 0-run of length `BLANK`, so it needs no case of its own.
+One move at run level is either a scan, a self-loop that consumes the
+whole run it faces, or a single transition.  One simulation (`_Search`)
+makes these moves, and it runs twice:
 
 1. The search runs the cycle on the concrete lengths until the same
    state faces the same symbol with the same run shape (the symbols of
@@ -37,27 +37,28 @@ runs twice:
 
 An accepted rule is applied k times: steps and the 1-writes' positions
 are linear in the application's index, so they are summed or bounded in
-closed form.  k is the largest count under three bounds: no variable
-run falls below its c, the steps fit the budget, and the 1-extent
-widened by every 0->1 write of the k applications spans at most the
-memory cap; that extent becomes the tape's `_lo1/_hi1`.  A rule reads
-the compiled table alone, so the table keeps each entry's last rule,
-for every run on it, and applies it again at any long scan of its entry
-where the tape has its shape: the same symbols and fixed lengths.  A
-cycle that meets a stop entry of the table (a halt, an exit, or an
-entry into a watched state) is refused, and so is one whose proof
-fails; then the entry is not searched again for a number of its
-triggers that doubles with each failure since its last proof.  The
-table counts an entry's failures up to `_FAILS`, a wait of
-`MIN_REPEATS` - 1 triggers, and a run counts on from there: every run
-retries every entry within `MIN_REPEATS` triggers, then at doubling
-intervals.  The result is the configuration, step count, extent and
-read set the machine reaches one transition at a time.
+closed form.  k is the largest count under three bounds: no variable run
+falls below its c, the steps fit the budget, and the 1-extent widened by
+every 0->1 write of the k applications spans at most the memory cap.
+The tape `span`s that extent, and `Tape.rewrite` turns the runs the rule
+read into the runs it leaves, writing only the cells that change.  A
+rule reads the compiled table alone, so the table keeps each entry's
+last rule, for every run on it, and applies it again at any long scan of
+its entry where the tape has its shape: the same symbols and fixed
+lengths.  A cycle that meets a stop entry of the table (a halt, an exit,
+or an entry into a watched state) is refused, and so is one whose proof
+fails; then the entry is not searched again for a number of its triggers
+that doubles with each failure since its last proof.  The table counts
+an entry's failures up to `_FAILS`, a wait of `MIN_REPEATS` - 1
+triggers, and a run counts on from there: every run retries every entry
+within `MIN_REPEATS` triggers, then at doubling intervals.  The result
+is the configuration, step count, extent and read set the machine
+reaches one transition at a time.
 
-Kept on the table rather than per run, rules cut searches, proved or
-refused, from 218 to 124 on a first pass of the shipped suites, from 160
-to 103 on Brocard's way to its n = 10 guard and from 15 to 12 on
-Fermat's t1 from state 25, run to its halt (`tests/test_prover_work.py`).
+Kept on the table rather than per run, rules cut the searches, proved
+or refused, that runs on the shipped machines make;
+`tests/test_prover_work.py` counts them against runs that each prove
+their own rules.
 """
 
 from __future__ import annotations
@@ -65,13 +66,11 @@ from __future__ import annotations
 from operator import add, sub
 
 LONG_SCAN = 64  # the shortest scan that may start a proof
-BLANK = 1 << 62  # the length of the 0-run beyond the 1-extent
 MAX_MOVES = 64  # the most run-level moves a cycle may take
 MIN_REPEATS = 16  # a cycle that repeats fewer times costs more to prove than it saves
 # the failures a table counts per entry at most: a run's first search of
 # an entry waits at most MIN_REPEATS - 1 triggers
 _FAILS = MIN_REPEATS.bit_length() - 1
-_FILL = (b"\x00", b"\x01")
 
 
 def _at(e, x):
@@ -203,44 +202,6 @@ class _Search:
         self.steps, self.singles, self.head = steps, singles, head
 
 
-def _reader(tape, face):
-    """read(side, i): run i outward from the head on that side, from 0.
-
-    Runs are (symbol, length); the head's cell is the first of side
-    `face`.  Past the blank, read returns None.  Each run is found in the
-    buffer once, however often it is read.
-    """
-    buf, org, lo1, hi1 = tape.buf, tape.org, tape._lo1, tape._hi1
-    blank = hi1 < lo1
-    cursor = [tape.head - face, tape.head + 1 - face]  # the next cell on each side
-    runs: list = [[], []]  # each side's runs read so far
-
-    def read(side, i):
-        got = runs[side]
-        while len(got) <= i:
-            cell = cursor[side]
-            if cell is None:
-                return None
-            if blank or (cell > hi1 if side else cell < lo1):
-                s, n = 0, BLANK
-            elif cell < lo1 or cell > hi1:
-                s, n = 0, (lo1 - cell if side else cell - hi1)
-            else:
-                p = org + cell
-                s = buf[p]
-                if side:
-                    q = buf.find(0, p) if s else buf.find(1, p, org + hi1 + 1)
-                    n = BLANK if q < 0 and not s else (q if q >= 0 else len(buf)) - p
-                else:
-                    q = buf.rfind(0, 0, p + 1) if s else buf.rfind(1, org + lo1, p + 1)
-                    n = BLANK if q < 0 and not s else p - q
-            cursor[side] = None if n == BLANK else cell + (n if side else -n)
-            got.append((s, n))
-        return got[i]
-
-    return read
-
-
 def _largest(hi, ok):
     """The largest k in [0, hi] with ok(k), for ok true on a prefix; ok(0) holds."""
     if ok(hi):
@@ -315,7 +276,7 @@ class Prover:
         used when the tape matches it; otherwise, when `due` allowed a
         search, one is proved.
         """
-        read = _reader(tape, (self.cm.entry[j][1] + 1) >> 1)
+        read = tape.runs((self.cm.entry[j][1] + 1) >> 1)
         rule = self.rules.get(j)
         runs = None if rule is None else rule.match(read)
         if runs is not None:
@@ -447,7 +408,7 @@ def _apply(rule, runs, tape, budget, cap, reads) -> int:
 
     # each 0->1 write lies at p + i * q in application i
     ones = [(head0 + _at(e, x0), move + _at(e, d) - e[0]) for e in rule.ones]
-    lo1, hi1 = tape._lo1, tape._hi1
+    lo1, hi1 = tape.extent()
 
     def extent(k):
         lo = min(p + (k - 1) * min(q, 0) for p, q in ones)
@@ -472,53 +433,9 @@ def _apply(rule, runs, tape, budget, cap, reads) -> int:
         for side in (0, 1)
     ]
     if ones:
-        lo, hi = extent(k)
-        tape._lo1, tape._hi1 = lo, hi  # before `grow`, which moves a blank buffer
-        tape.grow(lo)
-        tape.grow(hi)
-    _rewrite(tape, _layout(runs, head0, rule.face), _layout(after, head0 + k * move, rule.face))
-    tape.head = head0 + k * move
+        tape.span(*extent(k))
+    tape.rewrite(rule.face, runs, after, head0 + k * move)
     if reads is not None:
         for j in rule.read:
             reads[j] = 1
     return steps(k)
-
-
-def _layout(runs, head, face):
-    """The cells where each run starts, left to right, and its symbol.
-
-    `runs` lists each side's runs nearest the head first; the last entry
-    is the cell past the rightmost run.
-    """
-    cell = head + 1 - face  # the first cell of the right side
-    left = []
-    for s, n in runs[0]:
-        cell -= n
-        left.append((cell, s))
-    out = left[::-1]
-    cell = head + 1 - face
-    for s, n in runs[1]:
-        out.append((cell, s))
-        cell += n
-    out.append((cell, None))
-    return out
-
-
-def _rewrite(tape, old, new):
-    """Write each cell whose symbol differs between the layouts `old` and `new`.
-
-    The tape holds `old`.  Where one layout reaches past the other, both
-    are blank: only a side that ends in the blank can differ in extent.
-    """
-    buf, org = tape.buf, tape.org
-    lo, hi = max(old[0][0], new[0][0]), min(old[-1][0], new[-1][0])
-    cuts = sorted({c for c, _ in old + new if lo < c < hi} | {lo, hi})
-    i = j = 0
-    for a, b in zip(cuts, cuts[1:]):
-        while old[i + 1][0] <= a:
-            i += 1
-        while new[j + 1][0] <= a:
-            j += 1
-        s = new[j][1]
-        if old[i][1] != s:
-            buf[org + a : org + b] = _FILL[s] * (b - a)

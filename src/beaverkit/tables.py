@@ -4,14 +4,14 @@ File format: UTF-8 text, one transition per line, five pipe-separated
 fields ``state|reads|writes|moves|calls``.  ``#`` opens a comment at
 the start of a line or after whitespace (the rule every beaverkit file
 shares, so ``A|0|1|R|B#x`` calls ``B#x``), blank lines are skipped, and
-two directives are recognized: ``!name <label>`` and ``!start <state>``.
-Row order is preserved exactly, because validation findings cite row
-indices.
+two directives are recognized, each at most once: ``!name <label>`` and
+``!start <state>``.  Row order is preserved exactly, because validation
+findings cite row indices.
 
 Overlay files carry hand-curated renames for known-defective published
 tables: ``rename <rowIndex> <state|calls> <old> <new>`` plus an optional
-``start <state>``.  An overlay can only rename per-row fields; it never
-changes reads, writes, moves, or the row count.
+``start <state>``, at most once.  An overlay can only rename per-row
+fields; it never changes reads, writes, moves, or the row count.
 """
 
 from __future__ import annotations
@@ -90,17 +90,16 @@ class Overlay:
 
 def parse_table(text: str, name: str = "table") -> RawTable:
     rows: list[TableRow] = []
-    declared_start = None
+    declared: dict[str, str] = {}  # directive -> its argument
     with Lines(text, TableError) as lines:
         for _, line in lines:
             if line.startswith("!"):
                 parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "name":
-                    name = parts[1]
-                elif len(parts) == 2 and parts[0] == "start":
-                    declared_start = parts[1]
-                else:
+                if len(parts) != 2 or parts[0] not in ("name", "start"):
                     raise TableError(f"unknown directive {line!r}")
+                if parts[0] in declared:
+                    raise TableError(f"!{parts[0]} is declared twice")
+                declared[parts[0]] = parts[1]
                 continue
             fields = [f.strip() for f in line.split("|")]
             if len(fields) != 5:
@@ -110,7 +109,8 @@ def parse_table(text: str, name: str = "table") -> RawTable:
                 raise TableError("empty state or calls field")
             rows.append(TableRow(state, parse_symbol(reads), parse_symbol(writes),
                                  parse_move(moves), calls))
-    return RawTable(name=name, rows=rows, declared_start=declared_start)
+    name = declared.get("name", name)
+    return RawTable(name=name, rows=rows, declared_start=declared.get("start"))
 
 
 def load_table(path) -> RawTable:
@@ -225,6 +225,8 @@ def parse_overlay(text: str) -> Overlay:
                     raise TableError("rename field must be state or calls")
                 ov.renames.append(Rename(int(idx_token), fieldname, old, new))
             elif parts[0] == "start" and len(parts) == 2:
+                if ov.start_override is not None:
+                    raise TableError("start is declared twice")
                 ov.start_override = parts[1]
             else:
                 raise TableError(f"unknown overlay line {line!r}")

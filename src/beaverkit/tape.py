@@ -3,7 +3,11 @@
 Backed by a growable bytearray plus an origin offset, so reads and writes
 are amortized O(1) and long uniform runs can be scanned at memchr speed.
 Cells outside the buffer read 0.  ``support()`` reports the minimal cell
-interval containing every 1.
+interval containing every 1.  The buffer, its origin and the 1-extent are
+this module's: other modules read the tape through its methods, by cell
+(`read`, `cells`) or by run (`runs`), and write 1s only where `span` has
+made room.  The engine's run loop alone holds them as buffer indices
+while it runs, and puts them back before it calls out.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 _INITIAL = 1 << 12
+BLANK = 1 << 62  # the length `runs` gives the 0-run beyond the 1-extent
+_FILL = (b"\x00", b"\x01")
 
 
 class Tape:
@@ -29,17 +35,7 @@ class Tape:
         """Unary layout: each block is that many 1s, one 0 between blocks."""
         if any(b < 1 for b in blocks):
             raise ValueError("unary blocks must be >= 1")
-        t = cls(head)
-        if blocks:
-            last = start_cell + sum(blocks) + len(blocks) - 2  # the last 1
-            t._lo1, t._hi1 = start_cell, last  # before `grow`, which moves a blank buffer
-            t.grow(start_cell)
-            t.grow(last)
-            p = t.org + start_cell
-            for b in blocks:
-                t.buf[p : p + b] = b"\x01" * b
-                p += b + 1
-        return t
+        return cls.from_symbols(b"\x00".join(map(b"\x01".__mul__, blocks)), start_cell, head)
 
     @classmethod
     def from_symbols(cls, symbols: list[int], start_cell: int = 0, head: int = 0) -> "Tape":
@@ -50,9 +46,7 @@ class Tape:
         if first >= 0:
             last = cells.rfind(1)
             lo, hi = start_cell + first, start_cell + last
-            t._lo1, t._hi1 = lo, hi  # before `grow`, which moves a blank buffer
-            t.grow(lo)
-            t.grow(hi)
+            t.span(lo, hi)
             t.buf[t.org + lo : t.org + hi + 1] = cells[first : last + 1]
         return t
 
@@ -82,7 +76,7 @@ class Tape:
 
         A blank tape, one that has never held a 1, holds only 0s, so its
         buffer moves to lie around `cell` instead: a far head costs no
-        memory.  So a caller about to write 1s sets the 1-extent first.
+        memory.
         """
         margin = max(len(self.buf), _INITIAL)
         p = self.org + cell
@@ -95,6 +89,102 @@ class Tape:
         elif p >= len(self.buf):
             post = max(margin, p - len(self.buf) + 1)
             self.buf += bytearray(post)
+
+    def span(self, lo: int, hi: int) -> None:
+        """Make [lo, hi] the 1-extent, both ends addressable, for 1s to be written there.
+
+        The first `grow` may move a blank buffer to lie around `lo`, so the
+        extent is set after it, and the second keeps every cell from `lo`.
+        """
+        self.grow(lo)
+        self._lo1, self._hi1 = lo, hi
+        self.grow(hi)
+
+    def extent(self) -> tuple[int, int]:
+        """(lo, hi) bounding every cell that has held a 1; hi < lo if none has."""
+        return self._lo1, self._hi1
+
+    def cells(self, lo: int, hi: int) -> bytes:
+        """The symbols of cells lo..hi, all in the buffer, such as the support's."""
+        return bytes(self.buf[self.org + lo : self.org + hi + 1])
+
+    def runs(self, face: int):
+        """read(side, i): run i outward from the head on that side, from 0.
+
+        Runs are (symbol, length); the head's cell is the first of side
+        `face`.  The blank beyond the 1-extent is one 0-run of length
+        `BLANK`; past it, read returns None.  Each run is found in the
+        buffer once, however often it is read.
+        """
+        buf, org, lo1, hi1 = self.buf, self.org, self._lo1, self._hi1
+        blank = hi1 < lo1
+        cursor = [self.head - face, self.head + 1 - face]  # the next cell on each side
+        runs: list = [[], []]  # each side's runs read so far
+
+        def read(side, i):
+            got = runs[side]
+            while len(got) <= i:
+                cell = cursor[side]
+                if cell is None:
+                    return None
+                if blank or (cell > hi1 if side else cell < lo1):
+                    s, n = 0, BLANK
+                elif cell < lo1 or cell > hi1:
+                    s, n = 0, (lo1 - cell if side else cell - hi1)
+                else:
+                    p = org + cell
+                    s = buf[p]
+                    if side:
+                        q = buf.find(0, p) if s else buf.find(1, p, org + hi1 + 1)
+                        n = BLANK if q < 0 and not s else (q if q >= 0 else len(buf)) - p
+                    else:
+                        q = buf.rfind(0, 0, p + 1) if s else buf.rfind(1, org + lo1, p + 1)
+                        n = BLANK if q < 0 and not s else p - q
+                cursor[side] = None if n == BLANK else cell + (n if side else -n)
+                got.append((s, n))
+            return got[i]
+
+        return read
+
+    def rewrite(self, face: int, old: list, new: list, head: int) -> None:
+        """Turn the runs `old` around the head into `new` around `head`, and move the head there.
+
+        Both list each side's runs as `runs` reads them, nearest the head
+        first, the head's cell the first of side `face`.  Only the cells
+        whose symbol differs are written, so a run that ends in the blank
+        may change its length; 1s go only where `span` made room.
+        """
+
+        def layout(runs, head):
+            # the cell where each run starts, left to right, and its symbol;
+            # the last entry is the cell past the rightmost run
+            cell = head + 1 - face  # the first cell of the right side
+            left = []
+            for s, n in runs[0]:
+                cell -= n
+                left.append((cell, s))
+            out = left[::-1]
+            cell = head + 1 - face
+            for s, n in runs[1]:
+                out.append((cell, s))
+                cell += n
+            out.append((cell, None))
+            return out
+
+        old, new = layout(old, self.head), layout(new, head)
+        # where one layout reaches past the other, both are blank
+        lo, hi = max(old[0][0], new[0][0]), min(old[-1][0], new[-1][0])
+        cuts = sorted({c for c, _ in old + new if lo < c < hi} | {lo, hi})
+        i = j = 0
+        for a, b in zip(cuts, cuts[1:]):
+            while old[i + 1][0] <= a:
+                i += 1
+            while new[j + 1][0] <= a:
+                j += 1
+            s = new[j][1]
+            if old[i][1] != s:
+                self.buf[self.org + a : self.org + b] = _FILL[s] * (b - a)
+        self.head = head
 
     def support(self) -> tuple[int, int]:
         """Trimmed (lo, hi) cell interval holding every 1; (0, -1) if blank."""
@@ -146,18 +236,10 @@ class Tape:
 
     def content_equal(self, other: "Tape") -> bool:
         """Same support interval, same symbols, same head."""
-        if self.head != other.head:
+        lo, hi = self.support()
+        if (self.head, lo, hi) != (other.head, *other.support()):
             return False
-        lo1, hi1 = self.support()
-        lo2, hi2 = other.support()
-        if (lo1, hi1) != (lo2, hi2):
-            return False
-        if hi1 < lo1:
-            return True
-        return (
-            self.buf[self.org + lo1 : self.org + hi1 + 1]
-            == other.buf[other.org + lo2 : other.org + hi2 + 1]
-        )
+        return self.cells(lo, hi) == other.cells(lo, hi)
 
     def render(self, start: int, stop: int) -> str:
         return " ".join(str(s) for s in self.snapshot(start, stop))

@@ -508,7 +508,6 @@ def test_shipped_suite_report_matches_bench_expected(capsys, suite):
     "expect oracle nosuch 3",
     "tape unary 0",
     "head block 1 left",
-    pytest.param("head block 0 left\ntape blank", id="head block on a blank tape"),
     "scenario no_machine",
     "expect transfer 5@0",
     "expect snapshot 3..1",
@@ -530,6 +529,30 @@ def test_malformed_scenario_line_exits_2(capsys, tmp_path, bad_line):
     assert code == 2
     assert f"error: {scn}:4: " in err
     assert out == ""
+
+
+@pytest.mark.parametrize("lines, lineno, message", [
+    pytest.param("expect nothalt junk", 3, "unexpected 'junk' after 'expect nothalt'", id="expect"),
+    pytest.param("expect halted HALT junk", 3, "unexpected 'junk' after 'expect halted HALT'",
+                 id="expect halted"),
+    pytest.param("tape blank junk", 3, "unexpected 'junk' after 'tape blank'", id="tape"),
+    pytest.param("entry b.Mf b.Nf", 3, "unexpected 'b.Nf' after 'entry b.Mf'", id="entry"),
+    pytest.param("limit steps=5 steps=7", 3, "limit steps is given twice", id="limit key"),
+    pytest.param(f"machine {data_path('fermat_t2.tbl')}", 3, "scenario 's' gives machine twice",
+                 id="machine twice"),
+    pytest.param("tape blank\ntape unary 3", 4, "scenario 's' gives tape twice",
+                 id="tape twice"),
+    pytest.param("entry nosuch", 3, "initial state 'nosuch' is not defined in 'b'",
+                 id="undefined entry"),
+    pytest.param("tape blank\nhead block 0 left", 4, "head block rule needs a unary tape",
+                 id="head block on a blank tape"),
+])
+def test_a_malformed_stanza_exits_2_with_its_line_and_message(capsys, tmp_path, lines, lineno,
+                                                              message):
+    scn = tmp_path / "s.scn"
+    scn.write_text(f"scenario s\nmachine {data_path('brocard.manifest')}\n{lines}\n")
+    code, out, err = run_cli(capsys, "verify", str(scn))
+    assert (code, out, err) == (2, "", f"error: {scn}:{lineno}: {message}\n")
 
 
 def test_error_in_a_nested_file_names_that_file(capsys, tmp_path):

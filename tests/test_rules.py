@@ -233,7 +233,7 @@ def searched(machine, config):
     where the head reads a cell it moves off to the right."""
     cm = compile_machine(machine)
     j = 2 * cm.index[config.state] + config.tape.read(config.tape.head)
-    search = rules._Search(cm, rules._reader(config.tape, 1), j)
+    search = rules._Search(cm, config.tape.runs(1), j)
     assert search.moves and cm.entry[j][1] == 1
     return rules.Prover(cm), j, search
 

@@ -17,6 +17,7 @@ from beaverkit.tables import (
     errors_of,
     load_overlay,
     load_table,
+    parse_overlay,
     parse_table,
     serialize_machine,
     validate,
@@ -153,6 +154,20 @@ def test_overlay_start_override():
     raw = parse_table("!start A\nA|0|0|R|B\nB|1|1|L|A")
     fixed = apply_overlay(raw, Overlay(start_override="B"))
     assert fixed.declared_start == "B"
+
+
+@pytest.mark.parametrize("text, lineno, directive", [
+    pytest.param("!name a\n!name b\n!start A\nA|0|0|R|A\n", 2, "name", id="name"),
+    pytest.param("!name a\n!start A\nA|0|0|R|A\n!start B\n", 4, "start", id="start"),
+])
+def test_a_repeated_table_directive_is_refused_at_its_line(text, lineno, directive):
+    with pytest.raises(TableError, match=f"^line {lineno}: !{directive} is declared twice$"):
+        parse_table(text)
+
+
+def test_a_repeated_overlay_start_is_refused_at_its_line():
+    with pytest.raises(TableError, match="^line 2: start is declared twice$"):
+        parse_overlay("start A\nstart B\n")
 
 
 def test_build_refuses_published_brocard(data_dir):

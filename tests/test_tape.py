@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beaverkit import tape as tape_module
 from beaverkit.tape import Tape
 
 
@@ -76,3 +77,17 @@ def test_a_blank_tapes_buffer_moves_to_a_far_cell(head):
     assert len(t.buf) == size and t.read(head) == 0 and t.support() == (0, -1)
     t.write(head + 1, 1)
     assert len(t.buf) == size and t.support() == (head + 1, head + 1)
+
+
+@pytest.mark.parametrize("lo", [-(10**12), 10**12])
+@pytest.mark.parametrize("width", [1, 3000])
+def test_span_far_from_a_blank_buffer_keeps_both_ends_writable(lo, width):
+    t = Tape()
+    hi = lo + width - 1
+    t.span(lo, hi)
+    size = len(t.buf)
+    assert size <= 2 * tape_module._INITIAL and t.extent() == (lo, hi)
+    t.write(lo, 1)
+    t.write(hi, 1)
+    assert len(t.buf) == size and t.read(lo) == t.read(hi) == 1
+    assert t.support() == (lo, hi) and t.blocks() == [1] * min(width, 2)
