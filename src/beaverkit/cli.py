@@ -112,7 +112,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .harness import load_scenarios
+    from .harness import MachineResolver, load_scenarios
     from .machine import state_count
     from .optimize import apply_merges, profile_reads, propose_merges, verify_merge
 
@@ -121,7 +121,7 @@ def cmd_optimize(args) -> int:
     scenarios = None
     profile = None
     if args.scenarios:
-        scenarios = load_scenarios(args.scenarios)
+        scenarios = load_scenarios(args.scenarios, MachineResolver(Path(args.scenarios).parent))
         profile = profile_reads(machine, scenarios)
         basis = f"profiled over {len(scenarios)} scenarios"
     else:

@@ -144,10 +144,10 @@ class CompiledMachine:
     not stop with the unwatched table.  ``proofs`` is what the
     shuttle-rule prover (`rules.Prover`) established on this table, for
     every run on it: ``(rules, fails)``, dicts keyed by entry of its last
-    rule and of its failures since its last proof (a count that stops at
-    `rules._FAILS`, so that every run retries every entry).  It is None
-    until the table's first scan long enough to try a rule, and a
-    watched table keeps its own.
+    rule and of its long scans in a row that applied nothing (a count
+    that stops at `rules.MAX_FAILS`, so that every run retries every
+    entry).  It is None until the table's first scan long enough to try a
+    rule, and a watched table keeps its own.
     """
 
     names: tuple[str, ...]

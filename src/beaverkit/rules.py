@@ -8,13 +8,13 @@ at once; this is the proof system of Marxen and Buntrock (1990,
 "Attacking the Busy Beaver 5") and of S. Ligocki's simulator, on the
 engine's tape.
 
-The engine asks at every scan across at least `LONG_SCAN` cells; a proof
-is tried when that scan's (state, symbol) entry recurs after the same
-number of long scans as last time.  The tape around the head is read as
-two stacks of runs of equal symbols, one on each side, and the head
-reads the top cell of the stack it faces.  A run is read from the tape
-(`Tape.runs`) only when the head reaches it; the blank beyond the
-1-extent is one 0-run of length `BLANK`, so it needs no case of its own.
+The engine asks at every scan across at least `LONG_SCAN` cells, and the
+scan's (state, symbol) entry tries a rule there once its wait is over.
+The tape around the head is read as two stacks of runs of equal
+symbols, one on each side, and the head reads the top cell of the stack
+it faces.  A run is read from the tape (`Tape.runs`) only when the head
+reaches it; the blank beyond the 1-extent is one 0-run of length
+`BLANK`, so it needs no case of its own.
 One move at run level is either a scan, a self-loop that consumes the
 whole run it faces, or a single transition.  One simulation (`_Search`)
 makes these moves, and it runs twice:
@@ -43,17 +43,19 @@ every 0->1 write of the k applications spans at most the memory cap.
 The tape `span`s that extent, and `Tape.rewrite` turns the runs the rule
 read into the runs it leaves, writing only the cells that change.  A
 rule reads the compiled table alone, so the table keeps each entry's
-last rule, for every run on it, and applies it again at any long scan of
-its entry where the tape has its shape: the same symbols and fixed
-lengths.  A cycle that meets a stop entry of the table (a halt, an exit,
-or an entry into a watched state) is refused, and so is one whose proof
-fails; then the entry is not searched again for a number of its triggers
-that doubles with each failure since its last proof.  The table counts
-an entry's failures up to `_FAILS`, a wait of `MIN_REPEATS` - 1
-triggers, and a run counts on from there: every run retries every entry
-within `MIN_REPEATS` triggers, then at doubling intervals.  The result
-is the configuration, step count, extent and read set the machine
-reaches one transition at a time.
+last rule, for every run on it.  A cycle that meets a stop entry of the
+table (a halt, an exit, or an entry into a watched state) is refused,
+and so is one whose proof fails.  The result is the configuration, step
+count, extent and read set the machine reaches one transition at a time.
+
+Each entry has one schedule: f, its long scans in a row that applied
+nothing, and a wait.  A long scan whose wait is over tries the table's
+rule when the tape has its shape (the same symbols and fixed lengths),
+and otherwise searches.  An application sets f to 0; a scan that
+applies nothing, because the known rule's bounds refused it or the
+search failed, adds 1 to f, up to `MAX_FAILS`, and the entry then
+skips its next 2^f - 1 long scans.  The table keeps f, and the next run
+counts on from it; an entry it counts nothing for starts at f = 1.
 
 Kept on the table rather than per run, rules cut the searches, proved
 or refused, that runs on the shipped machines make;
@@ -68,9 +70,7 @@ from operator import add, sub
 LONG_SCAN = 64  # the shortest scan that may start a proof
 MAX_MOVES = 64  # the most run-level moves a cycle may take
 MIN_REPEATS = 16  # a cycle that repeats fewer times costs more to prove than it saves
-# the failures a table counts per entry at most: a run's first search of
-# an entry waits at most MIN_REPEATS - 1 triggers
-_FAILS = MIN_REPEATS.bit_length() - 1
+MAX_FAILS = 8  # the most an entry's count of scans that applied nothing reaches
 
 
 def _at(e, x):
@@ -217,15 +217,14 @@ def _largest(hi, ok):
 
 
 class Prover:
-    """The rule trigger of one run, and the rules of its table.
+    """The rule schedule of one run, and the rules of its table.
 
     What a proof establishes is a fact about the compiled table, so the
     table keeps it (`CompiledMachine.proofs`, made at its first long
-    scan): per entry, its last rule, and its failures since its last
-    proof, at most `_FAILS`.  The prover keeps only the run's
-    schedule: the long scans so far, each entry's last one and the gap
-    between its last two, and its failures and the triggers it still
-    waits, which start from the table's count.
+    scan): per entry, its last rule, and f, its long scans in a row that
+    applied nothing, at most `MAX_FAILS`.  The prover keeps the run's
+    schedule: per entry, f, which starts from the table's count (1 where
+    it has none), and the long scans it still waits, 2^f - 1.
     """
 
     def __init__(self, cm):
@@ -233,66 +232,42 @@ class Prover:
         if cm.proofs is None:
             object.__setattr__(cm, "proofs", ({}, {}))
         self.rules, self.failed = cm.proofs
-        n = len(cm.entry)
-        self.scans = 0
-        self.last = [0] * n  # the long scan at which each entry last scanned
-        self.gap = [0] * n  # the long scans between its last two
-        # failed searches since the entry's last proof, and the triggers to
-        # skip before the next: 2^fails - 1.  A run counts on from the
-        # table's count, which stops at `_FAILS`
-        self.fails = [0] * n
-        self.wait = [0] * n
+        self.fails = [1] * len(cm.entry)
+        self.wait = [1] * len(cm.entry)
         for j, f in self.failed.items():
-            self.fails[j] = f
-            self.wait[j] = (1 << f) - 1
-        self.search = True  # whether `apply` may search: `due` decides it
+            self.fails[j], self.wait[j] = f, (1 << f) - 1
 
     def due(self, j) -> bool:
-        """Whether the long scan of entry `j` starting now should try a rule.
-
-        A rule the table knows is tried at every long scan of its entry;
-        a search only when the entry recurs after the same number of long
-        scans as last time, and its wait is over.
-        """
-        scans = self.scans = self.scans + 1
-        gap = scans - self.last[j]
-        self.last[j] = scans
-        if gap != self.gap[j]:
-            self.gap[j] = gap
-            search = False
-        elif self.wait[j]:
+        """Whether the long scan of entry `j` starting now should try a rule: its wait is over."""
+        if self.wait[j]:
             self.wait[j] -= 1
-            search = False
-        else:
-            search = True
-        self.search = search
-        return search or j in self.rules
+            return False
+        return True
 
     def apply(self, tape, j, budget, cap, reads) -> int:
         """Apply a rule for the scan of entry `j`; the steps it took, or 0.
 
         `tape` is the run's tape, the head on the scan's first cell; it
-        is changed only when a rule is applied.  A rule proved before is
-        used when the tape matches it; otherwise, when `due` allowed a
-        search, one is proved.
+        is changed only when a rule is applied.  The table's rule is used
+        when the tape has its shape; otherwise one is proved.  A scan that
+        applies nothing backs the entry off.
         """
         read = tape.runs((self.cm.entry[j][1] + 1) >> 1)
         rule = self.rules.get(j)
         runs = None if rule is None else rule.match(read)
-        if runs is not None:
-            return _apply(rule, runs, tape, budget, cap, reads)
-        if not self.search:
-            return 0
-        rule = self._prove(read, j, budget)
-        if rule is None:
-            fails = self.fails[j] = self.fails[j] + 1
+        if runs is None:
+            rule = self._prove(read, j, budget)
+            if rule is not None:
+                self.rules[j] = rule
+                runs = rule.match(read)
+        steps = 0 if runs is None else _apply(rule, runs, tape, budget, cap, reads)
+        if steps:
+            self.fails[j] = 0
+            self.failed.pop(j, None)
+        else:
+            fails = self.fails[j] = self.failed[j] = min(self.fails[j] + 1, MAX_FAILS)
             self.wait[j] = (1 << fails) - 1
-            self.failed[j] = min(fails, _FAILS)
-            return 0
-        self.fails[j] = 0
-        self.failed.pop(j, None)
-        self.rules[j] = rule
-        return _apply(rule, rule.match(read), tape, budget, cap, reads)
+        return steps
 
     def _prove(self, read, j, budget):
         """The rule of the cycle that starts at the scan of entry `j`, or None."""

@@ -555,6 +555,24 @@ def test_a_malformed_stanza_exits_2_with_its_line_and_message(capsys, tmp_path, 
     assert (code, out, err) == (2, "", f"error: {scn}:{lineno}: {message}\n")
 
 
+@pytest.mark.parametrize("lines, lineno, message", [
+    pytest.param("machine nosuch.manifest\nexpect nothalt", 2,
+                 "[Errno 2] No such file or directory: '{dir}/nosuch.manifest'",
+                 id="missing manifest"),
+    pytest.param(f"machine {data_path('brocard.manifest')}\nentry nosuch", 3,
+                 "initial state 'nosuch' is not defined in 'b'", id="undefined entry"),
+])
+def test_optimize_checks_its_scenarios_as_verify_does(capsys, tmp_path, lines, lineno, message):
+    # optimize runs each scenario on the machine it is given, and still
+    # refuses a scenario file that verify refuses, at the same line
+    scn = tmp_path / "s.scn"
+    scn.write_text(f"scenario s\n{lines}\n")
+    message = message.format(dir=tmp_path)
+    for command in (["verify"], ["optimize", str(data_path("brocard.manifest")), "--scenarios"]):
+        code, out, err = run_cli(capsys, *command, str(scn))
+        assert (code, out, err) == (2, "", f"error: {scn}:{lineno}: {message}\n")
+
+
 def test_error_in_a_nested_file_names_that_file(capsys, tmp_path):
     # scenario -> manifest -> table: the message points at the table's line
     (tmp_path / "bad.tbl").write_text("A|0|1|R\n")

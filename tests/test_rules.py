@@ -130,7 +130,7 @@ def test_shrinking_block_runs_out(a):
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_budget_at_the_rules_step_total(delta):
     # measured and tested on tables that keep no proofs: a warm table
-    # applies the rule at its first long scan
+    # schedules the entry from the count it keeps
     before, steps, _ = first_rule(transfer(100))
     on, off = both(fresh(), transfer(100), RunLimits(max_steps=before + steps + delta))
     assert on == off and on[0] == STEP_LIMIT
@@ -208,24 +208,47 @@ def test_a_cycle_through_a_watched_state_is_refused():
         assert tape.content_equal(config.tape) != credited
 
 
+# The long scans at which a run tries an entry that applies nothing, on a
+# table that counts nothing for it: it waits one, then 2^f - 1 after its
+# f-th scan in a row that applied nothing, f up to MAX_FAILS = 8.
+BACKOFF = [1, 5, 13, 29, 61, 125, 253, 509, 765]
+
+
+def tried(cm, j, config, scans=800):
+    """The long scans of entry `j`, of `scans` from `config`, at which a new
+    run on `cm` tries a rule; each must apply nothing."""
+    prover, at = rules.Prover(cm), []
+    for scan in range(scans):
+        if prover.due(j):
+            at.append(scan)
+            assert not prover.apply(config.tape.clone(), j, 10**6, 1 << 22, None)
+    return at
+
+
 def test_a_run_retries_an_entry_its_table_saw_fail_many_times():
     # a cycle through the watched G is refused at every search.  The table
-    # counts failures up to `_FAILS` only, so the twentieth run on it
-    # searches the entry within MIN_REPEATS triggers, and doubles its wait
-    # from there: once more within the next 2 * MIN_REPEATS
+    # keeps the entry's count f of scans in a row that applied nothing, up
+    # to MAX_FAILS, so the next run waits 2^MAX_FAILS - 1 scans at once,
+    # and as long after each
     config = fourth_round()
     cm = compile_machine(TRANSFER, {"G"})
     j = 2 * cm.index["S"] + 1
-    for _ in range(20):
-        prover = rules.Prover(cm)
-        searched = []
-        for trigger in range(3 * rules.MIN_REPEATS + 2):
-            if prover.due(j):
-                searched.append(trigger)
-                assert prover.search
-                assert not prover.apply(config.tape.clone(), j, 10**6, 1 << 22, None)
-    assert searched == [rules.MIN_REPEATS, 3 * rules.MIN_REPEATS]
-    assert rules.Prover(cm).failed[j] == rules._FAILS
+    assert tried(cm, j, config) == BACKOFF
+    assert cm.proofs[1] == {j: rules.MAX_FAILS}
+    for _ in range(2):
+        assert tried(cm, j, config) == [255, 511, 767]
+
+
+def test_a_known_rule_that_applies_nothing_backs_its_entry_off():
+    # a warm table's rule has the tape's shape, but block A is too short for
+    # it: the scan applies nothing, searches nothing and backs the entry off
+    cm = compile_machine(TRANSFER)
+    j = 2 * cm.index["S"] + 1
+    assert rules.Prover(cm).apply(fourth_round().tape, j, 10**6, 1 << 22, None)
+    rule = cm.proofs[0][j]
+    with mock.patch.object(rules.Prover, "_prove") as prove:
+        assert tried(cm, j, transfer(3)()) == BACKOFF
+    assert not prove.called and cm.proofs == ({j: rule}, {j: rules.MAX_FAILS})
 
 
 def searched(machine, config):
@@ -338,3 +361,17 @@ def test_brocard_reaches_its_n10_guard(brocard_ref):
         steps.append(out.steps)
     assert steps == GUARD_STEPS
     assert config.tape.blocks() == [10, 362880, 3265920]  # n = 10, 9! and 10! - 9!
+
+
+# The ninth entry, the n = 11 guard: 11! cells do not fit the default memory cap.
+N11_GUARD_STEP = 1467126402924712
+
+
+def test_brocard_reaches_its_n11_guard(brocard_ref):
+    config, limits = None, RunLimits(max_steps=10**17, max_support_cells=2**27)
+    for _ in range(len(GUARD_STEPS) + 1):
+        out = run(brocard_ref.machine, config, limits, watch=("b.Mf",))
+        assert out.kind == WATCH
+        config = out.config
+    assert out.steps == N11_GUARD_STEP
+    assert config.tape.blocks() == [11, 3628800, 36288000]  # n = 11, 10! and 11! - 10!
